@@ -116,7 +116,9 @@ def baseline_kernel(
     delta, max_ticks, mal, noise, dip_mode, warmup,
 ):
     """Synchronous reference system: every non-gateway node averages its full
-    live neighborhood each tick, the gateway contributing its current time."""
+    live neighborhood each tick, the gateway contributing its current time.
+    Each update counts as one broadcast in `sent`; `delivered` stays 0, as the
+    baseline has no delivery model."""
     N = indptr.shape[0] - 1
     T = max_ticks
     est = init_est.copy()
@@ -166,6 +168,7 @@ def baseline_kernel(
                 est[i] = ssum / cnt
                 act_tr[k, i] = 1
                 tx_tr[k, i] = 1
+                sent[k] += 1
                 if dip_mode >= 1 and fired[i] == 0:
                     _observe_dip(i, k, est[i], warmup, win_t, win_v, win_n,
                                  nout, yprev, fired, frozen, dip_tick, dip_val,
@@ -722,8 +725,10 @@ def _pure_baseline(
                 if observe and not fired[i]:
                     dip.observe(i, k, est[i], est, frozen)
         est_tr[k] = est
-    return (est_tr, act_tr, frz_tr, tx_tr, np.zeros(T, dtype=np.int64),
-            np.zeros(T, dtype=np.int64), *dip.results(frz_tr, -1), np.int64(-1))
+    # every node that updates broadcasts its new estimate
+    sent = tx_tr.sum(axis=1, dtype=np.int64)
+    return (est_tr, act_tr, frz_tr, tx_tr, sent, np.zeros(T, dtype=np.int64),
+            *dip.results(frz_tr, -1), np.int64(-1))
 
 
 def _pure_tsau(

@@ -61,18 +61,33 @@ def repeat_seed(base: int, rep: int) -> int:
     return base if rep == 0 else base * 1000003 + rep
 
 
+def env_seed(default):
+    """The DIPSYNC_SEED override as an int, or `default` when it is unset."""
+    raw = os.environ.get("DIPSYNC_SEED")
+    if raw is None:
+        return default
+    try:
+        return int(raw)
+    except ValueError:
+        raise ConfigError(f"DIPSYNC_SEED must be an integer, got {raw!r}") from None
+
+
 def load_spec(path) -> ExperimentSpec:
     fields = parse_keyvalue_file(path)
     name = fields.pop("name", Path(path).stem)
     if not _NAME_RE.match(name):
         raise ConfigError(f"experiment name {name!r} is not filesystem-safe")
-    repeat = int(fields.pop("repeat", 1))
+    raw_repeat = fields.pop("repeat", "1")
+    try:
+        repeat = int(raw_repeat)
+    except ValueError:
+        raise ConfigError(f"repeat must be an integer, got {raw_repeat!r}") from None
     if repeat < 1:
         raise ConfigError("repeat must be >= 1")
     output_dir = fields.pop("output_dir", ".")
-    env_seed = os.environ.get("DIPSYNC_SEED")
-    if env_seed is not None:
-        fields["seed"] = env_seed
+    seed = env_seed(None)
+    if seed is not None:
+        fields["seed"] = seed
     return ExperimentSpec(
         name=name, config=config_from_mapping(fields), repeat=repeat, output_dir=output_dir
     )
@@ -186,7 +201,7 @@ def cmd_sweep_links(args) -> int:
             print(f"error: probability {p} outside [0, 1]", file=sys.stderr)
             return 2
     protocol = ProtocolKind.parse(args.protocol)
-    seed = int(os.environ.get("DIPSYNC_SEED", args.seed))
+    seed = env_seed(args.seed)
     topo = make_grid(4, 4)
     lines = ["p,median_E_dip_min,min_E_dip_min,max_E_dip_min,median_k_dip_min,dip_persists"]
     for p in args.p:
@@ -230,7 +245,7 @@ _ORDER_CHECKS = {
 
 def cmd_compare(args) -> int:
     protocols = [ProtocolKind.parse(p) for p in args.protocols]
-    seed = int(os.environ.get("DIPSYNC_SEED", args.seed))
+    seed = env_seed(args.seed)
     results = {}
     for proto in protocols:
         cfg = scenario_config(args.scenario, proto, seed, args.ticks)
@@ -274,9 +289,10 @@ def cmd_benchmark(args) -> int:
     """Time the tick kernels on both backends and check they agree bit-for-bit."""
     rows = ["backend,median_seconds,checksum"]
     results = {}
-    for backend, env_val in (("numba", ""), ("pure", "1")):
-        os.environ["DIPSYNC_NO_NUMBA"] = env_val
-        try:
+    caller_flag = os.environ.get("DIPSYNC_NO_NUMBA")
+    try:
+        for backend, env_val in (("numba", ""), ("pure", "1")):
+            os.environ["DIPSYNC_NO_NUMBA"] = env_val
             if current_backend() != backend:
                 print(f"note: backend {backend} unavailable, skipping")
                 continue
@@ -289,8 +305,11 @@ def cmd_benchmark(args) -> int:
                 times.append(time.perf_counter() - t0)
             results[backend] = (statistics.median(times), checksum)
             rows.append(f"{backend},{statistics.median(times)!r},{checksum!r}")
-        finally:
+    finally:
+        if caller_flag is None:
             os.environ.pop("DIPSYNC_NO_NUMBA", None)
+        else:
+            os.environ["DIPSYNC_NO_NUMBA"] = caller_flag
     sys.stdout.write("\n".join(rows) + "\n")
     if len(results) == 2:
         same = results["numba"][1] == results["pure"][1]

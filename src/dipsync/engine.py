@@ -62,7 +62,8 @@ class Trace:
     frozen: np.ndarray             # (ticks, nodes) uint8
     transmitted: np.ndarray        # (ticks, nodes) uint8: node broadcast this tick
     messages_sent: np.ndarray      # (ticks,) broadcasts emitted per tick
-    messages_delivered: np.ndarray  # (ticks,) broadcasts that reached >=1 node
+    messages_delivered: np.ndarray  # (ticks,) broadcasts that reached >=1 node;
+    #   always 0 for the baseline, which has no delivery model
     dip_tick: np.ndarray           # (nodes,) detector's dip tick, -1 if none
     dip_value: np.ndarray          # (nodes,) frozen estimate value
     dip_fire_tick: np.ndarray      # (nodes,) tick the detector fired, -1 if none
@@ -85,7 +86,16 @@ class Trace:
         return np.abs(self.gateway_times[:, None] - self.estimates)
 
     def to_csv(self, path_or_file) -> None:
-        """Write "tick,node,estimate,error,activated,frozen" rows, full float precision."""
+        """Write "tick,node,estimate,error,activated,frozen" rows to a path or
+        an open text file.
+
+        Floats are written as the `repr` of the Python float (shortest
+        round-trip digits), flags as integers.  Each tick is formatted from
+        its rows converted to Python lists and written with one write call,
+        so the writer's extra memory is O(nodes) whatever the number of
+        ticks.  The bytes equal those of formatting every (tick, node) row on
+        its own.
+        """
         close = False
         if isinstance(path_or_file, (str, bytes)) or hasattr(path_or_file, "__fspath__"):
             fh = open(path_or_file, "w", encoding="utf-8", newline="\n")
@@ -94,13 +104,17 @@ class Trace:
             fh = path_or_file
         try:
             fh.write(TRACE_CSV_HEADER + "\n")
-            err = self.errors
+            gw = self.gateway_times
+            node_cols = [f",{i}," for i in range(self.node_count)]
             for k in range(self.n_ticks):
-                for i in range(self.node_count):
-                    fh.write(
-                        f"{k},{i},{float(self.estimates[k, i])!r},{float(err[k, i])!r},"
-                        f"{int(self.activated[k, i])},{int(self.frozen[k, i])}\n"
-                    )
+                est = self.estimates[k]
+                tick = str(k)
+                fh.write("".join([
+                    f"{tick}{node}{e!r},{x!r},{a},{f}\n"
+                    for node, e, x, a, f in zip(
+                        node_cols, est.tolist(), np.abs(gw[k] - est).tolist(),
+                        self.activated[k].tolist(), self.frozen[k].tolist())
+                ]))
         finally:
             if close:
                 fh.close()

@@ -83,6 +83,45 @@ def test_run_rejects_invalid_spec(tmp_path, capsys):
     assert code == 2
 
 
+def test_run_rejects_non_integer_repeat(tmp_path, capsys):
+    spec = write_spec(tmp_path, repeat="two")
+    code, _, err = run_cli(["run", str(spec), "--out", str(tmp_path / "o")], capsys)
+    assert code == 2
+    assert err.startswith("error: repeat")
+
+
+def test_run_rejects_non_integer_env_seed(tmp_path, capsys, monkeypatch):
+    spec = write_spec(tmp_path)
+    monkeypatch.setenv("DIPSYNC_SEED", "x")
+    code, _, err = run_cli(["run", str(spec), "--out", str(tmp_path / "o")], capsys)
+    assert code == 2
+    assert err.startswith("error: DIPSYNC_SEED")
+
+
+@pytest.mark.parametrize("args", [
+    ["sweep-links", "--protocol", "tsau", "--p", "1", "--repeats", "1", "--ticks", "50"],
+    ["compare", "--scenario", "grid16", "--ticks", "50"],
+])
+def test_sweep_and_compare_reject_non_integer_env_seed(args, capsys, monkeypatch):
+    monkeypatch.setenv("DIPSYNC_SEED", "1.5")
+    code, out, err = run_cli(args, capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: DIPSYNC_SEED")
+
+
+@pytest.mark.parametrize("flag", ["1", None])
+def test_benchmark_restores_caller_no_numba_flag(flag, capsys, monkeypatch):
+    if flag is None:
+        monkeypatch.delenv("DIPSYNC_NO_NUMBA", raising=False)
+    else:
+        monkeypatch.setenv("DIPSYNC_NO_NUMBA", flag)
+    code, out, _ = run_cli(["benchmark", "--ticks", "20", "--repeats", "1"], capsys)
+    assert code == 0
+    assert "backend,median_seconds,checksum" in out
+    assert os.environ.get("DIPSYNC_NO_NUMBA") == flag
+
+
 def test_sweep_links_rows(tmp_path, capsys):
     code, out, _ = run_cli(
         ["sweep-links", "--protocol", "uaf", "--p", "1", "0.5",

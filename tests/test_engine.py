@@ -1,5 +1,6 @@
 import io
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -317,6 +318,70 @@ def test_trace_csv_shape_and_header():
     assert lines[1].startswith("0,0,0.0,0.0,")
 
 
+def _per_row_csv(trace, fh):
+    """The trace CSV as one f-string per (tick, node) row: the oracle for
+    `Trace.to_csv`."""
+    fh.write(engine.TRACE_CSV_HEADER + "\n")
+    err = trace.errors
+    for k in range(trace.n_ticks):
+        for i in range(trace.node_count):
+            fh.write(
+                f"{k},{i},{float(trace.estimates[k, i])!r},{float(err[k, i])!r},"
+                f"{int(trace.activated[k, i])},{int(trace.frozen[k, i])}\n"
+            )
+
+
+def _assert_csv_matches_per_row_writer(trace, tmp_path):
+    # an open file handle as the target
+    got, want = io.StringIO(), io.StringIO()
+    trace.to_csv(got)
+    _per_row_csv(trace, want)
+    assert got.getvalue() == want.getvalue()
+    # a path as the target
+    trace.to_csv(tmp_path / "got.csv")
+    with open(tmp_path / "want.csv", "w", encoding="utf-8", newline="\n") as fh:
+        _per_row_csv(trace, fh)
+    assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+
+
+def test_to_csv_matches_per_row_writer_on_frozen_baf_run(tmp_path):
+    trace = run(SimConfig(topology=make_grid(4, 4), protocol=ProtocolKind.BAF,
+                          max_ticks=1500, seed=3, freeze_on_dip=True))
+    assert trace.frozen.any()
+    assert trace.activated.any() and not trace.activated.all()
+    _assert_csv_matches_per_row_writer(trace, tmp_path)
+
+
+def test_to_csv_matches_per_row_writer_on_edge_floats(tmp_path):
+    est = np.array([[0.0, -0.0, 1e-05, 1e16, 5e-324, 0.1 + 0.2],
+                    [0.001, 5e-324, -0.0, 0.1 + 0.2, 1e-05, -1e16]])
+    flags = np.array([[0, 1, 0, 1, 0, 1], [1, 0, 1, 0, 1, 0]], dtype=np.uint8)
+    ticks, n = est.shape
+    trace = engine.Trace(
+        protocol=ProtocolKind.BAF, delta=DELTA, gateway=0, estimates=est,
+        activated=flags, frozen=1 - flags, transmitted=flags,
+        messages_sent=np.zeros(ticks, dtype=np.int64),
+        messages_delivered=np.zeros(ticks, dtype=np.int64),
+        dip_tick=np.full(n, -1), dip_value=np.zeros(n), dip_fire_tick=np.full(n, -1),
+        config=cfg(make_line(n), ProtocolKind.BAF, max_ticks=ticks),
+    )
+    _assert_csv_matches_per_row_writer(trace, tmp_path)
+
+
+def test_to_csv_memory_is_bounded(tmp_path):
+    # the benchmark's large trace: 600 ticks x 256 nodes, a 7.7 MB file
+    trace = run(cfg(make_grid(16, 16), ProtocolKind.BAF, max_ticks=600, seed=1,
+                    link_p=0.75))
+    tracemalloc.start()
+    try:
+        trace.to_csv(tmp_path / "trace.csv")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (tmp_path / "trace.csv").stat().st_size > 7_000_000
+    assert peak < 4_000_000
+
+
 def test_run_batch_matches_sequential_and_empty():
     configs = [cfg(make_line(4), ProtocolKind.UAF, max_ticks=100, seed=s) for s in (1, 2)]
     batch = run_batch(configs)
@@ -412,13 +477,13 @@ def test_interpreted_kernels_match_compiled_source_on_abort(proto):
 
 
 def test_messages_sent_counts_every_broadcast(monkeypatch):
-    # lossy links on a 256-node grid: some ticks carry 256 broadcasts
+    # lossy links on a 256-node grid: some BAF ticks carry 256 broadcasts
     monkeypatch.setenv("DIPSYNC_NO_NUMBA", "1")
-    trace = run(cfg(make_grid(16, 16), ProtocolKind.BAF, max_ticks=200, seed=1,
-                    link_p=0.75))
-    per_tick = trace.transmitted.sum(axis=1, dtype=np.int64)
-    assert per_tick.max() >= 256
-    assert np.array_equal(trace.messages_sent, per_tick)
+    for proto in ProtocolKind:
+        trace = run(cfg(make_grid(16, 16), proto, max_ticks=200, seed=1, link_p=0.75))
+        per_tick = trace.transmitted.sum(axis=1, dtype=np.int64)
+        assert per_tick.max() >= (256 if proto is ProtocolKind.BAF else 1)
+        assert np.array_equal(trace.messages_sent, per_tick)
 
 
 # --- config-file ingestion ----------------------------------------------------
