@@ -1,9 +1,8 @@
-"""dipsync: deterministic simulator and protocol library for asynchronous,
-decentralized, single-hop WSN time synchronization (TSAU, UAF, BAF) with
-transient-dip stopping."""
+"""dipsync: deterministic simulator of asynchronous, decentralized, single-hop
+WSN time synchronization (TSAU, UAF, BAF) with transient-dip stopping."""
 
-from .clock import NodeClocks, TriggerBits, gateway_time, init_node_clock, resync_period
-from .dip import FILTER_TAPS, DipDetector, filter_output, freeze_at_dip
+from .clock import gateway_time, resync_period
+from .dip import FILTER_TAPS, DipDetector, filter_output
 from .engine import SimConfig, Trace, current_backend, run, run_batch, substream
 from .errors import (
     ConfigError,
@@ -24,23 +23,14 @@ from .metrics import (
 )
 from .noise import generate as generate_noise
 from .noise import malicious_node
-from .protocol import (
-    NodeState,
-    ProtocolKind,
-    SyncMessage,
-    decode,
-    encode,
-    neighborhood_average,
-)
+from .protocol import ProtocolKind, SyncMessage, decode, encode
 from .topology import (
     LayerAssignment,
-    LinkRealization,
     Topology,
     connectivity_layers,
     load_topology,
     make_grid,
     make_line,
-    sample_links,
 )
 
 __version__ = "0.1.0"

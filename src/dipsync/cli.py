@@ -29,7 +29,7 @@ from .engine import (
     parse_keyvalue_file,
     run,
 )
-from .errors import ConfigError
+from .errors import ConfigError, EpisodeAborted
 from .metrics import (
     PROTOCOL_ENERGY_CONSTANTS,
     QUOTED_TOTALS_UJ,
@@ -200,6 +200,9 @@ def cmd_sweep_links(args) -> int:
         if not 0.0 <= p <= 1.0:
             print(f"error: probability {p} outside [0, 1]", file=sys.stderr)
             return 2
+    if args.repeats < 1:
+        print("error: --repeats must be >= 1", file=sys.stderr)
+        return 2
     protocol = ProtocolKind.parse(args.protocol)
     seed = env_seed(args.seed)
     topo = make_grid(4, 4)
@@ -359,7 +362,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
+    except (ConfigError, EpisodeAborted) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

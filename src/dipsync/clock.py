@@ -1,29 +1,10 @@
-"""Gateway reference clock and per-node time bookkeeping."""
+"""The gateway's reference time and the resynchronization period.
+
+Node clocks are state of the tick kernels in `_kernels.py`; this module
+holds the two closed-form relations the protocols are built on.
+"""
 
 from __future__ import annotations
-
-from dataclasses import dataclass
-
-import numpy as np
-
-
-@dataclass
-class NodeClocks:
-    """A node's clock variables: hardware start value, logical clock, soft estimate."""
-
-    tau0: float
-    t_c: float
-    t_s: float = 0.0
-
-
-@dataclass
-class TriggerBits:
-    """Per-node action triggers: request, update, dip-stage, reply."""
-
-    i_t: bool = True
-    i_u: bool = True
-    i_s: bool = False
-    i_r: bool = False
 
 
 def gateway_time(k: int, delta: float) -> float:
@@ -33,12 +14,6 @@ def gateway_time(k: int, delta: float) -> float:
     if delta <= 0:
         raise ValueError("delta must be positive")
     return delta * k
-
-
-def init_node_clock(rng: np.random.Generator) -> NodeClocks:
-    """Draw the initial hardware clock uniform on [0, 1); the soft estimate starts at 0."""
-    tau0 = float(rng.random())
-    return NodeClocks(tau0=tau0, t_c=tau0, t_s=0.0)
 
 
 def resync_period(drift_ppm: float, accuracy: float) -> float:

@@ -1,5 +1,5 @@
 """Transient-dip detection: a length-7 antisymmetric difference filter over a
-node's own estimate series, with zero-crossing detection and the freeze rule.
+node's own estimate series, with zero-crossing detection.
 
 The filter is a smoothed slope estimator.  While a node's estimate descends
 toward the rising gateway line the output is negative; once the estimate
@@ -8,15 +8,19 @@ therefore marks the sample where the estimate passed closest to the gateway
 time.  The causal realization delays the noncausal kernel by 3 samples, so on
 a fire the dip is attributed to the window's center sample and the frozen
 clock takes that sample's value.
+
+The tick kernels in `_kernels.py` run their own detector for every node and
+apply the freeze rule there.  `DipDetector` is the single-node reference: a
+differential test (tests/test_engine.py) feeds it each node's updates and
+checks that it reports the kernels' dip tick, dip value and fire tick.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 from .errors import ProtocolViolation
-from .protocol import NodeState
 
 # Weights applied to the window ordered oldest -> newest.  Antisymmetric,
 # zero-sum, zero center tap: length 7 with 6 nonzero taps.
@@ -83,17 +87,3 @@ class DipDetector:
             self.dip_tick = self.ticks[CAUSAL_DELAY]
             self.dip_value = self.values[CAUSAL_DELAY]
         return crossed
-
-
-def freeze_at_dip(state: NodeState, detector: DipDetector) -> NodeState:
-    """Stop the node at the detected dip: the logical clock takes the buffered
-    center-sample estimate and the node drops to stand-by (no more updates or
-    requests; it still answers queries with the frozen value)."""
-    if not detector.fired:
-        raise ProtocolViolation("freeze requested before the detector fired")
-    if state.frozen:
-        raise ProtocolViolation("node already frozen")
-    new = replace(state, frozen=True)
-    new.clocks = replace(state.clocks, t_c=detector.dip_value, t_s=detector.dip_value)
-    new.triggers = replace(state.triggers, i_s=True, i_u=False, i_t=False)
-    return new

@@ -127,6 +127,8 @@ def _validate(config: SimConfig) -> int:
         raise ConfigError("delta must be positive")
     if not 0.0 <= config.link_p <= 1.0:
         raise ConfigError(f"link_p {config.link_p} outside [0, 1]")
+    if config.seed < 0:
+        raise ConfigError(f"seed must be non-negative, got {config.seed}")
     if config.topology.node_count < 2:
         raise ConfigError("need at least one non-gateway node")
     if config.topology.gateway != 0:

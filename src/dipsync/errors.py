@@ -2,7 +2,7 @@
 
 
 class ProtocolViolation(Exception):
-    """A state-machine precondition was broken (wrong message kind, double fire, ...)."""
+    """A `DipDetector` was fed a sample after it had fired."""
 
 
 class MalformedMessage(ValueError):

@@ -1,22 +1,20 @@
-"""Per-node protocol state machines (TSAU, UAF, BAF, synchronous baseline)
-and the byte-exact wire codec.
+"""Protocol kinds and the byte-exact wire codec.
 
-The state machines are pure transitions: (state, event) -> state, with
-broadcasts returned explicitly.  Within one tick a node gates incoming
-messages against the status bit it held at the tick boundary (`anchor_s`),
-so several same-wave messages arriving together are all accepted; the
-boundary op re-anchors the bit.
+The protocols themselves are simulated by the tick kernels in `_kernels.py`.
+This module names them (`ProtocolKind`) and defines the messages they
+broadcast: the fields of each kind (`SyncMessage`), their fixed payload
+lengths (`PAYLOAD_BYTES`), and the little-endian encoding (`encode` and
+`decode`).
 """
 
 from __future__ import annotations
 
 import enum
 import struct
-from dataclasses import dataclass, field, replace
-from typing import Optional, Sequence
+from dataclasses import dataclass
+from typing import Optional
 
-from .clock import NodeClocks, TriggerBits
-from .errors import MalformedMessage, ProtocolViolation
+from .errors import ConfigError, MalformedMessage
 
 MICROS_PER_SECOND = 1_000_000
 WIRE_TIME_MAX_TICKS = 0xFFFFFFFF  # 4-byte unsigned microsecond counter
@@ -33,7 +31,7 @@ class ProtocolKind(enum.Enum):
         for kind in cls:
             if kind.value == text.strip().lower():
                 return kind
-        raise ValueError(f"unknown protocol {text!r}")
+        raise ConfigError(f"unknown protocol {text!r}")
 
 
 PAYLOAD_BYTES = {
@@ -52,219 +50,6 @@ class SyncMessage:
     time: float
     s: Optional[int] = None
     c: Optional[int] = None
-
-
-@dataclass
-class NodeState:
-    """Everything a single non-gateway node carries between events."""
-
-    id: int
-    clocks: NodeClocks
-    triggers: TriggerBits = field(default_factory=TriggerBits)
-    clock_sum: float = 0.0
-    total_received: int = 0
-    s: int = 0
-    anchor_s: int = 0
-    c: int = 0
-    update_time: float = 0.0
-    frozen: bool = False
-    # counters of same-status traffic heard since the last accepted trigger,
-    # used by BAF's furthest-node rule
-    heard_same_count: int = 0
-    heard_same_max_c: int = -1
-
-    @property
-    def estimate(self) -> float:
-        return self.clocks.t_s if self.triggers.i_s else self.clocks.t_c
-
-    def t_av(self) -> float:
-        if self.total_received > 0:
-            return self.clock_sum / self.total_received
-        return self.estimate
-
-
-def make_node_state(node_id: int, clocks: NodeClocks, delta: float) -> NodeState:
-    """Initial state; TSAU's first slot lands at tick node_id."""
-    return NodeState(id=node_id, clocks=clocks, update_time=node_id * delta)
-
-
-def neighborhood_average(values: Sequence[float]) -> float:
-    """Arithmetic mean, summed in index order for determinism."""
-    if len(values) == 0:
-        raise ValueError("cannot average an empty neighborhood")
-    total = 0.0
-    for v in values:
-        total += v
-    return total / len(values)
-
-
-# ---------------------------------------------------------------------------
-# TSAU: timed sequential asynchronous update
-# ---------------------------------------------------------------------------
-
-def tsau_on_receive(state: NodeState, msg: SyncMessage) -> NodeState:
-    """Blind accumulation: every heard time joins the running sum."""
-    if msg.kind is not ProtocolKind.TSAU:
-        raise ProtocolViolation(f"TSAU node got {msg.kind.value} message")
-    if state.frozen:
-        raise ProtocolViolation("frozen node must not accumulate")
-    return replace(
-        state,
-        clock_sum=state.clock_sum + msg.time,
-        total_received=state.total_received + 1,
-    )
-
-
-def tsau_on_slot(
-    state: NodeState, k: int, delta: float, node_count: int
-) -> tuple[NodeState, Optional[SyncMessage]]:
-    """Fire the node's slot if tick k reaches its update time.
-
-    On a slot: adopt the accumulated average when more than one value was
-    heard, broadcast the (possibly unchanged) estimate, reset the
-    accumulators, and advance the schedule by (N-1) ticks.
-    """
-    now = k * delta
-    if now < state.update_time - 1e-12:
-        return state, None
-    new = replace(state)
-    if new.total_received > 1 and not new.frozen:
-        new.clocks = replace(new.clocks, t_c=new.t_av())
-    new.clock_sum = 0.0
-    new.total_received = 0
-    new.update_time = state.update_time + (node_count - 1) * delta
-    msg = SyncMessage(ProtocolKind.TSAU, new.id, new.estimate)
-    return new, msg
-
-
-# ---------------------------------------------------------------------------
-# UAF: unidirectional asynchronous flooding
-# ---------------------------------------------------------------------------
-
-def uaf_on_receive(state: NodeState, msg: SyncMessage) -> NodeState:
-    """Opposite-status messages accumulate and flip the status bit; same-status
-    messages leave the state untouched (the pending average defaults to the
-    node's own estimate)."""
-    if msg.kind is not ProtocolKind.UAF:
-        raise ProtocolViolation(f"UAF node got {msg.kind.value} message")
-    if msg.s != state.anchor_s:
-        return replace(
-            state,
-            clock_sum=state.clock_sum + msg.time,
-            total_received=state.total_received + 1,
-            s=msg.s,
-        )
-    return state
-
-
-def uaf_gateway_cycle(ts: float, max_layer: int, delta: float) -> bool:
-    """True exactly when the gateway timer has strictly passed L ticks:
-    the flood restart condition."""
-    if max_layer < 1:
-        raise ValueError("layer bound must be >= 1")
-    return ts > max_layer * delta
-
-
-# ---------------------------------------------------------------------------
-# BAF: bidirectional asynchronous flooding
-# ---------------------------------------------------------------------------
-
-def baf_on_receive(state: NodeState, msg: SyncMessage) -> NodeState:
-    """Like UAF plus hop-counter bookkeeping.
-
-    Opposite-status: accumulate, take the sender's counter plus one, flip.
-    The accepted message opens a fresh cycle window, and its counter (like any
-    same-status counter heard afterwards) feeds the furthest-node rule.
-    Same-status: record the counter, leave the averaging state untouched.
-    """
-    if msg.kind is not ProtocolKind.BAF:
-        raise ProtocolViolation(f"BAF node got {msg.kind.value} message")
-    if msg.s != state.anchor_s:
-        first_of_batch = state.s == state.anchor_s
-        return replace(
-            state,
-            clock_sum=state.clock_sum + msg.time,
-            total_received=state.total_received + 1,
-            s=msg.s,
-            c=msg.c + 1 if first_of_batch else max(state.c, msg.c + 1),
-            heard_same_count=1 if first_of_batch else state.heard_same_count + 1,
-            heard_same_max_c=msg.c if first_of_batch else max(state.heard_same_max_c, msg.c),
-        )
-    return replace(
-        state,
-        heard_same_count=state.heard_same_count + 1,
-        heard_same_max_c=max(state.heard_same_max_c, msg.c),
-    )
-
-
-def baf_reversal_due(state: NodeState) -> bool:
-    """Furthest-node rule: the node heard same-status traffic this cycle and
-    its own counter strictly exceeds every counter it heard."""
-    return state.heard_same_count > 0 and state.c > state.heard_same_max_c
-
-
-def baf_apply_reversal(state: NodeState) -> NodeState:
-    """Zero the counter, negate the status bit: this node turns the flood around."""
-    if not baf_reversal_due(state):
-        raise ProtocolViolation("reversal fired without its guard holding")
-    return replace(
-        state,
-        c=0,
-        s=1 - state.s,
-        anchor_s=1 - state.s,
-        heard_same_count=0,
-        heard_same_max_c=-1,
-    )
-
-
-def flood_on_boundary(
-    state: NodeState, kind: ProtocolKind
-) -> tuple[NodeState, Optional[SyncMessage]]:
-    """Tick-boundary commit for the flooding protocols.
-
-    Adopts the accumulated average (a no-op when nothing opposite-status
-    arrived), re-anchors the status bit, resets the accumulators, and emits a
-    broadcast exactly when the node woke up this tick.
-    """
-    woke = state.total_received > 0
-    new = replace(state)
-    if woke and not new.frozen:
-        new.clocks = replace(new.clocks, t_c=new.t_av())
-    new.clock_sum = 0.0
-    new.total_received = 0
-    new.anchor_s = new.s
-    if not woke:
-        return new, None
-    if kind is ProtocolKind.UAF:
-        msg = SyncMessage(kind, new.id, new.estimate, s=new.s)
-    else:
-        msg = SyncMessage(kind, new.id, new.estimate, s=new.s, c=new.c)
-    return new, msg
-
-
-# ---------------------------------------------------------------------------
-# Synchronous baseline (the all-ones activation reference system)
-# ---------------------------------------------------------------------------
-
-def sync_baseline_step(
-    estimates: Sequence[float],
-    k: int,
-    delta: float,
-    neighbors: Sequence[Sequence[int]],
-    gateway: int = 0,
-) -> list[float]:
-    """One synchronous round: every non-gateway node simultaneously becomes the
-    mean of its neighbors' previous values, the gateway contributing its
-    current time delta*k."""
-    prev = list(estimates)
-    out = list(estimates)
-    out[gateway] = delta * k
-    for i, nbrs in enumerate(neighbors):
-        if i == gateway:
-            continue
-        vals = [delta * k if j == gateway else prev[j] for j in nbrs]
-        out[i] = neighborhood_average(vals)
-    return out
 
 
 # ---------------------------------------------------------------------------

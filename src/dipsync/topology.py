@@ -1,4 +1,4 @@
-"""Network graphs: grid/line/arbitrary topologies, BFS layers, Bernoulli link sampling.
+"""Network graphs: grid/line/arbitrary topologies and their BFS layers.
 
 Node ids are small non-negative integers; the gateway always gets id 0 in the
 built-in generators, and the remaining ids follow breadth-first order from the
@@ -10,8 +10,6 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-
-import numpy as np
 
 from .errors import ConfigError, UnreachableNodeError
 
@@ -78,9 +76,6 @@ class Topology:
         connectivity_layers(topo)
         return topo
 
-    def degree(self, node: int) -> int:
-        return len(self.neighbors[node])
-
     def edge_index(self) -> dict[Edge, int]:
         """Map each canonical edge to its position in `edges`."""
         return {e: i for i, e in enumerate(self.edges)}
@@ -95,13 +90,6 @@ class LayerAssignment:
 
     def of(self, node: int) -> int:
         return self.layer[node]
-
-
-@dataclass(frozen=True)
-class LinkRealization:
-    """On/off state of every edge for a single tick, keyed by canonical edge."""
-
-    active: dict[Edge, bool]
 
 
 def make_grid(rows: int, cols: int, gateway_corner: str = "top-left") -> Topology:
@@ -175,18 +163,13 @@ def connectivity_layers(topo: Topology) -> LayerAssignment:
     return LayerAssignment(layer=tuple(layer), max_layer=max(layer))
 
 
-def sample_links(topo: Topology, p: float, rng: np.random.Generator) -> LinkRealization:
-    """One Bernoulli(p) draw per edge, consumed in canonical edge order."""
-    if not 0.0 <= p <= 1.0:
-        raise ConfigError(f"link probability {p} outside [0, 1]")
-    draws = rng.random(len(topo.edges))
-    return LinkRealization(active={e: bool(draws[i] < p) for i, e in enumerate(topo.edges)})
-
-
 def load_topology(path) -> Topology:
     """Read an edge-list file: first line "N gateway_id", then one "u v" per line."""
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = [ln.strip() for ln in fh if ln.strip() and not ln.startswith("#")]
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = [ln.strip() for ln in fh if ln.strip() and not ln.startswith("#")]
+    except OSError as exc:
+        raise ConfigError(f"{path}: cannot read topology file: {exc.strerror}") from exc
     if not lines:
         raise ConfigError(f"{path}: empty topology file")
     head = lines[0].split()

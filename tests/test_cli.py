@@ -110,6 +110,43 @@ def test_sweep_and_compare_reject_non_integer_env_seed(args, capsys, monkeypatch
     assert err.startswith("error: DIPSYNC_SEED")
 
 
+@pytest.mark.parametrize("overrides,message", [
+    ({"seed": "-3"}, "error: seed must be non-negative"),
+    ({"topology": "edgelist:{tmp}/missing.txt"},
+     "error: {tmp}/missing.txt: cannot read topology file"),
+    # delta of 10 s: the gateway's 4-byte microsecond field overflows at tick 430
+    ({"topology": "line:3", "delta": "10", "max_ticks": "1000"},
+     "error: episode aborted at tick 430: "),
+], ids=["negative-seed", "missing-edgelist", "aborted-episode"])
+def test_run_reports_bad_spec_or_abort_as_error(overrides, message, tmp_path, capsys):
+    spec = write_spec(tmp_path, **{k: v.format(tmp=tmp_path) for k, v in overrides.items()})
+    code, _, err = run_cli(["run", str(spec), "--out", str(tmp_path / "o")], capsys)
+    assert code == 2
+    assert err.startswith(message.format(tmp=tmp_path))
+
+
+@pytest.mark.parametrize("args,env_seed,message", [
+    (["sweep-links", "--protocol", "tsau", "--p", "1", "--repeats", "1", "--ticks", "50",
+      "--seed", "-2"], None, "error: seed must be non-negative"),
+    (["compare", "--scenario", "grid16", "--ticks", "50"], "-3",
+     "error: seed must be non-negative"),
+    (["sweep-links", "--protocol", "tsau", "--p", "1", "--repeats", "0"], None,
+     "error: --repeats"),
+    (["compare", "--scenario", "grid16", "--protocols", "foo", "--ticks", "50"], None,
+     "error: unknown protocol 'foo'"),
+    (["sweep-links", "--protocol", "foo", "--p", "1", "--repeats", "1", "--ticks", "50"],
+     None, "error: unknown protocol 'foo'"),
+], ids=["sweep-negative-seed", "compare-negative-env-seed", "sweep-zero-repeats",
+        "compare-unknown-protocol", "sweep-unknown-protocol"])
+def test_sweep_and_compare_reject_bad_arguments(args, env_seed, message, capsys, monkeypatch):
+    if env_seed is not None:
+        monkeypatch.setenv("DIPSYNC_SEED", env_seed)
+    code, out, err = run_cli(args, capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith(message)
+
+
 @pytest.mark.parametrize("flag", ["1", None])
 def test_benchmark_restores_caller_no_numba_flag(flag, capsys, monkeypatch):
     if flag is None:

@@ -3,7 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from dipsync.clock import gateway_time, init_node_clock, resync_period
+from dipsync.clock import gateway_time, resync_period
+from dipsync.engine import SimConfig, run, substream
+from dipsync.protocol import ProtocolKind
+from dipsync.topology import make_grid
 
 
 def test_gateway_time_zero():
@@ -37,24 +40,33 @@ def test_gateway_time_rejects_bad_args():
         gateway_time(1, 0.0)
 
 
+def initial_clocks(seed, protocol=ProtocolKind.TSAU, **kw):
+    """Tick-0 estimates of a 4x4 grid episode: the nodes' initial clocks."""
+    config = SimConfig(topology=make_grid(4, 4), protocol=protocol, max_ticks=1,
+                       seed=seed, **kw)
+    return run(config).estimates[0]
+
+
 def test_init_node_clock_range_and_fields():
-    clocks = init_node_clock(np.random.default_rng(42))
-    assert 0.0 <= clocks.tau0 < 1.0
-    assert clocks.t_c == clocks.tau0
-    assert clocks.t_s == 0.0
+    clocks = initial_clocks(42)
+    assert clocks[0] == gateway_time(0, 0.001)
+    assert np.all((0.0 <= clocks[1:]) & (clocks[1:] < 1.0))
+    # drawn in node-id order from the "init-clocks" sub-stream
+    assert np.array_equal(clocks[1:], substream(42, "init-clocks").random(15))
 
 
 def test_init_node_clock_distinct_draws():
-    rng = np.random.default_rng(1)
-    a = init_node_clock(rng)
-    b = init_node_clock(rng)
-    assert a.tau0 != b.tau0
+    clocks = initial_clocks(1)
+    assert len(set(clocks[1:].tolist())) == 15
+    assert np.all(clocks[1:] != initial_clocks(2)[1:])
 
 
 def test_init_node_clock_deterministic():
-    a = init_node_clock(np.random.default_rng(99)).tau0
-    b = init_node_clock(np.random.default_rng(99)).tau0
-    assert a == b
+    clocks = initial_clocks(99)
+    assert np.array_equal(clocks, initial_clocks(99))
+    # the draw has its own sub-stream: protocol, links and attacker leave it alone
+    for proto in ProtocolKind:
+        assert np.array_equal(clocks, initial_clocks(99, proto, link_p=0.5, malicious=True))
 
 
 def test_resync_period_reference_example():

@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
-from dipsync.clock import NodeClocks
-from dipsync.dip import DipDetector, filter_output, freeze_at_dip
+from dipsync.dip import DipDetector, filter_output
+from dipsync.engine import SimConfig, run
 from dipsync.errors import ProtocolViolation
-from dipsync.protocol import make_node_state
+from dipsync.protocol import ProtocolKind
+from dipsync.topology import make_grid
 
 
 def feed(det, series, start_tick=0):
@@ -71,7 +72,10 @@ def test_detector_needs_seven_samples():
 def test_detector_fires_once_then_rejects():
     series = [1.0 - 0.05 * k for k in range(15)] + [0.3 + 0.05 * k for k in range(15)]
     det = DipDetector()
-    assert feed(det, series) is not None
+    fired_tick = feed(det, series, start_tick=100)
+    assert fired_tick is not None
+    assert det.dip_tick == fired_tick - 3  # causal delay undone
+    assert det.dip_value == series[det.dip_tick - 100]
     with pytest.raises(ProtocolViolation):
         det.observe(1.0, 999)
 
@@ -92,27 +96,42 @@ def test_exact_zero_counts_as_crossing():
     assert feed(det, series) is not None
 
 
+def grid16_run(proto, freeze):
+    return run(SimConfig(topology=make_grid(4, 4), protocol=proto, max_ticks=1500,
+                         seed=3, freeze_on_dip=freeze))
+
+
 def test_freeze_at_dip_takes_center_sample():
-    series = [1.0 - 0.05 * k for k in range(15)] + [0.3 + 0.05 * k for k in range(15)]
-    det = DipDetector()
-    fired_tick = feed(det, series, start_tick=100)
-    assert fired_tick is not None
-    assert det.dip_tick == fired_tick - 3  # causal delay undone
-    assert det.dip_value == series[det.dip_tick - 100]
-    state = make_node_state(4, NodeClocks(tau0=0.9, t_c=0.9), 0.001)
-    frozen = freeze_at_dip(state, det)
-    assert frozen.frozen
-    assert frozen.clocks.t_c == det.dip_value
-    assert frozen.triggers.i_s and not frozen.triggers.i_u and not frozen.triggers.i_t
+    for proto in ProtocolKind:
+        trace = grid16_run(proto, freeze=True)
+        fired = [i for i in range(16) if trace.dip_fire_tick[i] >= 0]
+        assert fired
+        for i in fired:
+            fire, dip = int(trace.dip_fire_tick[i]), int(trace.dip_tick[i])
+            updates = np.nonzero(trace.activated[:, i])[0].tolist()
+            # the fire is the node's last update; the window's center
+            # sample, three updates earlier, is the dip
+            assert updates[-1] == fire
+            assert updates[-4] == dip
+            assert trace.dip_value[i] == trace.estimates[dip, i]
+            # the frozen clock holds that sample's value from the fire tick on
+            assert np.all(trace.estimates[fire:, i] == trace.dip_value[i])
 
 
 def test_freeze_requires_fire_and_rejects_double():
-    det = DipDetector()
-    state = make_node_state(1, NodeClocks(tau0=0.1, t_c=0.1), 0.001)
-    with pytest.raises(ProtocolViolation):
-        freeze_at_dip(state, det)
-    series = [1.0 - 0.05 * k for k in range(15)] + [0.3 + 0.05 * k for k in range(15)]
-    feed(det, series)
-    frozen = freeze_at_dip(state, det)
-    with pytest.raises(ProtocolViolation):
-        freeze_at_dip(frozen, det)
+    for proto in ProtocolKind:
+        trace = grid16_run(proto, freeze=True)
+        assert trace.dip_fire_tick[0] == -1  # the gateway never freezes
+        for i in range(16):
+            fire = int(trace.dip_fire_tick[i])
+            frozen = trace.frozen[:, i]
+            if fire < 0:
+                assert not frozen.any()
+            else:
+                # frozen once, from the fire tick on, and never updated again
+                assert not frozen[:fire].any() and frozen[fire:].all()
+                assert not trace.activated[fire + 1:, i].any()
+        # without freezing the detectors still fire, but nothing freezes
+        free = grid16_run(proto, freeze=False)
+        assert (free.dip_fire_tick >= 0).any()
+        assert not free.frozen.any()

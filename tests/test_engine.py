@@ -7,6 +7,7 @@ import pytest
 
 import dipsync._kernels as kernels
 import dipsync.engine as engine
+from dipsync.dip import DipDetector
 from dipsync.engine import (
     SimConfig,
     config_from_mapping,
@@ -296,6 +297,33 @@ def test_baseline_first_freezers_beat_unfrozen_steady_state():
         assert frozen_err < err_free[late, i]
         checked += 1
     assert checked >= 1
+
+
+def _detector_on_updates(trace, i):
+    """Feed a fresh DipDetector node i's estimate after each of its updates,
+    until it fires; return the fire tick (-1 if none) and the detector."""
+    det = DipDetector()
+    for k in np.nonzero(trace.activated[:, i])[0].tolist():
+        if det.observe(trace.estimates[k, i], k):
+            return k, det
+    return -1, det
+
+
+# freezing is off: with it on, the trace row at the fire tick holds the
+# frozen value rather than the sample the kernel's detector observed
+@pytest.mark.parametrize("topo,malicious", [
+    (make_grid(4, 4), False), (make_grid(4, 4), True), (make_line(6), False),
+], ids=["grid16", "grid16-malicious", "line6"])
+@pytest.mark.parametrize("link_p", [1.0, 0.5])
+@pytest.mark.parametrize("proto", list(ProtocolKind))
+def test_kernel_dip_detector_matches_dip_detector(proto, link_p, topo, malicious):
+    trace = run(cfg(topo, proto, max_ticks=2000, seed=3, link_p=link_p,
+                    malicious=malicious))
+    for i in range(1, topo.node_count):
+        fire, det = _detector_on_updates(trace, i)
+        assert trace.dip_fire_tick[i] == fire
+        assert trace.dip_tick[i] == (det.dip_tick if det.fired else -1)
+        assert trace.dip_value[i] == (det.dip_value if det.fired else 0.0)
 
 
 def test_determinism_same_config_same_trace():

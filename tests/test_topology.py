@@ -1,14 +1,16 @@
 import numpy as np
 import pytest
 
+import dipsync.engine as engine
+from dipsync.engine import SimConfig, run, substream
 from dipsync.errors import ConfigError, UnreachableNodeError
+from dipsync.protocol import ProtocolKind
 from dipsync.topology import (
     Topology,
     connectivity_layers,
     load_topology,
     make_grid,
     make_line,
-    sample_links,
 )
 
 
@@ -102,36 +104,46 @@ def test_unreachable_node_named():
     assert exc.value.node in (2, 3)
 
 
+def link_draws(topo, p, seed=0, ticks=50, protocol=ProtocolKind.BAF):
+    """The (ticks, edges) link realization the engine hands the kernel."""
+    config = SimConfig(topology=topo, protocol=protocol, max_ticks=ticks, link_p=p,
+                       seed=seed)
+    return engine.kernel_inputs(config)[1][3]
+
+
 def test_sample_links_p_one_and_zero():
     topo = make_grid(3, 3)
-    rng = np.random.default_rng(0)
-    assert all(sample_links(topo, 1.0, rng).active.values())
-    assert not any(sample_links(topo, 0.0, rng).active.values())
+    assert link_draws(topo, 1.0).all()
+    assert not link_draws(topo, 0.0).any()
+    ideal = run(SimConfig(topology=topo, protocol=ProtocolKind.BAF, max_ticks=50))
+    assert np.array_equal(ideal.messages_delivered[1:], ideal.messages_sent[:-1])
+    dead = run(SimConfig(topology=topo, protocol=ProtocolKind.BAF, max_ticks=50,
+                         link_p=0.0))
+    assert not dead.messages_delivered.any()
+    assert not dead.transmitted[:, 1:].any()
 
 
 def test_sample_links_law_of_large_numbers():
     # line of 11 has exactly 10 edges
-    topo = make_line(11)
-    rng = np.random.default_rng(123)
-    hits = 0
-    draws = 10_000
-    for _ in range(draws):
-        hits = hits + sum(sample_links(topo, 0.5, rng).active.values())
-    frac = hits / (draws * 10)
-    assert abs(frac - 0.5) < 0.02
+    live = link_draws(make_line(11), 0.5, seed=123, ticks=10_000)
+    assert live.shape == (10_000, 10)
+    assert abs(live.mean() - 0.5) < 0.02
 
 
 def test_sample_links_seed_reproducible():
     topo = make_grid(3, 3)
-    seq1 = [sample_links(topo, 0.3, np.random.default_rng(7)).active for _ in range(1)]
-    seq2 = [sample_links(topo, 0.3, np.random.default_rng(7)).active for _ in range(1)]
-    assert seq1 == seq2
+    live = link_draws(topo, 0.3, seed=7)
+    assert np.array_equal(live, link_draws(topo, 0.3, seed=7, protocol=ProtocolKind.TSAU))
+    # one draw per edge per tick from the "links" sub-stream, tick-major
+    assert np.array_equal(live, substream(7, "links").random((50, 12)) < 0.3)
+    assert not np.array_equal(live, link_draws(topo, 0.3, seed=8))
 
 
 def test_sample_links_rejects_bad_p():
-    topo = make_line(3)
-    with pytest.raises(ConfigError):
-        sample_links(topo, 1.5, np.random.default_rng(0))
+    for p in (1.5, -0.1):
+        with pytest.raises(ConfigError):
+            run(SimConfig(topology=make_line(3), protocol=ProtocolKind.TSAU,
+                          max_ticks=10, link_p=p))
 
 
 def test_edge_list_file_roundtrip(tmp_path):
