@@ -22,7 +22,7 @@ from typing import Sequence
 import numpy as np
 
 from . import noise as noise_mod
-from ._kernels import backend_name, get_kernel
+from ._kernels import get_kernel
 from .dip import WARMUP_OUTPUTS
 from .errors import ConfigError, EpisodeAborted
 from .protocol import ProtocolKind
@@ -294,5 +294,7 @@ def parse_keyvalue_file(path) -> dict:
 
 
 def current_backend() -> str:
-    """Which kernel path runs: "numba" or "pure" (see DIPSYNC_NO_NUMBA)."""
-    return backend_name()
+    """The name of the kernel implementation: always "pure" (the list-based
+    kernels in `_kernels.py`).  Kept for the `kernel_backend` line of a run's
+    manifest.txt and for tools that record it."""
+    return "pure"

@@ -1,4 +1,3 @@
-import os
 import subprocess
 import sys
 from pathlib import Path
@@ -52,6 +51,14 @@ def test_run_records_link_p_in_manifest(tmp_path, capsys):
     code, *_ = run_cli(["run", str(spec), "--out", str(tmp_path / "o")], capsys)
     assert code == 0
     assert "link_p = 0.25" in (tmp_path / "o" / "manifest.txt").read_text()
+
+
+def test_run_records_kernel_backend_in_manifest(tmp_path, capsys):
+    spec = write_spec(tmp_path)
+    code, *_ = run_cli(["run", str(spec), "--out", str(tmp_path / "o")], capsys)
+    assert code == 0
+    lines = (tmp_path / "o" / "manifest.txt").read_text().splitlines()
+    assert "kernel_backend = pure" in lines
 
 
 def test_run_env_seed_override(tmp_path, capsys, monkeypatch):
@@ -123,6 +130,7 @@ def test_run_reports_bad_spec_or_abort_as_error(overrides, message, tmp_path, ca
     code, _, err = run_cli(["run", str(spec), "--out", str(tmp_path / "o")], capsys)
     assert code == 2
     assert err.startswith(message.format(tmp=tmp_path))
+    assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize("args,env_seed,message", [
@@ -145,18 +153,6 @@ def test_sweep_and_compare_reject_bad_arguments(args, env_seed, message, capsys,
     assert code == 2
     assert out == ""
     assert err.startswith(message)
-
-
-@pytest.mark.parametrize("flag", ["1", None])
-def test_benchmark_restores_caller_no_numba_flag(flag, capsys, monkeypatch):
-    if flag is None:
-        monkeypatch.delenv("DIPSYNC_NO_NUMBA", raising=False)
-    else:
-        monkeypatch.setenv("DIPSYNC_NO_NUMBA", flag)
-    code, out, _ = run_cli(["benchmark", "--ticks", "20", "--repeats", "1"], capsys)
-    assert code == 0
-    assert "backend,median_seconds,checksum" in out
-    assert os.environ.get("DIPSYNC_NO_NUMBA") == flag
 
 
 def test_sweep_links_rows(tmp_path, capsys):

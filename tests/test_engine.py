@@ -1,10 +1,12 @@
 import io
-import os
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import array_kernels
 import dipsync._kernels as kernels
 import dipsync.engine as engine
 from dipsync.dip import DipDetector
@@ -444,30 +446,25 @@ def test_disconnected_topology_rejected():
 
 
 def test_backend_equivalence_bit_identical(monkeypatch):
+    # engine.run goes through the module-level get_kernel (the seam the
+    # benchmark's layer trace patches): swapping in the array-form oracle
+    # leaves every trace array bit-identical
     c = cfg(make_grid(3, 3), ProtocolKind.BAF, max_ticks=300, seed=21, link_p=0.8,
             malicious=True)
     fast = run(c)
-    monkeypatch.setenv("DIPSYNC_NO_NUMBA", "1")
-    assert engine.current_backend() == "pure"
+    monkeypatch.setattr(engine, "get_kernel", array_kernels.KERNELS.__getitem__)
     slow = run(c)
-    monkeypatch.delenv("DIPSYNC_NO_NUMBA")
-    assert np.array_equal(fast.estimates, slow.estimates)
-    assert np.array_equal(fast.activated, slow.activated)
-    assert np.array_equal(fast.dip_tick, slow.dip_tick)
+    assert engine.current_backend() == "pure"
+    for field in ("estimates", "activated", "frozen", "transmitted", "messages_sent",
+                  "messages_delivered", "dip_tick", "dip_value", "dip_fire_tick"):
+        assert np.array_equal(getattr(fast, field), getattr(slow, field)), field
 
 
-def test_pure_backend_all_protocols(monkeypatch):
-    monkeypatch.setenv("DIPSYNC_NO_NUMBA", "1")
+def test_pure_backend_all_protocols():
+    assert engine.current_backend() == "pure"
     for proto in ProtocolKind:
         trace = run(cfg(make_line(4), proto, max_ticks=60, seed=2))
         assert trace.estimates.shape == (60, 4)
-
-
-def _compiled_source(name):
-    """The compiled kernel's source run as plain Python (numba's `py_func`;
-    the function itself when numba is absent)."""
-    fn = kernels._KERNELS[name]
-    return getattr(fn, "py_func", fn)
 
 
 def _assert_same_kernel_outputs(got, want):
@@ -479,8 +476,8 @@ def _assert_same_kernel_outputs(got, want):
     assert int(got[9]) == int(want[9])
 
 
-# graphs stay under 256 nodes: the compiled source, run interpreted, counts
-# messages_sent per tick in uint8 (see test_messages_sent_counts_every_broadcast)
+# graphs stay under 256 nodes: the array-form oracle counts messages_sent per
+# tick in uint8 (see test_messages_sent_counts_every_broadcast)
 @pytest.mark.parametrize("freeze", [False, True])
 @pytest.mark.parametrize("malicious", [False, True])
 @pytest.mark.parametrize("link_p", [1.0, 0.5])
@@ -489,8 +486,8 @@ def test_interpreted_kernels_match_compiled_source(proto, link_p, malicious, fre
     c = SimConfig(topology=make_grid(3, 3), protocol=proto, max_ticks=600, seed=7,
                   link_p=link_p, malicious=malicious, freeze_on_dip=freeze)
     name, args = engine.kernel_inputs(c)
-    _assert_same_kernel_outputs(kernels._PURE_KERNELS[name](*args),
-                                _compiled_source(name)(*args))
+    _assert_same_kernel_outputs(kernels.get_kernel(name)(*args),
+                                array_kernels.KERNELS[name](*args))
 
 
 @pytest.mark.parametrize("proto", list(ProtocolKind))
@@ -499,14 +496,47 @@ def test_interpreted_kernels_match_compiled_source_on_abort(proto):
     # sends no messages and never aborts)
     c = cfg(make_line(3), proto, max_ticks=4000, seed=0, delta=10.0)
     name, args = engine.kernel_inputs(c)
-    got = kernels._PURE_KERNELS[name](*args)
-    _assert_same_kernel_outputs(got, _compiled_source(name)(*args))
+    got = kernels.get_kernel(name)(*args)
+    _assert_same_kernel_outputs(got, array_kernels.KERNELS[name](*args))
     assert (got[9] > 0) == (proto is not ProtocolKind.SYNC_BASELINE)
 
 
-def test_messages_sent_counts_every_broadcast(monkeypatch):
+@st.composite
+def connected_topologies(draw):
+    """A connected graph of 2-10 nodes, gateway 0: a random spanning tree
+    (each node in a random order attaches to one placed before it) plus any
+    set of extra edges."""
+    n = draw(st.integers(2, 10))
+    order = [0, *draw(st.permutations(range(1, n)))]
+    tree = {tuple(sorted((order[i], order[draw(st.integers(0, i - 1))])))
+            for i in range(1, n)}
+    others = [(a, b) for a in range(n) for b in range(a + 1, n) if (a, b) not in tree]
+    extra = draw(st.lists(st.sampled_from(others), unique=True)) if others else []
+    return Topology.from_edges(n, 0, [*tree, *extra])
+
+
+@settings(derandomize=True, deadline=None)
+@given(topo=connected_topologies(), proto=st.sampled_from(list(ProtocolKind)),
+       link_p=st.sampled_from([1.0, 0.5]), malicious=st.booleans(),
+       freeze=st.booleans(), seed=st.integers(0, 2 ** 32 - 1),
+       ticks=st.integers(2, 300))
+def test_kernels_on_random_connected_topologies(topo, proto, link_p, malicious, freeze,
+                                                seed, ticks):
+    c = SimConfig(topology=topo, protocol=proto, max_ticks=ticks, seed=seed,
+                  link_p=link_p, malicious=malicious, freeze_on_dip=freeze)
+    name, args = engine.kernel_inputs(c)
+    got = kernels.get_kernel(name)(*args)
+    _assert_same_kernel_outputs(got, array_kernels.KERNELS[name](*args))
+    # the gateway's estimate is its own time: its error is exactly zero
+    assert np.all(np.abs(c.delta * np.arange(ticks) - got[0][:, 0]) == 0.0)
+    if link_p == 1.0 and proto is not ProtocolKind.SYNC_BASELINE:
+        # every broadcast reaches a neighbor on the next tick
+        sent, delivered = got[4], got[5]
+        assert np.array_equal(delivered[1:], sent[:-1])
+
+
+def test_messages_sent_counts_every_broadcast():
     # lossy links on a 256-node grid: some BAF ticks carry 256 broadcasts
-    monkeypatch.setenv("DIPSYNC_NO_NUMBA", "1")
     for proto in ProtocolKind:
         trace = run(cfg(make_grid(16, 16), proto, max_ticks=200, seed=1, link_p=0.75))
         per_tick = trace.transmitted.sum(axis=1, dtype=np.int64)
