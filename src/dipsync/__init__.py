@@ -3,7 +3,7 @@ WSN time synchronization (TSAU, UAF, BAF) with transient-dip stopping."""
 
 from .clock import gateway_time, resync_period
 from .dip import FILTER_TAPS, DipDetector, filter_output
-from .engine import SimConfig, Trace, current_backend, run, run_batch, substream
+from .engine import SimConfig, Trace, current_backend, run, substream
 from .errors import (
     ConfigError,
     EpisodeAborted,

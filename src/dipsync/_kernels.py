@@ -2,9 +2,10 @@
 
 Each kernel simulates one full episode and returns the complete per-tick
 trace.  There is one kernel per protocol, resolved by name with
-`get_kernel`.  tests/array_kernels.py keeps an array-form formulation of the
-same loops, and a differential test (tests/test_engine.py) holds these
-kernels to it bit for bit.
+`get_kernel`.  A kernel holds only its protocol's rules; `_Episode` does the
+bookkeeping they share.  tests/array_kernels.py keeps an array-form
+formulation of the same loops, and a differential test (tests/test_engine.py)
+holds these kernels to it bit for bit.
 
 Shared conventions:
   * node 0 is the gateway; its estimate row is delta*k exactly;
@@ -14,10 +15,9 @@ Shared conventions:
     tick k's link realization keeps alive;
   * `mal` is the malicious node id (or -1); its advertised time at tick k is
     its estimate biased by noise[k] (the pre-scaled colored-noise stream);
-  * dip_mode 0 disables dip detection, 1 observes only (the detector's dip
-    tick/value are recorded but updates continue), 2 freezes: on a zero
-    crossing the node rewinds to the window's center sample and stops
-    updating;
+  * every node runs one `dip.DipDetector` over its own updates, until it
+    fires; dip_mode 1 records, 2 also freezes: on a fire the node rewinds to
+    the window's center sample and stops updating;
   * kernels return abort_tick >= 0 when a broadcast would overflow the 4-byte
     microsecond wire field; the caller raises;
   * every average adds its values in CSR neighbor order, the order the
@@ -28,7 +28,10 @@ from __future__ import annotations
 
 import numpy as np
 
-WIRE_MAX_MICROS = 4294967295.0
+from .dip import DipDetector
+from .protocol import WIRE_TIME_MAX_TICKS
+
+WIRE_MAX_MICROS = float(WIRE_TIME_MAX_TICKS)
 
 
 def get_kernel(name: str):
@@ -43,69 +46,64 @@ def get_kernel(name: str):
 # item and a float.
 # ---------------------------------------------------------------------------
 
-class _DipWindows:
-    """Per-node dip detectors: for each node, the 7-sample window, warm-up
-    and zero-crossing rule of `dip.DipDetector`, plus the freeze rule."""
+class _Episode:
+    """What every kernel shares: per node its CSR neighbors as (neighbor id,
+    edge slot) pairs, its estimate, frozen and fired flags and its dip
+    detector; the (ticks, nodes) trace arrays with tick 0's estimate row;
+    and the per-tick delivery counts."""
 
-    def __init__(self, n, warmup, freeze):
-        self.warmup = warmup
-        self.freeze = freeze
-        self.ticks = [[] for _ in range(n)]
-        self.vals = [[] for _ in range(n)]
-        self.nout = [0] * n
-        self.yprev = [0.0] * n
+    def __init__(self, indptr, indices, edge_slot, init_est, max_ticks,
+                 dip_mode, warmup):
+        ids = indices.tolist()
+        slots = edge_slot.tolist()
+        bounds = indptr.tolist()
+        self.nbrs = [list(zip(ids[a:b], slots[a:b]))
+                     for a, b in zip(bounds, bounds[1:])]
+        n = len(self.nbrs)
+        self.est = init_est.tolist()
+        self.est[0] = 0.0
+        self.frozen = [0] * n
         self.fired = [0] * n
-        self.dip_tick = [-1] * n
-        self.dip_val = [0.0] * n
         self.fire_tick = [-1] * n
+        self.detectors = [DipDetector(warmup) for _ in range(n)]
+        self.freeze = dip_mode == 2
+        self.est_tr = np.zeros((max_ticks, n))
+        self.act_tr = np.zeros((max_ticks, n), dtype=np.uint8)
+        self.frz_tr = np.zeros((max_ticks, n), dtype=np.uint8)
+        self.tx_tr = np.zeros((max_ticks, n), dtype=np.uint8)
+        self.delivered = [0] * max_ticks
+        self.est_tr[0] = self.est
 
-    def observe(self, i, tick, val, est, frozen):
-        wt = self.ticks[i]
-        wv = self.vals[i]
-        wt.append(tick)
-        wv.append(val)
-        if len(wv) > 7:
-            del wt[0]
-            del wv[0]
-        elif len(wv) < 7:
-            return
-        y = 0.2 * (wv[6] - wv[0]) + 0.5 * (wv[5] - wv[1]) + 0.2 * (wv[4] - wv[2])
-        self.nout[i] += 1
-        crossed = self.nout[i] > self.warmup and (y == 0.0 or y * self.yprev[i] < 0.0)
-        self.yprev[i] = y
-        if crossed:
+    def observe(self, i, k):
+        """Feed node i's new estimate, updated at tick k, to its detector; on
+        a fire, record it and, when freezing, rewind and freeze the node."""
+        det = self.detectors[i]
+        if det.observe(self.est[i], k):
             self.fired[i] = 1
-            self.dip_tick[i] = wt[3]
-            self.dip_val[i] = wv[3]
-            self.fire_tick[i] = tick
+            self.fire_tick[i] = k
             if self.freeze:
-                frozen[i] = 1
-                est[i] = wv[3]
+                self.frozen[i] = 1
+                self.est[i] = det.dip_value
 
-    def results(self, frz_tr, abort):
-        """Fill the frozen trace (a node stays frozen from its fire tick on,
-        up to the abort tick) and return (dip_tick, dip_val, fire_tick)."""
+    def outputs(self, abort):
+        """The kernel's 10-tuple.  A frozen node stays frozen from its fire
+        tick on, up to the abort tick; each tick's broadcasts are counted from
+        the transmit trace."""
         if self.freeze:
-            stop = abort if abort >= 0 else frz_tr.shape[0]
+            stop = abort if abort >= 0 else self.frz_tr.shape[0]
             for i, f in enumerate(self.fire_tick):
                 if f >= 0:
-                    frz_tr[f:stop, i] = 1
-        return (np.array(self.dip_tick, dtype=np.int64),
-                np.array(self.dip_val, dtype=np.float64),
-                np.array(self.fire_tick, dtype=np.int64))
-
-
-def _neighbor_lists(indptr, indices, edge_slot):
-    """Per node, its CSR neighbors as (neighbor id, edge slot) pairs."""
-    ids = indices.tolist()
-    slots = edge_slot.tolist()
-    bounds = indptr.tolist()
-    return [list(zip(ids[a:b], slots[a:b])) for a, b in zip(bounds, bounds[1:])]
-
-
-def _trace_arrays(T, N):
-    return (np.zeros((T, N)), np.zeros((T, N), dtype=np.uint8),
-            np.zeros((T, N), dtype=np.uint8), np.zeros((T, N), dtype=np.uint8))
+                    self.frz_tr[f:stop, i] = 1
+        dets = self.detectors
+        return (self.est_tr, self.act_tr, self.frz_tr, self.tx_tr,
+                self.tx_tr.sum(axis=1, dtype=np.int64),
+                np.array(self.delivered, dtype=np.int64),
+                np.array([d.dip_tick if d.fired else -1 for d in dets],
+                         dtype=np.int64),
+                np.array([d.dip_value if d.fired else 0.0 for d in dets],
+                         dtype=np.float64),
+                np.array(self.fire_tick, dtype=np.int64),
+                np.int64(abort))
 
 
 def baseline_kernel(
@@ -118,16 +116,10 @@ def baseline_kernel(
     baseline has no delivery model."""
     N = indptr.shape[0] - 1
     T = max_ticks
-    nbrs = _neighbor_lists(indptr, indices, edge_slot)
+    ep = _Episode(indptr, indices, edge_slot, init_est, T, dip_mode, warmup)
+    nbrs, est, frozen, fired = ep.nbrs, ep.est, ep.frozen, ep.fired
+    est_tr, act_tr, tx_tr = ep.est_tr, ep.act_tr, ep.tx_tr
     noise = noise.tolist()
-    est = init_est.tolist()
-    est[0] = 0.0
-    frozen = [0] * N
-    dip = _DipWindows(N, warmup, dip_mode == 2)
-    fired = dip.fired
-    observe = dip_mode >= 1
-    est_tr, act_tr, frz_tr, tx_tr = _trace_arrays(T, N)
-    est_tr[0] = est
     for k in range(1, T):
         live = link_live[k].tolist()
         gw_now = delta * k
@@ -150,13 +142,10 @@ def baseline_kernel(
                 est[i] = ssum / cnt
                 act_tr[k, i] = 1
                 tx_tr[k, i] = 1
-                if observe and not fired[i]:
-                    dip.observe(i, k, est[i], est, frozen)
+                if not fired[i]:
+                    ep.observe(i, k)
         est_tr[k] = est
-    # every node that updates broadcasts its new estimate
-    sent = tx_tr.sum(axis=1, dtype=np.int64)
-    return (est_tr, act_tr, frz_tr, tx_tr, sent, np.zeros(T, dtype=np.int64),
-            *dip.results(frz_tr, -1), np.int64(-1))
+    return ep.outputs(-1)
 
 
 def tsau_kernel(
@@ -169,26 +158,17 @@ def tsau_kernel(
     N = indptr.shape[0] - 1
     T = max_ticks
     cyc = N - 1
-    nbrs = _neighbor_lists(indptr, indices, edge_slot)
+    ep = _Episode(indptr, indices, edge_slot, init_est, T, dip_mode, warmup)
+    nbrs, est, frozen, fired = ep.nbrs, ep.est, ep.frozen, ep.fired
+    est_tr, act_tr, tx_tr, delivered = ep.est_tr, ep.act_tr, ep.tx_tr, ep.delivered
     noise = noise.tolist()
-    est = init_est.tolist()
-    est[0] = 0.0
     acc_sum = [0.0] * N
     acc_n = [0] * N
-    frozen = [0] * N
-    dip = _DipWindows(N, warmup, dip_mode == 2)
-    fired = dip.fired
-    observe = dip_mode >= 1
-    est_tr, act_tr, frz_tr, tx_tr = _trace_arrays(T, N)
-    sent = [0] * T
-    delivered = [0] * T
     abort = -1
     # last tick's broadcasts as (sender, value), ascending sender; at tick 0
     # only the gateway speaks
     sends = [(0, 0.0)]
     tx_tr[0, 0] = 1
-    sent[0] = 1
-    est_tr[0] = est
     for k in range(1, T):
         live = link_live[k].tolist()
         for b, val in sends:
@@ -204,8 +184,8 @@ def tsau_kernel(
         if acc_n[i] > 1 and not frozen[i]:
             est[i] = acc_sum[i] / acc_n[i]
             act_tr[k, i] = 1
-            if observe and not fired[i]:
-                dip.observe(i, k, est[i], est, frozen)
+            if not fired[i]:
+                ep.observe(i, k)
         acc_sum[i] = 0.0
         acc_n[i] = 0
         out = est[i] + noise[k] if i == mal else est[i]
@@ -221,12 +201,9 @@ def tsau_kernel(
             sends.insert(0, (0, gv))
         for b, _ in sends:
             tx_tr[k, b] = 1
-        sent[k] = len(sends)
         est[0] = delta * k
         est_tr[k] = est
-    return (est_tr, act_tr, frz_tr, tx_tr, np.array(sent, dtype=np.int64),
-            np.array(delivered, dtype=np.int64), *dip.results(frz_tr, abort),
-            np.int64(abort))
+    return ep.outputs(abort)
 
 
 def uaf_kernel(
@@ -241,20 +218,13 @@ def uaf_kernel(
     N = indptr.shape[0] - 1
     T = max_ticks
     cyc = max_layer + 1
-    nbrs = _neighbor_lists(indptr, indices, edge_slot)
+    ep = _Episode(indptr, indices, edge_slot, init_est, T, dip_mode, warmup)
+    nbrs, est, frozen, fired = ep.nbrs, ep.est, ep.frozen, ep.fired
+    est_tr, act_tr, tx_tr, delivered = ep.est_tr, ep.act_tr, ep.tx_tr, ep.delivered
     noise = noise.tolist()
-    est = init_est.tolist()
-    est[0] = 0.0
     s = [0] * N
     pend = [0.0] * N
     has_pend = [0] * N
-    frozen = [0] * N
-    dip = _DipWindows(N, warmup, dip_mode == 2)
-    fired = dip.fired
-    observe = dip_mode >= 1
-    est_tr, act_tr, frz_tr, tx_tr = _trace_arrays(T, N)
-    sent = [0] * T
-    delivered = [0] * T
     abort = -1
     gw_last = 0.0
     # last tick's broadcasts: the ascending senders, and per node the value
@@ -264,8 +234,6 @@ def uaf_kernel(
     b_st = [0] * N
     b_st[0] = 1
     tx_tr[0, 0] = 1
-    sent[0] = 1
-    est_tr[0] = est
     for k in range(1, T):
         live = link_live[k].tolist()
         if k % cyc == 0:
@@ -274,8 +242,8 @@ def uaf_kernel(
                     if not frozen[i]:
                         est[i] = pend[i]
                         act_tr[k, i] = 1
-                        if observe and not fired[i]:
-                            dip.observe(i, k, est[i], est, frozen)
+                        if not fired[i]:
+                            ep.observe(i, k)
                     has_pend[i] = 0
         # deliveries (sender view) and wake-ups: a node wakes when an
         # opposite-status message reaches it
@@ -336,13 +304,10 @@ def uaf_kernel(
             gw_last = gv
         for b in nb_senders:
             tx_tr[k, b] = 1
-        sent[k] = len(nb_senders)
         senders, b_val, b_st = nb_senders, nb_val, nb_st
         est[0] = delta * k
         est_tr[k] = est
-    return (est_tr, act_tr, frz_tr, tx_tr, np.array(sent, dtype=np.int64),
-            np.array(delivered, dtype=np.int64), *dip.results(frz_tr, abort),
-            np.int64(abort))
+    return ep.outputs(abort)
 
 
 def baf_kernel(
@@ -357,22 +322,15 @@ def baf_kernel(
     status and turns the flood around."""
     N = indptr.shape[0] - 1
     T = max_ticks
-    nbrs = _neighbor_lists(indptr, indices, edge_slot)
+    ep = _Episode(indptr, indices, edge_slot, init_est, T, dip_mode, warmup)
+    nbrs, est, frozen, fired = ep.nbrs, ep.est, ep.frozen, ep.fired
+    est_tr, act_tr, tx_tr, delivered = ep.est_tr, ep.act_tr, ep.tx_tr, ep.delivered
     noise = noise.tolist()
-    est = init_est.tolist()
-    est[0] = 0.0
     s = [0] * N
     c = [0] * N
     heard_n = [0] * N
     heard_max = [-1] * N
     last_trig = [-(10 ** 9)] * N
-    frozen = [0] * N
-    dip = _DipWindows(N, warmup, dip_mode == 2)
-    fired = dip.fired
-    observe = dip_mode >= 1
-    est_tr, act_tr, frz_tr, tx_tr = _trace_arrays(T, N)
-    sent = [0] * T
-    delivered = [0] * T
     abort = -1
     # last tick's broadcasts: the ascending senders, and per node the value,
     # status and hop counter it sent; at tick 0 the gateway starts the first
@@ -383,8 +341,6 @@ def baf_kernel(
     b_c = [0] * N
     b_st[0] = 1
     tx_tr[0, 0] = 1
-    sent[0] = 1
-    est_tr[0] = est
     for k in range(1, T):
         live = link_live[k].tolist()
         # deliveries (sender view), and per receiver the count and largest
@@ -433,8 +389,8 @@ def baf_kernel(
                     # own estimate joins the average
                     est[i] = (ssum + est[i]) / (cnt + 1)
                     act_tr[k, i] = 1
-                    if observe and not fired[i]:
-                        dip.observe(i, k, est[i], est, frozen)
+                    if not fired[i]:
+                        ep.observe(i, k)
                 s[i] = 1 - s[i]
                 c[i] = opp_max[i] + 1
                 # the wake-up messages open this node's new cycle window
@@ -479,13 +435,10 @@ def baf_kernel(
         nb_st[0] = 1
         for b in nb_senders:
             tx_tr[k, b] = 1
-        sent[k] = len(nb_senders)
         senders, b_val, b_st, b_c = nb_senders, nb_val, nb_st, nb_c
         est[0] = delta * k
         est_tr[k] = est
-    return (est_tr, act_tr, frz_tr, tx_tr, np.array(sent, dtype=np.int64),
-            np.array(delivered, dtype=np.int64), *dip.results(frz_tr, abort),
-            np.int64(abort))
+    return ep.outputs(abort)
 
 
 _KERNELS = {

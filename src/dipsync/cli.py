@@ -159,7 +159,7 @@ def _metrics_csv(path, results: list[tuple[int, DipMetrics]]) -> None:
 def dip_cycles(trace: Trace) -> DipMetrics:
     """Dip metrics with k_dip rescaled to the protocol's wake-up cycles."""
     dm = dip_metrics(trace)
-    per_cycle = TX_PER_CYCLE.get(trace.protocol, 1.0)
+    per_cycle = TX_PER_CYCLE.get(trace.config.protocol, 1.0)
     if per_cycle == 1.0:
         return dm
     k = dm.k_dip / per_cycle

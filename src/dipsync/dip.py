@@ -9,10 +9,11 @@ time.  The causal realization delays the noncausal kernel by 3 samples, so on
 a fire the dip is attributed to the window's center sample and the frozen
 clock takes that sample's value.
 
-The tick kernels in `_kernels.py` run their own detector for every node and
-apply the freeze rule there.  `DipDetector` is the single-node reference: a
-differential test (tests/test_engine.py) feeds it each node's updates and
-checks that it reports the kernels' dip tick, dip value and fire tick.
+`DipDetector` is the one detector of the package: the tick kernels in
+`_kernels.py` run one per node over that node's updates, until it fires, and
+apply the freeze rule there.  Its independent check is `_observe_dip` in the
+array-form test oracle (tests/array_kernels.py), which the kernels' outputs
+are held to bit for bit.
 """
 
 from __future__ import annotations

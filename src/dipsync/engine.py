@@ -2,8 +2,9 @@
 
 One `run` realizes the switched system: per tick it samples the link
 realization, delivers the previous tick's broadcasts, applies the protocol
-transitions of the activated nodes, lets dip detectors observe (when freezing
-is enabled), and records a trace row.  Identical config and seed give a
+transitions of the activated nodes, feeds each updated node's estimate to its
+dip detector (freezing the node at a dip when `freeze_on_dip` is set), and
+records a trace row.  Identical config and seed give a
 bit-identical trace.
 
 Randomness is split into three named sub-streams derived from the master
@@ -17,8 +18,6 @@ colored-noise series.  A sub-stream for label m is
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
-
 import numpy as np
 
 from . import noise as noise_mod
@@ -54,9 +53,6 @@ class SimConfig:
 class Trace:
     """Per-tick, per-node record of one episode."""
 
-    protocol: ProtocolKind
-    delta: float
-    gateway: int
     estimates: np.ndarray          # (ticks, nodes) float64
     activated: np.ndarray          # (ticks, nodes) uint8
     frozen: np.ndarray             # (ticks, nodes) uint8
@@ -79,7 +75,7 @@ class Trace:
 
     @property
     def gateway_times(self) -> np.ndarray:
-        return self.delta * np.arange(self.n_ticks)
+        return self.config.delta * np.arange(self.n_ticks)
 
     @property
     def errors(self) -> np.ndarray:
@@ -197,9 +193,6 @@ def run(config: SimConfig) -> Trace:
     if abort >= 0:
         raise EpisodeAborted(int(abort), "broadcast time overflows the 4-byte wire field")
     return Trace(
-        protocol=config.protocol,
-        delta=config.delta,
-        gateway=config.topology.gateway,
         estimates=est_tr,
         activated=act_tr,
         frozen=frz_tr,
@@ -211,11 +204,6 @@ def run(config: SimConfig) -> Trace:
         dip_fire_tick=fire_tick,
         config=config,
     )
-
-
-def run_batch(configs: Sequence[SimConfig]) -> list[Trace]:
-    """Sequential batch; results identical to running each config alone."""
-    return [run(cfg) for cfg in configs]
 
 
 # ---------------------------------------------------------------------------

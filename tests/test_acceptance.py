@@ -3,14 +3,13 @@
 One test per acceptance criterion, each printing a PASS/FAIL line (run with
 ``pytest tests/test_acceptance.py -s`` to see them).  Statistical criteria use
 the fixed seed panel 1..11.  Criterion runtimes are measured around the
-computational sections after the JIT warm-up fixture.
+computational sections only.
 """
 
 import io
 import time
 
 import numpy as np
-import pytest
 
 import dipsync.metrics as metrics
 from dipsync.cli import dip_cycles, main
@@ -33,15 +32,6 @@ def verdict(num, ok, detail=""):
         line += f"  ({detail})"
     print(line)
     return ok
-
-
-@pytest.fixture(scope="module", autouse=True)
-def warm_kernels():
-    # compile all four kernels once so criterion timings measure compute only
-    for proto in ProtocolKind:
-        run(SimConfig(topology=make_grid(2, 2), protocol=proto, max_ticks=8, seed=0))
-    run(SimConfig(topology=make_grid(2, 2), protocol=ProtocolKind.BAF,
-                  max_ticks=8, seed=0, malicious=True, link_p=0.5))
 
 
 def dense_baseline_oracle(topo, init, delta, ticks):

@@ -1,9 +1,11 @@
+import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+import dipsync
 from dipsync.cli import main
 
 
@@ -219,9 +221,13 @@ def test_energy_table_contents(capsys):
 
 
 def test_console_entry_point():
+    # the child imports the same dipsync as this process, installed or not
+    env = dict(os.environ)
+    package_root = str(Path(dipsync.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "dipsync.cli", "energy"],
-        capture_output=True, text=True, timeout=120,
+        capture_output=True, text=True, timeout=120, env=env,
     )
     assert proc.returncode == 0
     assert proc.stdout.startswith("protocol,")

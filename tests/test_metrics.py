@@ -24,9 +24,9 @@ def synthetic_trace(estimates, delta=DELTA, activated=None, transmitted=None):
         activated[:, 0] = 0
     if transmitted is None:
         transmitted = activated.copy()
-    cfg = SimConfig(topology=make_line(max(nodes, 2)), protocol=ProtocolKind.SYNC_BASELINE)
+    cfg = SimConfig(topology=make_line(max(nodes, 2)), protocol=ProtocolKind.SYNC_BASELINE,
+                    delta=delta)
     return Trace(
-        protocol=ProtocolKind.SYNC_BASELINE, delta=delta, gateway=0,
         estimates=est, activated=activated, frozen=np.zeros_like(activated),
         transmitted=transmitted,
         messages_sent=np.zeros(ticks, dtype=np.int64),
