@@ -7,8 +7,14 @@ bookkeeping they share.  tests/array_kernels.py keeps an array-form
 formulation of the same loops, and a differential test (tests/test_engine.py)
 holds these kernels to it bit for bit.
 
+The kernels record only what changes.  An update writes the node's new
+estimate in place into the (ticks, nodes) estimate array, and its activated
+and transmitted flags into flat bytearrays; no row is stored per tick.  At
+the end of the episode the rows between a node's updates are filled from the
+activated flags, and the gateway column is written as delta*k.
+
 Shared conventions:
-  * node 0 is the gateway; its estimate row is delta*k exactly;
+  * node 0 is the gateway; its estimate column is delta*k exactly;
   * adjacency is CSR (indptr/indices) with neighbor ids ascending, and
     edge_slot maps each CSR slot to its canonical edge index for link lookup;
   * a broadcast sent at tick k-1 is delivered at tick k over the edges that
@@ -49,10 +55,17 @@ def get_kernel(name: str):
 class _Episode:
     """What every kernel shares: per node its CSR neighbors as (neighbor id,
     edge slot) pairs, its estimate, frozen and fired flags and its dip
-    detector; the (ticks, nodes) trace arrays with tick 0's estimate row;
-    and the per-tick delivery counts."""
+    detector; the trace buffers; and the per-tick delivery counts.
 
-    def __init__(self, indptr, indices, edge_slot, init_est, max_ticks,
+    The kernels record only what changes.  `est_flat` is a flat view of the
+    (ticks, nodes) estimate array, preset with tick 0's row, and a kernel
+    writes a node's final value of tick k (after its detector and any freeze
+    rewind) at k*N + i, on the ticks that update it.  `act` and `tx` are
+    flat `bytearray` flags set at k*N + i (a bytearray item store costs
+    about a third of a numpy one).  At episode end `outputs` fills the rows
+    between a node's updates from the activated flags."""
+
+    def __init__(self, indptr, indices, edge_slot, init_est, delta, max_ticks,
                  dip_mode, warmup):
         ids = indices.tolist()
         slots = edge_slot.tolist()
@@ -61,18 +74,21 @@ class _Episode:
                      for a, b in zip(bounds, bounds[1:])]
         n = len(self.nbrs)
         self.est = init_est.tolist()
+        # the gateway's entry stays 0.0; the kernels broadcast delta*k, and
+        # `outputs` writes that column
         self.est[0] = 0.0
         self.frozen = [0] * n
         self.fired = [0] * n
         self.fire_tick = [-1] * n
         self.detectors = [DipDetector(warmup) for _ in range(n)]
         self.freeze = dip_mode == 2
+        self.delta = delta
         self.est_tr = np.zeros((max_ticks, n))
-        self.act_tr = np.zeros((max_ticks, n), dtype=np.uint8)
-        self.frz_tr = np.zeros((max_ticks, n), dtype=np.uint8)
-        self.tx_tr = np.zeros((max_ticks, n), dtype=np.uint8)
-        self.delivered = [0] * max_ticks
         self.est_tr[0] = self.est
+        self.est_flat = memoryview(self.est_tr.reshape(-1))
+        self.act = bytearray(max_ticks * n)
+        self.tx = bytearray(max_ticks * n)
+        self.delivered = [0] * max_ticks
 
     def observe(self, i, k):
         """Feed node i's new estimate, updated at tick k, to its detector; on
@@ -86,17 +102,31 @@ class _Episode:
                 self.est[i] = det.dip_value
 
     def outputs(self, abort):
-        """The kernel's 10-tuple.  A frozen node stays frozen from its fire
-        tick on, up to the abort tick; each tick's broadcasts are counted from
-        the transmit trace."""
+        """The kernel's 10-tuple.
+
+        Up to the stop tick (the abort tick, else the end), a non-gateway
+        estimate changes only on a tick that activates the node, so each of
+        its rows is carried forward from the node's last activation, or from
+        tick 0; the gateway column is delta*k, the product the kernels
+        broadcast; rows from the abort tick on stay zero.  A frozen node
+        stays frozen from its fire tick on, up to the stop tick; each tick's
+        broadcasts are counted from the transmit trace."""
+        est_tr = self.est_tr
+        T, n = est_tr.shape
+        stop = abort if abort >= 0 else T
+        act_tr = np.frombuffer(self.act, dtype=np.uint8).reshape(T, n)
+        tx_tr = np.frombuffer(self.tx, dtype=np.uint8).reshape(T, n)
+        _forward_fill(est_tr[:stop, 1:], act_tr[:stop, 1:])
+        est_tr[:stop, 0] = self.delta * np.arange(stop)
+        est_tr[stop:] = 0.0
+        frz_tr = np.zeros((T, n), dtype=np.uint8)
         if self.freeze:
-            stop = abort if abort >= 0 else self.frz_tr.shape[0]
             for i, f in enumerate(self.fire_tick):
                 if f >= 0:
-                    self.frz_tr[f:stop, i] = 1
+                    frz_tr[f:stop, i] = 1
         dets = self.detectors
-        return (self.est_tr, self.act_tr, self.frz_tr, self.tx_tr,
-                self.tx_tr.sum(axis=1, dtype=np.int64),
+        return (est_tr, act_tr, frz_tr, tx_tr,
+                tx_tr.sum(axis=1, dtype=np.int64),
                 np.array(self.delivered, dtype=np.int64),
                 np.array([d.dip_tick if d.fired else -1 for d in dets],
                          dtype=np.int64),
@@ -104,6 +134,27 @@ class _Episode:
                          dtype=np.float64),
                 np.array(self.fire_tick, dtype=np.int64),
                 np.int64(abort))
+
+
+# elements per chunk of the forward fill's index temporaries
+_FILL_CHUNK = 1 << 14
+
+
+def _forward_fill(est, act):
+    """Carry each column of `est` forward over the rows whose `act` flag is
+    0: row k takes the value of the column's last flagged row up to k, or of
+    row 0.  Works in chunks of rows, so its temporaries stay small."""
+    T, n = est.shape
+    cols = np.arange(n)
+    last = np.zeros(n, dtype=np.intp)
+    step = max(1, _FILL_CHUNK // n)
+    for a in range(1, T, step):
+        b = min(a + step, T)
+        src = np.where(act[a:b], np.arange(a, b)[:, None], 0)
+        np.maximum(src[0], last, out=src[0])
+        np.maximum.accumulate(src, axis=0, out=src)
+        est[a:b] = est[src, cols]
+        last = src[-1]
 
 
 def baseline_kernel(
@@ -116,19 +167,20 @@ def baseline_kernel(
     baseline has no delivery model."""
     N = indptr.shape[0] - 1
     T = max_ticks
-    ep = _Episode(indptr, indices, edge_slot, init_est, T, dip_mode, warmup)
+    ep = _Episode(indptr, indices, edge_slot, init_est, delta, T, dip_mode,
+                  warmup)
     nbrs, est, frozen, fired = ep.nbrs, ep.est, ep.frozen, ep.fired
-    est_tr, act_tr, tx_tr = ep.est_tr, ep.act_tr, ep.tx_tr
-    noise = noise.tolist()
+    est_flat, act, tx = ep.est_flat, ep.act, ep.tx
+    if mal >= 0:
+        noise = noise.tolist()
     for k in range(1, T):
         live = link_live[k].tolist()
-        gw_now = delta * k
+        row = k * N
         # what each node hears from j: the tick-start estimates
         heard = est[:]
         if mal >= 0:
             heard[mal] = est[mal] + noise[k]
-        heard[0] = gw_now
-        est[0] = gw_now
+        heard[0] = delta * k
         for i in range(1, N):
             if frozen[i]:
                 continue
@@ -140,11 +192,11 @@ def baseline_kernel(
                     cnt += 1
             if cnt:
                 est[i] = ssum / cnt
-                act_tr[k, i] = 1
-                tx_tr[k, i] = 1
+                act[row + i] = 1
+                tx[row + i] = 1
                 if not fired[i]:
                     ep.observe(i, k)
-        est_tr[k] = est
+                est_flat[row + i] = est[i]
     return ep.outputs(-1)
 
 
@@ -158,19 +210,22 @@ def tsau_kernel(
     N = indptr.shape[0] - 1
     T = max_ticks
     cyc = N - 1
-    ep = _Episode(indptr, indices, edge_slot, init_est, T, dip_mode, warmup)
+    ep = _Episode(indptr, indices, edge_slot, init_est, delta, T, dip_mode,
+                  warmup)
     nbrs, est, frozen, fired = ep.nbrs, ep.est, ep.frozen, ep.fired
-    est_tr, act_tr, tx_tr, delivered = ep.est_tr, ep.act_tr, ep.tx_tr, ep.delivered
-    noise = noise.tolist()
+    est_flat, act, tx, delivered = ep.est_flat, ep.act, ep.tx, ep.delivered
+    if mal >= 0:
+        noise = noise.tolist()
     acc_sum = [0.0] * N
     acc_n = [0] * N
     abort = -1
     # last tick's broadcasts as (sender, value), ascending sender; at tick 0
     # only the gateway speaks
     sends = [(0, 0.0)]
-    tx_tr[0, 0] = 1
+    tx[0] = 1
     for k in range(1, T):
         live = link_live[k].tolist()
+        row = k * N
         for b, val in sends:
             reached = 0
             for j, slot in nbrs[b]:
@@ -183,9 +238,10 @@ def tsau_kernel(
         i = ((k - 1) % cyc) + 1
         if acc_n[i] > 1 and not frozen[i]:
             est[i] = acc_sum[i] / acc_n[i]
-            act_tr[k, i] = 1
+            act[row + i] = 1
             if not fired[i]:
                 ep.observe(i, k)
+            est_flat[row + i] = est[i]
         acc_sum[i] = 0.0
         acc_n[i] = 0
         out = est[i] + noise[k] if i == mal else est[i]
@@ -200,9 +256,7 @@ def tsau_kernel(
                 break
             sends.insert(0, (0, gv))
         for b, _ in sends:
-            tx_tr[k, b] = 1
-        est[0] = delta * k
-        est_tr[k] = est
+            tx[row + b] = 1
     return ep.outputs(abort)
 
 
@@ -218,10 +272,12 @@ def uaf_kernel(
     N = indptr.shape[0] - 1
     T = max_ticks
     cyc = max_layer + 1
-    ep = _Episode(indptr, indices, edge_slot, init_est, T, dip_mode, warmup)
+    ep = _Episode(indptr, indices, edge_slot, init_est, delta, T, dip_mode,
+                  warmup)
     nbrs, est, frozen, fired = ep.nbrs, ep.est, ep.frozen, ep.fired
-    est_tr, act_tr, tx_tr, delivered = ep.est_tr, ep.act_tr, ep.tx_tr, ep.delivered
-    noise = noise.tolist()
+    est_flat, act, tx, delivered = ep.est_flat, ep.act, ep.tx, ep.delivered
+    if mal >= 0:
+        noise = noise.tolist()
     s = [0] * N
     pend = [0.0] * N
     has_pend = [0] * N
@@ -233,17 +289,19 @@ def uaf_kernel(
     b_val = [0.0] * N
     b_st = [0] * N
     b_st[0] = 1
-    tx_tr[0, 0] = 1
+    tx[0] = 1
     for k in range(1, T):
         live = link_live[k].tolist()
+        row = k * N
         if k % cyc == 0:
             for i in range(1, N):
                 if has_pend[i]:
                     if not frozen[i]:
                         est[i] = pend[i]
-                        act_tr[k, i] = 1
+                        act[row + i] = 1
                         if not fired[i]:
                             ep.observe(i, k)
+                        est_flat[row + i] = est[i]
                     has_pend[i] = 0
         # deliveries (sender view) and wake-ups: a node wakes when an
         # opposite-status message reaches it
@@ -303,10 +361,8 @@ def uaf_kernel(
             nb_st[0] = 1 - ((k // cyc) % 2)
             gw_last = gv
         for b in nb_senders:
-            tx_tr[k, b] = 1
+            tx[row + b] = 1
         senders, b_val, b_st = nb_senders, nb_val, nb_st
-        est[0] = delta * k
-        est_tr[k] = est
     return ep.outputs(abort)
 
 
@@ -322,10 +378,12 @@ def baf_kernel(
     status and turns the flood around."""
     N = indptr.shape[0] - 1
     T = max_ticks
-    ep = _Episode(indptr, indices, edge_slot, init_est, T, dip_mode, warmup)
+    ep = _Episode(indptr, indices, edge_slot, init_est, delta, T, dip_mode,
+                  warmup)
     nbrs, est, frozen, fired = ep.nbrs, ep.est, ep.frozen, ep.fired
-    est_tr, act_tr, tx_tr, delivered = ep.est_tr, ep.act_tr, ep.tx_tr, ep.delivered
-    noise = noise.tolist()
+    est_flat, act, tx, delivered = ep.est_flat, ep.act, ep.tx, ep.delivered
+    if mal >= 0:
+        noise = noise.tolist()
     s = [0] * N
     c = [0] * N
     heard_n = [0] * N
@@ -340,9 +398,10 @@ def baf_kernel(
     b_st = [0] * N
     b_c = [0] * N
     b_st[0] = 1
-    tx_tr[0, 0] = 1
+    tx[0] = 1
     for k in range(1, T):
         live = link_live[k].tolist()
+        row = k * N
         # deliveries (sender view), and per receiver the count and largest
         # counter of the opposite- and same-status messages it hears
         opp_cnt = [0] * N
@@ -388,9 +447,10 @@ def baf_kernel(
                             cnt += 1
                     # own estimate joins the average
                     est[i] = (ssum + est[i]) / (cnt + 1)
-                    act_tr[k, i] = 1
+                    act[row + i] = 1
                     if not fired[i]:
                         ep.observe(i, k)
+                    est_flat[row + i] = est[i]
                 s[i] = 1 - s[i]
                 c[i] = opp_max[i] + 1
                 # the wake-up messages open this node's new cycle window
@@ -434,10 +494,8 @@ def baf_kernel(
         nb_val[0] = gv
         nb_st[0] = 1
         for b in nb_senders:
-            tx_tr[k, b] = 1
+            tx[row + b] = 1
         senders, b_val, b_st, b_c = nb_senders, nb_val, nb_st, nb_c
-        est[0] = delta * k
-        est_tr[k] = est
     return ep.outputs(abort)
 
 

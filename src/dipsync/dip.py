@@ -80,8 +80,10 @@ class DipDetector:
         y = filter_output(self.values)
         self.outputs_seen += 1
         crossed = False
-        if self.outputs_seen > self.warmup and self.last_output is not None:
-            crossed = y == 0.0 or y * self.last_output < 0.0
+        if self.outputs_seen > self.warmup:
+            # a sign change needs an earlier output; an exact zero does not
+            crossed = y == 0.0 or (self.last_output is not None
+                                   and y * self.last_output < 0.0)
         self.last_output = y
         if crossed:
             self.fired = True

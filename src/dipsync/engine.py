@@ -145,6 +145,25 @@ def _csr(topo: Topology):
     return indptr, np.array(idx, dtype=np.int64), np.array(slots, dtype=np.int64)
 
 
+# float64 draws per chunk of the link matrix
+_LINK_CHUNK = 1 << 16
+
+
+def _draw_links(rng: np.random.Generator, ticks: int, n_edges: int,
+               link_p: float) -> np.ndarray:
+    """The (ticks, n_edges) uint8 link matrix: 1 where `rng.random()` < link_p,
+    drawn tick-major.  It is filled a chunk of rows at a time; consecutive
+    `Generator.random` calls continue one stream, so the matrix equals
+    ``(rng.random((ticks, n_edges)) < link_p)`` while its float temporaries
+    hold about _LINK_CHUNK values (at least one row)."""
+    link_live = np.empty((ticks, n_edges), dtype=np.uint8)
+    step = max(1, _LINK_CHUNK // n_edges)
+    for a in range(0, ticks, step):
+        b = min(a + step, ticks)
+        np.less(rng.random((b - a, n_edges)), link_p, out=link_live[a:b])
+    return link_live
+
+
 def kernel_inputs(config: SimConfig) -> tuple[str, tuple]:
     """Validate `config` and draw its random inputs; return the kernel name
     and the argument tuple that `run` passes to that kernel."""
@@ -161,8 +180,8 @@ def kernel_inputs(config: SimConfig) -> tuple[str, tuple]:
     if config.link_p >= 1.0:
         link_live = np.ones((ticks, n_edges), dtype=np.uint8)
     else:
-        link_rng = substream(config.seed, "links")
-        link_live = (link_rng.random((ticks, n_edges)) < config.link_p).astype(np.uint8)
+        link_live = _draw_links(substream(config.seed, "links"), ticks, n_edges,
+                               config.link_p)
 
     if config.malicious:
         mal = noise_mod.malicious_node(topo)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import array_kernels
 from dipsync.dip import DipDetector, filter_output
 from dipsync.engine import SimConfig, run
 from dipsync.errors import ProtocolViolation
@@ -135,3 +136,62 @@ def test_freeze_requires_fire_and_rejects_double():
         free = grid16_run(proto, freeze=False)
         assert (free.dip_fire_tick >= 0).any()
         assert not free.frozen.any()
+
+
+def _oracle_fire(series, warmup):
+    """Feed `series` (ticks 0, 1, ...) to the array oracle's `_observe_dip`
+    for one node; return (fire tick, dip tick, dip value), or None."""
+    win_t = np.zeros((1, 7), dtype=np.int64)
+    win_v = np.zeros((1, 7))
+    win_n = np.zeros(1, dtype=np.int64)
+    nout = np.zeros(1, dtype=np.int64)
+    yprev = np.zeros(1)
+    fired = np.zeros(1, dtype=np.uint8)
+    frozen = np.zeros(1, dtype=np.uint8)
+    dip_tick = np.full(1, -1, dtype=np.int64)
+    dip_val = np.zeros(1)
+    fire_tick = np.full(1, -1, dtype=np.int64)
+    est = np.zeros(1)
+    for k, v in enumerate(series):
+        array_kernels._observe_dip(0, k, v, warmup, win_t, win_v, win_n, nout,
+                                   yprev, fired, frozen, dip_tick, dip_val,
+                                   fire_tick, est, np.uint8(0))
+        if fired[0]:
+            return int(fire_tick[0]), int(dip_tick[0]), float(dip_val[0])
+    return None
+
+
+def _detector_fire(series, warmup):
+    det = DipDetector(warmup)
+    for k, v in enumerate(series):
+        if det.observe(v, k):
+            return k, det.dip_tick, det.dip_value
+    return None
+
+
+def _streams():
+    rng = np.random.default_rng(11)
+    yield [0.5] * 7
+    yield [0.5] * 12
+    yield [10.0 - k for k in range(9)] + [1.0] * 12
+    for _ in range(40):
+        yield rng.random(int(rng.integers(7, 40))).tolist()
+    for _ in range(20):
+        # coarse values: exact-zero outputs and equal runs
+        yield rng.integers(0, 3, int(rng.integers(7, 30))).astype(float).tolist()
+
+
+@pytest.mark.parametrize("warmup", [0, 1, 2, 3])
+def test_detector_matches_array_oracle(warmup):
+    fires = 0
+    for series in _streams():
+        want = _oracle_fire(series, warmup)
+        assert _detector_fire(series, warmup) == want, series
+        fires += want is not None
+    assert fires > 0
+
+
+def test_equal_samples_fire_at_warmup_zero():
+    # the first output of a constant window is an exact zero
+    assert _detector_fire([0.5] * 7, 0) == (6, 3, 0.5)
+    assert _detector_fire([0.5] * 7, 1) is None

@@ -530,6 +530,85 @@ def test_kernels_on_random_connected_topologies(topo, proto, link_p, malicious, 
         assert np.array_equal(delivered[1:], sent[:-1])
 
 
+def _assert_recorded_rows(out, delta):
+    """What the kernels' recording relies on and produces: a non-gateway
+    estimate changes only on a tick that activates the node; the gateway
+    column is delta*k up to the stop tick; estimate rows from the abort tick
+    on are zero."""
+    est, act = out[0], out[1]
+    abort = int(out[9])
+    stop = abort if abort >= 0 else est.shape[0]
+    changed = est[1:stop, 1:] != est[:stop - 1, 1:]
+    assert not np.any(changed & (act[1:stop, 1:] == 0))
+    assert np.array_equal(est[:stop, 0], delta * np.arange(stop))
+    assert not np.any(est[stop:])
+
+
+# a delta of 50 s overflows the wire field near tick 86, so some cases abort
+@settings(derandomize=True, deadline=None)
+@given(topo=connected_topologies(), proto=st.sampled_from(list(ProtocolKind)),
+       link_p=st.sampled_from([1.0, 0.5]), malicious=st.booleans(),
+       freeze=st.booleans(), seed=st.integers(0, 2 ** 32 - 1),
+       ticks=st.integers(2, 300), delta=st.sampled_from([DELTA, 50.0]))
+def test_kernel_rows_change_only_on_activation(topo, proto, link_p, malicious,
+                                              freeze, seed, ticks, delta):
+    c = SimConfig(topology=topo, protocol=proto, max_ticks=ticks, seed=seed,
+                  link_p=link_p, malicious=malicious, freeze_on_dip=freeze,
+                  delta=delta)
+    name, args = engine.kernel_inputs(c)
+    got = kernels.get_kernel(name)(*args)
+    _assert_same_kernel_outputs(got, array_kernels.KERNELS[name](*args))
+    _assert_recorded_rows(got, delta)
+
+
+def test_kernel_memory_is_outputs_plus_small_excess():
+    # 100000 ticks of grid16 TSAU, no attacker: beyond its output arrays the
+    # kernel holds the per-tick delivery list (0.8 MB) and small temporaries;
+    # it builds no per-tick noise list, and fills the estimates in chunks
+    c = SimConfig(topology=make_grid(4, 4), protocol=ProtocolKind.TSAU,
+                  max_ticks=100_000, seed=1, link_p=0.5, freeze_on_dip=False)
+    name, args = engine.kernel_inputs(c)
+    kernel = kernels.get_kernel(name)
+    tracemalloc.start()
+    try:
+        out = kernel(*args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    out_bytes = sum(np.asarray(a).nbytes for a in out)
+    assert peak < out_bytes + 2_000_000
+
+
+def test_link_draw_in_chunks_equals_one_call(monkeypatch):
+    # consecutive Generator.random calls continue one stream
+    rng = substream(5, "links")
+    parts = np.concatenate([rng.random((m, 24)) for m in (300, 1, 699)])
+    assert np.array_equal(parts, substream(5, "links").random((1000, 24)))
+    # a chunk of 7 draws holds one row of 24 edges (a row is never split)
+    # or two rows of 3 edges, so the chunks end inside and at the matrix end
+    monkeypatch.setattr(engine, "_LINK_CHUNK", 7)
+    for n_edges, ticks in ((24, 50), (3, 50), (3, 1)):
+        got = engine._draw_links(substream(5, "links"), ticks, n_edges, 0.5)
+        want = substream(5, "links").random((ticks, n_edges)) < 0.5
+        assert got.dtype == np.uint8
+        assert np.array_equal(got, want.astype(np.uint8))
+
+
+def test_link_draw_memory_is_bounded():
+    # grid16 at 100000 ticks and p = 0.5: a 2.4 MB link matrix, where one
+    # float64 draw of the whole matrix would take 19.2 MB
+    c = SimConfig(topology=make_grid(4, 4), protocol=ProtocolKind.TSAU,
+                  max_ticks=100_000, seed=1, link_p=0.5)
+    tracemalloc.start()
+    try:
+        link_live = engine.kernel_inputs(c)[1][3]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert link_live.nbytes == 2_400_000
+    assert peak < 2 * link_live.nbytes
+
+
 def test_messages_sent_counts_every_broadcast():
     # lossy links on a 256-node grid: some BAF ticks carry 256 broadcasts
     for proto in ProtocolKind:
