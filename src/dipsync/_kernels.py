@@ -19,8 +19,16 @@ Shared conventions:
     edge_slot maps each CSR slot to its canonical edge index for link lookup;
   * a broadcast sent at tick k-1 is delivered at tick k over the edges that
     tick k's link realization keeps alive;
+  * a broadcast is its sender's state: a message carries only the sender's
+    time, status bit and (BAF) hop counter, and none of these changes between
+    the send and the next tick's deliveries, so the flooding kernels keep
+    only last tick's sender list and read the rest from the sender.  UAF
+    alone keeps the values it sent (`sent_val`): a woken node sends its
+    pending average, not its estimate, and a cycle commit between the send
+    and the delivery can commit it or freeze the node at its dip value;
   * `mal` is the malicious node id (or -1); its advertised time at tick k is
-    its estimate biased by noise[k] (the pre-scaled colored-noise stream);
+    its estimate biased by noise[k] (the pre-scaled colored-noise stream).
+    Without an attacker `noise` may be None: it is read only at `mal`;
   * every node runs one `dip.DipDetector` over its own updates, until it
     fires; dip_mode 1 records, 2 also freezes: on a fire the node rewinds to
     the window's center sample and stops updating;
@@ -53,9 +61,10 @@ def get_kernel(name: str):
 # ---------------------------------------------------------------------------
 
 class _Episode:
-    """What every kernel shares: per node its CSR neighbors as (neighbor id,
-    edge slot) pairs, its estimate, frozen and fired flags and its dip
-    detector; the trace buffers; and the per-tick delivery counts.
+    """What every kernel shares: the node count `n`, the attacker's noise as
+    a list, and per node its CSR neighbors as (neighbor id, edge slot) pairs,
+    its estimate, frozen and fired flags and its dip detector; the trace
+    buffers; and the per-tick delivery counts.
 
     The kernels record only what changes.  `est_flat` is a flat view of the
     (ticks, nodes) estimate array, preset with tick 0's row, and a kernel
@@ -66,13 +75,15 @@ class _Episode:
     between a node's updates from the activated flags."""
 
     def __init__(self, indptr, indices, edge_slot, init_est, delta, max_ticks,
-                 dip_mode, warmup):
+                 mal, noise, dip_mode, warmup):
         ids = indices.tolist()
         slots = edge_slot.tolist()
         bounds = indptr.tolist()
         self.nbrs = [list(zip(ids[a:b], slots[a:b]))
                      for a, b in zip(bounds, bounds[1:])]
-        n = len(self.nbrs)
+        self.n = n = len(self.nbrs)
+        # the attacker's noise as a list; None without an attacker
+        self.noise = noise.tolist() if mal >= 0 else None
         self.est = init_est.tolist()
         # the gateway's entry stays 0.0; the kernels broadcast delta*k, and
         # `outputs` writes that column
@@ -165,14 +176,11 @@ def baseline_kernel(
     live neighborhood each tick, the gateway contributing its current time.
     Each update counts as one broadcast in `sent`; `delivered` stays 0, as the
     baseline has no delivery model."""
-    N = indptr.shape[0] - 1
-    T = max_ticks
-    ep = _Episode(indptr, indices, edge_slot, init_est, delta, T, dip_mode,
-                  warmup)
+    ep = _Episode(indptr, indices, edge_slot, init_est, delta, max_ticks,
+                  mal, noise, dip_mode, warmup)
+    N, T, noise = ep.n, max_ticks, ep.noise
     nbrs, est, frozen, fired = ep.nbrs, ep.est, ep.frozen, ep.fired
     est_flat, act, tx = ep.est_flat, ep.act, ep.tx
-    if mal >= 0:
-        noise = noise.tolist()
     for k in range(1, T):
         live = link_live[k].tolist()
         row = k * N
@@ -207,15 +215,12 @@ def tsau_kernel(
     """Timed sequential update: one slot owner per tick averages what it heard
     since its last slot (if more than one value) and broadcasts; the gateway
     broadcasts its time once per slot cycle."""
-    N = indptr.shape[0] - 1
-    T = max_ticks
-    cyc = N - 1
-    ep = _Episode(indptr, indices, edge_slot, init_est, delta, T, dip_mode,
-                  warmup)
+    ep = _Episode(indptr, indices, edge_slot, init_est, delta, max_ticks,
+                  mal, noise, dip_mode, warmup)
+    N, T, noise = ep.n, max_ticks, ep.noise
     nbrs, est, frozen, fired = ep.nbrs, ep.est, ep.frozen, ep.fired
     est_flat, act, tx, delivered = ep.est_flat, ep.act, ep.tx, ep.delivered
-    if mal >= 0:
-        noise = noise.tolist()
+    cyc = N - 1
     acc_sum = [0.0] * N
     acc_n = [0] * N
     abort = -1
@@ -269,26 +274,21 @@ def uaf_kernel(
     message wakes a node, which computes the average of its full live
     neighborhood and rebroadcasts.  Computed values commit simultaneously at
     the next cycle boundary, so all estimates step in lockstep."""
-    N = indptr.shape[0] - 1
-    T = max_ticks
-    cyc = max_layer + 1
-    ep = _Episode(indptr, indices, edge_slot, init_est, delta, T, dip_mode,
-                  warmup)
+    ep = _Episode(indptr, indices, edge_slot, init_est, delta, max_ticks,
+                  mal, noise, dip_mode, warmup)
+    N, T, noise = ep.n, max_ticks, ep.noise
     nbrs, est, frozen, fired = ep.nbrs, ep.est, ep.frozen, ep.fired
     est_flat, act, tx, delivered = ep.est_flat, ep.act, ep.tx, ep.delivered
-    if mal >= 0:
-        noise = noise.tolist()
-    s = [0] * N
+    cyc = max_layer + 1
     pend = [0.0] * N
     has_pend = [0] * N
     abort = -1
-    gw_last = 0.0
-    # last tick's broadcasts: the ascending senders, and per node the value
-    # and status it sent; at tick 0 the gateway seeds wave 0 with status 1
+    # per node its status bit, s[0] being the gateway's wave status, and the
+    # last value it sent; at tick 0 the gateway seeds wave 0 with status 1
+    s = [0] * N
+    s[0] = 1
+    sent_val = [0.0] * N
     senders = [0]
-    b_val = [0.0] * N
-    b_st = [0] * N
-    b_st[0] = 1
     tx[0] = 1
     for k in range(1, T):
         live = link_live[k].tolist()
@@ -307,7 +307,7 @@ def uaf_kernel(
         # opposite-status message reaches it
         woken = set()
         for b in senders:
-            st = b_st[b]
+            st = s[b]
             reached = 0
             for j, slot in nbrs[b]:
                 if live[slot]:
@@ -315,16 +315,16 @@ def uaf_kernel(
                     if j != 0 and s[j] != st:
                         woken.add(j)
             delivered[k] += reached
-        # what a woken node hears from j: j's broadcast, else its standing value
+        # what a woken node hears from j: j's broadcast, else its standing
+        # value; the gateway's standing value is its last broadcast
         heard = est[:]
-        heard[0] = gw_last
+        heard[0] = sent_val[0]
         if mal >= 0:
             heard[mal] = est[mal] + noise[k - 1]
         for b in senders:
-            heard[b] = b_val[b]
-        nb_senders = []
-        nb_val = [0.0] * N
-        nb_st = [0] * N
+            heard[b] = sent_val[b]
+        # this tick's senders: the woken nodes, then the gateway at a cycle start
+        senders = []
         for i in sorted(woken):
             ssum = 0.0
             cnt = 0
@@ -345,9 +345,8 @@ def uaf_kernel(
             if outv * 1e6 > WIRE_MAX_MICROS:
                 abort = k
                 break
-            nb_senders.append(i)
-            nb_val[i] = outv
-            nb_st[i] = s[i]
+            senders.append(i)
+            sent_val[i] = outv
         if abort >= 0:
             break
         # gateway re-seeds at cycle starts with alternating wave status
@@ -356,13 +355,11 @@ def uaf_kernel(
             if gv * 1e6 > WIRE_MAX_MICROS:
                 abort = k
                 break
-            nb_senders.insert(0, 0)
-            nb_val[0] = gv
-            nb_st[0] = 1 - ((k // cyc) % 2)
-            gw_last = gv
-        for b in nb_senders:
+            senders.append(0)
+            sent_val[0] = gv
+            s[0] = 1 - ((k // cyc) % 2)
+        for b in senders:
             tx[row + b] = 1
-        senders, b_val, b_st = nb_senders, nb_val, nb_st
     return ep.outputs(abort)
 
 
@@ -376,28 +373,21 @@ def baf_kernel(
     own wake-up, has heard only same-status counters smaller than its own
     concludes it is the flood frontier, zeroes its counter, negates its
     status and turns the flood around."""
-    N = indptr.shape[0] - 1
-    T = max_ticks
-    ep = _Episode(indptr, indices, edge_slot, init_est, delta, T, dip_mode,
-                  warmup)
+    ep = _Episode(indptr, indices, edge_slot, init_est, delta, max_ticks,
+                  mal, noise, dip_mode, warmup)
+    N, T, noise = ep.n, max_ticks, ep.noise
     nbrs, est, frozen, fired = ep.nbrs, ep.est, ep.frozen, ep.fired
     est_flat, act, tx, delivered = ep.est_flat, ep.act, ep.tx, ep.delivered
-    if mal >= 0:
-        noise = noise.tolist()
+    # per node its status bit and hop counter; the gateway's stay 1 and 0
     s = [0] * N
+    s[0] = 1
     c = [0] * N
     heard_n = [0] * N
     heard_max = [-1] * N
     last_trig = [-(10 ** 9)] * N
     abort = -1
-    # last tick's broadcasts: the ascending senders, and per node the value,
-    # status and hop counter it sent; at tick 0 the gateway starts the first
-    # forward flood
+    # at tick 0 the gateway starts the first forward flood
     senders = [0]
-    b_val = [0.0] * N
-    b_st = [0] * N
-    b_c = [0] * N
-    b_st[0] = 1
     tx[0] = 1
     for k in range(1, T):
         live = link_live[k].tolist()
@@ -409,8 +399,9 @@ def baf_kernel(
         same_cnt = [0] * N
         same_max = [-1] * N
         for b in senders:
-            st = b_st[b]
-            cb = b_c[b]
+            st = s[b]
+            # a protocol-ignorant attacker never maintains the hop counter
+            cb = 0 if b == mal else c[b]
             reached = 0
             for j, slot in nbrs[b]:
                 if live[slot]:
@@ -424,18 +415,15 @@ def baf_kernel(
                         if cb > same_max[j]:
                             same_max[j] = cb
             delivered[k] += reached
-        # what a triggered node hears from j: j's broadcast, else its
-        # tick-start value
+        # what a triggered node hears from j: j's tick-start value, which is
+        # what j sent if it sent last tick
         heard = est[:]
         heard[0] = delta * (k - 1)
         if mal >= 0:
             heard[mal] = est[mal] + noise[k - 1]
-        for b in senders:
-            heard[b] = b_val[b]
-        nb_senders = []
-        nb_val = [0.0] * N
-        nb_st = [0] * N
-        nb_c = [0] * N
+        # this tick's senders: the gateway, then the triggered and frontier
+        # nodes
+        senders = [0]
         for i in range(1, N):
             if opp_cnt[i]:
                 if not frozen[i]:
@@ -457,45 +445,29 @@ def baf_kernel(
                 heard_n[i] = opp_cnt[i]
                 heard_max[i] = opp_max[i]
                 last_trig[i] = k
-                outv = est[i] + noise[k] if i == mal else est[i]
-                if outv * 1e6 > WIRE_MAX_MICROS:
-                    abort = k
-                    break
-                nb_senders.append(i)
-                nb_val[i] = outv
-                nb_st[i] = s[i]
-                # a protocol-ignorant attacker never maintains the hop counter
-                nb_c[i] = 0 if i == mal else c[i]
             else:
                 if same_cnt[i]:
                     heard_n[i] += same_cnt[i]
                     if same_max[i] > heard_max[i]:
                         heard_max[i] = same_max[i]
                 # frontier rule: heard only smaller counters since waking up
-                if heard_n[i] > 0 and c[i] > heard_max[i] and k - last_trig[i] >= 2:
-                    c[i] = 0
-                    s[i] = 1 - s[i]
-                    heard_n[i] = 0
-                    heard_max[i] = -1
-                    outv = est[i] + noise[k] if i == mal else est[i]
-                    if outv * 1e6 > WIRE_MAX_MICROS:
-                        abort = k
-                        break
-                    nb_senders.append(i)
-                    nb_val[i] = outv
-                    nb_st[i] = s[i]
-        if abort >= 0:
-            break
-        gv = delta * k
-        if gv * 1e6 > WIRE_MAX_MICROS:
+                if not (heard_n[i] > 0 and c[i] > heard_max[i]
+                        and k - last_trig[i] >= 2):
+                    continue
+                c[i] = 0
+                s[i] = 1 - s[i]
+                heard_n[i] = 0
+                heard_max[i] = -1
+            outv = est[i] + noise[k] if i == mal else est[i]
+            if outv * 1e6 > WIRE_MAX_MICROS:
+                abort = k
+                break
+            senders.append(i)
+        if abort >= 0 or delta * k * 1e6 > WIRE_MAX_MICROS:
             abort = k
             break
-        nb_senders.insert(0, 0)
-        nb_val[0] = gv
-        nb_st[0] = 1
-        for b in nb_senders:
+        for b in senders:
             tx[row + b] = 1
-        senders, b_val, b_st, b_c = nb_senders, nb_val, nb_st, nb_c
     return ep.outputs(abort)
 
 

@@ -162,13 +162,7 @@ def dip_cycles(trace: Trace) -> DipMetrics:
     per_cycle = TX_PER_CYCLE.get(trace.config.protocol, 1.0)
     if per_cycle == 1.0:
         return dm
-    k = dm.k_dip / per_cycle
-    mean_k = float(k.mean())
-    return DipMetrics(
-        k_dip=k, k_dip_tick=dm.k_dip_tick, e_dip=dm.e_dip,
-        e_dip_min=dm.e_dip_min, k_dip_min=mean_k,
-        v_k_dip=float(((k - mean_k) ** 2).mean()),
-    )
+    return DipMetrics.from_nodes(dm.k_dip / per_cycle, dm.k_dip_tick, dm.e_dip)
 
 
 def cmd_run(args) -> int:
@@ -194,15 +188,12 @@ def cmd_run(args) -> int:
 
 def cmd_sweep_links(args) -> int:
     if not args.p:
-        print("error: empty probability list", file=sys.stderr)
-        return 2
+        raise ConfigError("empty probability list")
     for p in args.p:
         if not 0.0 <= p <= 1.0:
-            print(f"error: probability {p} outside [0, 1]", file=sys.stderr)
-            return 2
+            raise ConfigError(f"probability {p} outside [0, 1]")
     if args.repeats < 1:
-        print("error: --repeats must be >= 1", file=sys.stderr)
-        return 2
+        raise ConfigError("--repeats must be >= 1")
     protocol = ProtocolKind.parse(args.protocol)
     seed = env_seed(args.seed)
     topo = make_grid(4, 4)

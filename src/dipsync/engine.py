@@ -17,7 +17,10 @@ colored-noise series.  A sub-stream for label m is
 
 from __future__ import annotations
 
+import dataclasses
+import os
 from dataclasses import dataclass
+
 import numpy as np
 
 from . import noise as noise_mod
@@ -129,6 +132,14 @@ def _validate(config: SimConfig) -> int:
         raise ConfigError("need at least one non-gateway node")
     if config.topology.gateway != 0:
         raise ConfigError("engine expects the gateway at node id 0")
+    # per tick: a uint8 link row, and per node the float64 estimate and the
+    # activated, frozen and transmitted flags of the trace
+    need = config.max_ticks * (len(config.topology.edges) + 11 * config.topology.node_count)
+    memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if need > memory:
+        raise ConfigError(f"max_ticks {config.max_ticks} needs {need / 2**30:.1f} GiB for "
+                          f"the link matrix and trace, more than the "
+                          f"{memory / 2**30:.1f} GiB of physical memory")
     return connectivity_layers(config.topology).max_layer  # raises if disconnected
 
 
@@ -190,8 +201,7 @@ def kernel_inputs(config: SimConfig) -> tuple[str, tuple]:
         noise = config.delta * noise_mod.generate(
             max(ticks, 2), 2.0, substream(config.seed, "noise"))[:ticks]
     else:
-        mal = -1
-        noise = np.zeros(ticks)
+        mal, noise = -1, None
 
     indptr, indices, edge_slot = _csr(topo)
     # detectors always observe; freeze_on_dip additionally stops the node
@@ -207,22 +217,11 @@ def kernel_inputs(config: SimConfig) -> tuple[str, tuple]:
 def run(config: SimConfig) -> Trace:
     """Simulate one episode; deterministic in (config, seed)."""
     name, args = kernel_inputs(config)
-    out = get_kernel(name)(*args)
-    est_tr, act_tr, frz_tr, tx_tr, sent, delivered, dip_tick, dip_val, fire_tick, abort = out
+    *arrays, abort = get_kernel(name)(*args)
     if abort >= 0:
         raise EpisodeAborted(int(abort), "broadcast time overflows the 4-byte wire field")
-    return Trace(
-        estimates=est_tr,
-        activated=act_tr,
-        frozen=frz_tr,
-        transmitted=tx_tr,
-        messages_sent=sent,
-        messages_delivered=delivered,
-        dip_tick=dip_tick,
-        dip_value=dip_val,
-        dip_fire_tick=fire_tick,
-        config=config,
-    )
+    # the kernel's arrays come in Trace's field order
+    return Trace(*arrays, config=config)
 
 
 # ---------------------------------------------------------------------------
@@ -248,37 +247,36 @@ def topology_from_spec(spec: str) -> Topology:
 _BOOL = {"true": True, "1": True, "yes": True, "false": False, "0": False, "no": False}
 
 
+def _parse_bool(key, raw):
+    try:
+        return _BOOL[str(raw).strip().lower()]
+    except KeyError:
+        raise ConfigError(f"{key} must be a boolean, got {raw!r}") from None
+
+
+# how a config value is parsed, by the type of its SimConfig field
+_PARSERS = {
+    "Topology": lambda key, raw: topology_from_spec(str(raw)),
+    "ProtocolKind": lambda key, raw: ProtocolKind.parse(str(raw)),
+    "float": lambda key, raw: float(raw),
+    "int": lambda key, raw: int(raw),
+    "bool": _parse_bool,
+}
+
+
 def config_from_mapping(fields: dict) -> SimConfig:
-    """Build a SimConfig from string key/value pairs (unknown keys rejected)."""
-    known = {"topology", "protocol", "delta", "max_ticks", "link_p",
-             "malicious", "seed", "freeze_on_dip"}
-    unknown = set(fields) - known
+    """Build a SimConfig from string key/value pairs named after its fields
+    (unknown keys rejected); an absent key takes the field's default."""
+    params = dataclasses.fields(SimConfig)
+    unknown = set(fields) - {f.name for f in params}
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-    missing = {"topology", "protocol"} - set(fields)
+    missing = {f.name for f in params if f.default is dataclasses.MISSING} - set(fields)
     if missing:
         raise ConfigError(f"missing config keys: {sorted(missing)}")
-
-    def parse_bool(key, default):
-        raw = fields.get(key)
-        if raw is None:
-            return default
-        try:
-            return _BOOL[str(raw).strip().lower()]
-        except KeyError:
-            raise ConfigError(f"{key} must be a boolean, got {raw!r}") from None
-
     try:
-        return SimConfig(
-            topology=topology_from_spec(str(fields["topology"])),
-            protocol=ProtocolKind.parse(str(fields["protocol"])),
-            delta=float(fields.get("delta", 0.001)),
-            max_ticks=int(fields.get("max_ticks", 4000)),
-            link_p=float(fields.get("link_p", 1.0)),
-            malicious=parse_bool("malicious", False),
-            seed=int(fields.get("seed", 0)),
-            freeze_on_dip=parse_bool("freeze_on_dip", True),
-        )
+        return SimConfig(**{f.name: _PARSERS[f.type](f.name, fields[f.name])
+                            for f in params if f.name in fields})
     except (TypeError, ValueError) as exc:
         if isinstance(exc, ConfigError):
             raise

@@ -36,6 +36,14 @@ class DipMetrics:
     k_dip_min: float
     v_k_dip: float
 
+    @classmethod
+    def from_nodes(cls, k_dip, k_dip_tick, e_dip) -> "DipMetrics":
+        """The per-node arrays with their three aggregates."""
+        mean_k = float(k_dip.mean())
+        return cls(k_dip=k_dip, k_dip_tick=k_dip_tick, e_dip=e_dip,
+                   e_dip_min=float(e_dip.mean()), k_dip_min=mean_k,
+                   v_k_dip=float(((k_dip - mean_k) ** 2).mean()))
+
 
 def dip_metrics(trace: Trace) -> DipMetrics:
     """Per-node dip statistics and their aggregates.
@@ -60,15 +68,7 @@ def dip_metrics(trace: Trace) -> DipMetrics:
         e_dip[idx] = err[k_star, i]
         k_tick[idx] = k_star
         k_dip[idx] = int(comm[: k_star + 1, i].sum())
-    mean_k = float(k_dip.mean())
-    return DipMetrics(
-        k_dip=k_dip,
-        k_dip_tick=k_tick,
-        e_dip=e_dip,
-        e_dip_min=float(e_dip.mean()),
-        k_dip_min=mean_k,
-        v_k_dip=float(((k_dip - mean_k) ** 2).mean()),
-    )
+    return DipMetrics.from_nodes(k_dip, k_tick, e_dip)
 
 
 @dataclass(frozen=True)

@@ -126,7 +126,8 @@ def test_sweep_and_compare_reject_non_integer_env_seed(args, capsys, monkeypatch
     # delta of 10 s: the gateway's 4-byte microsecond field overflows at tick 430
     ({"topology": "line:3", "delta": "10", "max_ticks": "1000"},
      "error: episode aborted at tick 430: "),
-], ids=["negative-seed", "missing-edgelist", "aborted-episode"])
+    ({"max_ticks": "100000000000"}, "error: max_ticks 100000000000 needs "),
+], ids=["negative-seed", "missing-edgelist", "aborted-episode", "oversized-max-ticks"])
 def test_run_reports_bad_spec_or_abort_as_error(overrides, message, tmp_path, capsys):
     spec = write_spec(tmp_path, **{k: v.format(tmp=tmp_path) for k, v in overrides.items()})
     code, _, err = run_cli(["run", str(spec), "--out", str(tmp_path / "o")], capsys)
@@ -146,8 +147,13 @@ def test_run_reports_bad_spec_or_abort_as_error(overrides, message, tmp_path, ca
      "error: unknown protocol 'foo'"),
     (["sweep-links", "--protocol", "foo", "--p", "1", "--repeats", "1", "--ticks", "50"],
      None, "error: unknown protocol 'foo'"),
+    (["sweep-links", "--protocol", "tsau", "--p", "1", "--ticks", "100000000000"], None,
+     "error: max_ticks 100000000000 needs "),
+    (["compare", "--scenario", "grid16", "--ticks", "100000000000"], None,
+     "error: max_ticks 100000000000 needs "),
 ], ids=["sweep-negative-seed", "compare-negative-env-seed", "sweep-zero-repeats",
-        "compare-unknown-protocol", "sweep-unknown-protocol"])
+        "compare-unknown-protocol", "sweep-unknown-protocol", "sweep-oversized-ticks",
+        "compare-oversized-ticks"])
 def test_sweep_and_compare_reject_bad_arguments(args, env_seed, message, capsys, monkeypatch):
     if env_seed is not None:
         monkeypatch.setenv("DIPSYNC_SEED", env_seed)
@@ -169,8 +175,12 @@ def test_sweep_links_rows(tmp_path, capsys):
 
 
 def test_sweep_links_rejects_empty_and_bad_p(capsys):
-    assert run_cli(["sweep-links", "--protocol", "tsau"], capsys)[0] == 2
-    assert run_cli(["sweep-links", "--protocol", "tsau", "--p", "1.5"], capsys)[0] == 2
+    assert run_cli(["sweep-links", "--protocol", "tsau"], capsys) == (
+        2, "", "error: empty probability list\n")
+    assert run_cli(["sweep-links", "--protocol", "tsau", "--p", "1.5"], capsys) == (
+        2, "", "error: probability 1.5 outside [0, 1]\n")
+    assert run_cli(["sweep-links", "--protocol", "tsau", "--p", "1", "--repeats", "0"],
+                   capsys) == (2, "", "error: --repeats must be >= 1\n")
 
 
 def test_sweep_links_perfect_links_have_smallest_error(capsys):

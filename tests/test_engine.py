@@ -433,6 +433,19 @@ def test_wire_overflow_aborts_with_tick():
     assert 0 < exc.value.tick < 4000
 
 
+def test_oversized_run_rejected_before_allocation():
+    # 10^11 ticks of grid16 would need about 18 TiB for links and trace
+    with pytest.raises(ConfigError, match="max_ticks 100000000000 needs"):
+        run(cfg(make_grid(4, 4), ProtocolKind.TSAU, max_ticks=10 ** 11))
+
+
+def test_no_noise_array_without_attacker():
+    c = cfg(make_grid(3, 3), ProtocolKind.BAF, max_ticks=10)
+    assert engine.kernel_inputs(c)[1][8] is None
+    c = cfg(make_grid(3, 3), ProtocolKind.BAF, max_ticks=10, malicious=True)
+    assert engine.kernel_inputs(c)[1][8].shape == (10,)
+
+
 def test_disconnected_topology_rejected():
     broken = Topology(node_count=4, gateway=0, edges=((0, 1), (2, 3)),
                       neighbors=((1,), (0,), (3,), (2,)))
@@ -641,6 +654,11 @@ def test_config_mapping_roundtrip(tmp_path):
     assert c.max_ticks == 123
     assert c.freeze_on_dip is False
     assert c.delta == 0.001
+
+
+def test_config_mapping_defaults_are_simconfig_defaults():
+    c = config_from_mapping({"topology": "grid:3x3", "protocol": "baf"})
+    assert c == SimConfig(topology=make_grid(3, 3), protocol=ProtocolKind.BAF)
 
 
 def test_config_mapping_rejects_unknown_and_missing():

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from dipsync.cli import dip_cycles
 from dipsync.engine import SimConfig, Trace, run
 from dipsync.metrics import (
     EnergyParams,
@@ -110,6 +111,16 @@ def test_dip_metrics_uses_detector_cycle_counts_in_docs_example():
     tx = np.zeros((ticks, 2), dtype=np.uint8)
     dm = dip_metrics(synthetic_trace(est, transmitted=tx))
     assert dm.k_dip[0] == 0.0
+
+
+def test_dip_cycles_halves_baf_counts():
+    trace = run(SimConfig(topology=make_grid(3, 3), protocol=ProtocolKind.BAF,
+                          max_ticks=300, seed=2, freeze_on_dip=False))
+    dm, dc = dip_metrics(trace), dip_cycles(trace)
+    assert np.array_equal(dc.k_dip, dm.k_dip / 2)
+    assert np.array_equal(dc.e_dip, dm.e_dip)
+    assert (dc.e_dip_min, dc.k_dip_min, dc.v_k_dip) == (
+        dm.e_dip_min, dm.k_dip_min / 2, dm.v_k_dip / 4)
 
 
 # --- error series ----------------------------------------------------------------
