@@ -122,8 +122,8 @@ class Trace:
 def _validate(config: SimConfig) -> int:
     if config.max_ticks < 1:
         raise ConfigError("max_ticks must be >= 1")
-    if config.delta <= 0:
-        raise ConfigError("delta must be positive")
+    if not 0.0 < config.delta < np.inf:
+        raise ConfigError(f"delta must be positive and finite, got {config.delta!r}")
     if not 0.0 <= config.link_p <= 1.0:
         raise ConfigError(f"link_p {config.link_p} outside [0, 1]")
     if config.seed < 0:
@@ -229,14 +229,17 @@ def run(config: SimConfig) -> Trace:
 # ---------------------------------------------------------------------------
 
 def topology_from_spec(spec: str) -> Topology:
-    """Parse a topology spec string: grid:RxC[:corner], line:N, edgelist:PATH."""
+    """Parse a topology spec string: grid:RxC, line:N, edgelist:PATH."""
     spec = spec.strip()
     kind, _, rest = spec.partition(":")
     kind = kind.lower()
     if kind == "grid":
-        dims, _, corner = rest.partition(":")
-        r, _, c = dims.lower().partition("x")
-        return make_grid(int(r), int(c), corner or "top-left")
+        r, _, c = rest.lower().partition("x")
+        try:
+            rows, cols = int(r), int(c)
+        except ValueError:
+            raise ConfigError(f"grid spec must be grid:RxC, got {spec!r}") from None
+        return make_grid(rows, cols)
     if kind == "line":
         return make_line(int(rest))
     if kind == "edgelist":

@@ -57,17 +57,17 @@ def dip_metrics(trace: Trace) -> DipMetrics:
     n = trace.node_count
     if n < 2:
         raise ValueError("dip metrics need at least one non-gateway node")
-    err = trace.errors
-    comm = trace.transmitted
-    slaves = n - 1
-    k_dip = np.zeros(slaves)
-    k_tick = np.zeros(slaves, dtype=np.int64)
-    e_dip = np.zeros(slaves)
+    gw = trace.gateway_times
+    k_dip = np.zeros(n - 1)
+    k_tick = np.zeros(n - 1, dtype=np.int64)
+    e_dip = np.zeros(n - 1)
     for idx, i in enumerate(range(1, n)):
-        k_star = int(np.argmin(err[:, i]))
-        e_dip[idx] = err[k_star, i]
+        # one node's error column at a time; `trace.errors` would copy (T, N)
+        err = np.abs(gw - trace.estimates[:, i])
+        k_star = int(np.argmin(err))
+        e_dip[idx] = err[k_star]
         k_tick[idx] = k_star
-        k_dip[idx] = int(comm[: k_star + 1, i].sum())
+        k_dip[idx] = int(trace.transmitted[: k_star + 1, i].sum())
     return DipMetrics.from_nodes(k_dip, k_tick, e_dip)
 
 

@@ -52,9 +52,4 @@ def malicious_node(topo: Topology) -> int:
     """The attacker position: the node furthest from the gateway in BFS hops,
     ties broken by the smallest id."""
     layers = connectivity_layers(topo)
-    best = None
-    for node in range(topo.node_count):
-        d = layers.of(node)
-        if best is None or d > best[0]:
-            best = (d, node)
-    return best[1]
+    return layers.layer.index(layers.max_layer)

@@ -3,7 +3,7 @@
 Node ids are small non-negative integers; the gateway always gets id 0 in the
 built-in generators, and the remaining ids follow breadth-first order from the
 gateway (row-major tie-break for grids) so that id order tracks proximity to
-the gateway.
+the gateway.  A grid has its gateway at cell (0, 0).
 """
 
 from __future__ import annotations
@@ -14,19 +14,6 @@ from dataclasses import dataclass
 from .errors import ConfigError, UnreachableNodeError
 
 Edge = tuple[int, int]
-
-_CORNER_ALIASES = {
-    "top-left": "top-left",
-    "tl": "top-left",
-    "left": "top-left",
-    "top-right": "top-right",
-    "tr": "top-right",
-    "right": "top-right",
-    "bottom-left": "bottom-left",
-    "bl": "bottom-left",
-    "bottom-right": "bottom-right",
-    "br": "bottom-right",
-}
 
 
 @dataclass(frozen=True)
@@ -69,9 +56,6 @@ class Topology:
             edges=edge_list,
             neighbors=tuple(tuple(sorted(n)) for n in nbrs),
         )
-        for node in range(node_count):
-            if node != gateway and not topo.neighbors[node]:
-                raise UnreachableNodeError(node)
         # every node must reach the gateway
         connectivity_layers(topo)
         return topo
@@ -92,46 +76,22 @@ class LayerAssignment:
         return self.layer[node]
 
 
-def make_grid(rows: int, cols: int, gateway_corner: str = "top-left") -> Topology:
-    """4-neighbor grid with the gateway at a corner and BFS-ordered node ids."""
+def make_grid(rows: int, cols: int) -> Topology:
+    """4-neighbor grid of `rows` x `cols` cells with the gateway at cell (0, 0).
+
+    Ids follow breadth-first order from the gateway with a row-major
+    tie-break, that is, cell (r, c) is numbered in the order of (r + c, r).
+    """
     if rows < 1 or cols < 1:
         raise ConfigError("rows and cols must be positive")
     if rows * cols < 2:
         raise ConfigError("grid needs at least 2 nodes")
-    corner = _CORNER_ALIASES.get(str(gateway_corner).lower())
-    if corner is None:
-        raise ConfigError(f"unknown corner {gateway_corner!r}")
-    corner_rc = {
-        "top-left": (0, 0),
-        "top-right": (0, cols - 1),
-        "bottom-left": (rows - 1, 0),
-        "bottom-right": (rows - 1, cols - 1),
-    }[corner]
-
-    def cell_neighbors(r, c):
-        for dr, dc in ((-1, 0), (1, 0), (0, -1), (0, 1)):
-            rr, cc = r + dr, c + dc
-            if 0 <= rr < rows and 0 <= cc < cols:
-                yield rr, cc
-
-    # BFS from the gateway corner; ids assigned layer by layer, row-major ties
-    dist = {corner_rc: 0}
-    frontier = [corner_rc]
-    order = [corner_rc]
-    while frontier:
-        nxt = set()
-        for rc in frontier:
-            for nb in cell_neighbors(*rc):
-                if nb not in dist:
-                    nxt.add(nb)
-                    dist[nb] = dist[rc] + 1
-        frontier = sorted(nxt)
-        order.extend(frontier)
-    ids = {rc: i for i, rc in enumerate(order)}
-    edges = []
-    for (r, c), i in ids.items():
-        for nb in cell_neighbors(r, c):
-            edges.append((i, ids[nb]))
+    cells = sorted(((r, c) for r in range(rows) for c in range(cols)),
+                   key=lambda rc: (rc[0] + rc[1], rc[0]))
+    ids = {rc: i for i, rc in enumerate(cells)}
+    # each cell's edges to its right and lower neighbors
+    edges = [(i, ids[nb]) for (r, c), i in ids.items()
+             for nb in ((r, c + 1), (r + 1, c)) if nb in ids]
     return Topology.from_edges(rows * cols, 0, edges)
 
 

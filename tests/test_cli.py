@@ -127,7 +127,11 @@ def test_sweep_and_compare_reject_non_integer_env_seed(args, capsys, monkeypatch
     ({"topology": "line:3", "delta": "10", "max_ticks": "1000"},
      "error: episode aborted at tick 430: "),
     ({"max_ticks": "100000000000"}, "error: max_ticks 100000000000 needs "),
-], ids=["negative-seed", "missing-edgelist", "aborted-episode", "oversized-max-ticks"])
+    ({"delta": "nan"}, "error: delta must be positive and finite, got nan"),
+    ({"delta": "inf"}, "error: delta must be positive and finite, got inf"),
+    ({"topology": "grid:4x4:br"}, "error: grid spec must be grid:RxC, got 'grid:4x4:br'"),
+], ids=["negative-seed", "missing-edgelist", "aborted-episode", "oversized-max-ticks",
+        "nan-delta", "inf-delta", "grid-corner"])
 def test_run_reports_bad_spec_or_abort_as_error(overrides, message, tmp_path, capsys):
     spec = write_spec(tmp_path, **{k: v.format(tmp=tmp_path) for k, v in overrides.items()})
     code, _, err = run_cli(["run", str(spec), "--out", str(tmp_path / "o")], capsys)
@@ -209,6 +213,24 @@ def test_compare_all_protocols_reports_checks(capsys):
     assert "check baf_lowest_error:" in out
     names = [ln.split(",")[0] for ln in out.strip().split("\n")[1:4]]
     assert names == ["tsau", "uaf", "baf"]
+
+
+@pytest.mark.parametrize("scenario", ["grid16", "malicious16"])
+def test_compare_checks_need_tsau_uaf_and_baf(scenario, capsys):
+    # three results without tsau: the table only, no checks
+    code, out, err = run_cli(["compare", "--scenario", scenario, "--protocols", "baseline",
+                              "uaf", "baf", "--ticks", "200"], capsys)
+    assert (code, err) == (0, "")
+    assert [ln.split(",")[0] for ln in out.strip().split("\n")] == [
+        "protocol", "uaf", "baf", "baseline"]
+    # with the baseline added, the checks still rank tsau, uaf and baf only
+    three = run_cli(["compare", "--scenario", scenario, "--ticks", "200"], capsys)[1]
+    code, four, _ = run_cli(["compare", "--scenario", scenario, "--protocols", "baseline",
+                             "tsau", "uaf", "baf", "--ticks", "200"], capsys)
+    assert code == 0
+    checks = [ln for ln in three.splitlines() if ln.startswith("check ")]
+    assert len(checks) == 2
+    assert [ln for ln in four.splitlines() if ln.startswith("check ")] == checks
 
 
 def test_compare_rejects_unknown_scenario(capsys):

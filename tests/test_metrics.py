@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -95,6 +97,20 @@ def test_dip_metrics_matches_exhaustive_scan():
         assert dm.k_dip_tick[idx] == best_tick
         assert dm.e_dip[idx] == err[best_tick, i]
         assert dm.k_dip[idx] == trace.transmitted[: best_tick + 1, i].sum()
+
+
+def test_dip_metrics_memory_is_one_error_column():
+    # 100000 ticks of grid16: the (ticks, nodes) estimates are 12.8 MB, and
+    # dip_metrics holds a few (ticks,) columns of 0.8 MB, not a copy of them
+    trace = run(SimConfig(topology=make_grid(4, 4), protocol=ProtocolKind.TSAU,
+                          max_ticks=100_000, seed=1, link_p=0.5, freeze_on_dip=False))
+    tracemalloc.start()
+    try:
+        dip_metrics(trace)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < trace.estimates.nbytes // 2
 
 
 def test_dip_metrics_rejects_single_node():

@@ -69,7 +69,7 @@ def test_malicious_node_line16():
 
 
 def test_malicious_node_grid_opposite_corner():
-    topo = make_grid(4, 4, "top-left")
+    topo = make_grid(4, 4)
     # BFS ids place the far corner last
     assert malicious_node(topo) == 15
 

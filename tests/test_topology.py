@@ -15,21 +15,29 @@ from dipsync.topology import (
 
 
 def test_grid_4x4_counts():
-    topo = make_grid(4, 4, "top-left")
+    topo = make_grid(4, 4)
     assert topo.node_count == 16
     assert len(topo.edges) == 24  # 2 * 4 * 3 grid edges
     assert topo.gateway == 0
 
 
 def test_grid_3x3_layer_count_is_4():
-    lay = connectivity_layers(make_grid(3, 3, "top-left"))
+    lay = connectivity_layers(make_grid(3, 3))
     assert lay.max_layer == 4
 
 
 def test_minimal_grid_1x2():
-    topo = make_grid(1, 2, "left")
+    topo = make_grid(1, 2)
     assert topo.node_count == 2
     assert topo.edges == ((0, 1),)
+
+
+def test_grid_2x3_hand_ids():
+    # ids by hop distance, row-major within a distance:
+    #   0 1 3
+    #   2 4 5
+    topo = make_grid(2, 3)
+    assert topo.edges == ((0, 1), (0, 2), (1, 3), (1, 4), (2, 4), (3, 5), (4, 5))
 
 
 def test_grid_ids_follow_bfs_order():
@@ -86,7 +94,7 @@ def test_layers_star():
 
 
 def test_layer_edge_lipschitz_property():
-    for topo in (make_grid(4, 4), make_grid(3, 5, "bottom-right"), make_line(9)):
+    for topo in (make_grid(4, 4), make_grid(5, 3), make_line(9)):
         lay = connectivity_layers(topo)
         for u, v in topo.edges:
             assert abs(lay.of(u) - lay.of(v)) <= 1
@@ -101,7 +109,11 @@ def test_grid_max_layer_formula(rows, cols):
 def test_unreachable_node_named():
     with pytest.raises(UnreachableNodeError) as exc:
         Topology.from_edges(4, 0, [(0, 1), (2, 3)])
-    assert exc.value.node in (2, 3)
+    assert exc.value.node == 2
+    # the lowest-id unreachable node is named, isolated or not
+    with pytest.raises(UnreachableNodeError) as exc:
+        Topology.from_edges(5, 0, [(0, 1), (2, 3)])
+    assert exc.value.node == 2
 
 
 def link_draws(topo, p, seed=0, ticks=50, protocol=ProtocolKind.BAF):
