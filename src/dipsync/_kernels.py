@@ -168,6 +168,19 @@ def _forward_fill(est, act):
         last = src[-1]
 
 
+# elements per chunk of link rows converted to lists
+_ROW_CHUNK = 1 << 12
+
+
+def _link_rows(link_live):
+    """Rows 1, 2, ... of the (ticks, edges) link matrix as lists of 0/1.
+    They are converted a chunk of at most _ROW_CHUNK elements (at least one
+    row) at a time, which costs about half of a `tolist` per row."""
+    step = max(1, _ROW_CHUNK // link_live.shape[1])
+    for a in range(1, link_live.shape[0], step):
+        yield from link_live[a:a + step].tolist()
+
+
 def baseline_kernel(
     indptr, indices, edge_slot, link_live, init_est,
     delta, max_ticks, mal, noise, dip_mode, warmup,
@@ -178,11 +191,10 @@ def baseline_kernel(
     baseline has no delivery model."""
     ep = _Episode(indptr, indices, edge_slot, init_est, delta, max_ticks,
                   mal, noise, dip_mode, warmup)
-    N, T, noise = ep.n, max_ticks, ep.noise
+    N, noise = ep.n, ep.noise
     nbrs, est, frozen, fired = ep.nbrs, ep.est, ep.frozen, ep.fired
     est_flat, act, tx = ep.est_flat, ep.act, ep.tx
-    for k in range(1, T):
-        live = link_live[k].tolist()
+    for k, live in enumerate(_link_rows(link_live), 1):
         row = k * N
         # what each node hears from j: the tick-start estimates
         heard = est[:]
@@ -217,7 +229,7 @@ def tsau_kernel(
     broadcasts its time once per slot cycle."""
     ep = _Episode(indptr, indices, edge_slot, init_est, delta, max_ticks,
                   mal, noise, dip_mode, warmup)
-    N, T, noise = ep.n, max_ticks, ep.noise
+    N, noise = ep.n, ep.noise
     nbrs, est, frozen, fired = ep.nbrs, ep.est, ep.frozen, ep.fired
     est_flat, act, tx, delivered = ep.est_flat, ep.act, ep.tx, ep.delivered
     cyc = N - 1
@@ -228,8 +240,7 @@ def tsau_kernel(
     # only the gateway speaks
     sends = [(0, 0.0)]
     tx[0] = 1
-    for k in range(1, T):
-        live = link_live[k].tolist()
+    for k, live in enumerate(_link_rows(link_live), 1):
         row = k * N
         for b, val in sends:
             reached = 0
@@ -276,7 +287,7 @@ def uaf_kernel(
     the next cycle boundary, so all estimates step in lockstep."""
     ep = _Episode(indptr, indices, edge_slot, init_est, delta, max_ticks,
                   mal, noise, dip_mode, warmup)
-    N, T, noise = ep.n, max_ticks, ep.noise
+    N, noise = ep.n, ep.noise
     nbrs, est, frozen, fired = ep.nbrs, ep.est, ep.frozen, ep.fired
     est_flat, act, tx, delivered = ep.est_flat, ep.act, ep.tx, ep.delivered
     cyc = max_layer + 1
@@ -290,8 +301,7 @@ def uaf_kernel(
     sent_val = [0.0] * N
     senders = [0]
     tx[0] = 1
-    for k in range(1, T):
-        live = link_live[k].tolist()
+    for k, live in enumerate(_link_rows(link_live), 1):
         row = k * N
         if k % cyc == 0:
             for i in range(1, N):
@@ -375,7 +385,7 @@ def baf_kernel(
     status and turns the flood around."""
     ep = _Episode(indptr, indices, edge_slot, init_est, delta, max_ticks,
                   mal, noise, dip_mode, warmup)
-    N, T, noise = ep.n, max_ticks, ep.noise
+    N, noise = ep.n, ep.noise
     nbrs, est, frozen, fired = ep.nbrs, ep.est, ep.frozen, ep.fired
     est_flat, act, tx, delivered = ep.est_flat, ep.act, ep.tx, ep.delivered
     # per node its status bit and hop counter; the gateway's stay 1 and 0
@@ -389,8 +399,7 @@ def baf_kernel(
     # at tick 0 the gateway starts the first forward flood
     senders = [0]
     tx[0] = 1
-    for k in range(1, T):
-        live = link_live[k].tolist()
+    for k, live in enumerate(_link_rows(link_live), 1):
         row = k * N
         # deliveries (sender view), and per receiver the count and largest
         # counter of the opposite- and same-status messages it hears

@@ -24,7 +24,9 @@ from .engine import (
     Trace,
     config_from_mapping,
     current_backend,
+    episode_bytes,
     parse_keyvalue_file,
+    physical_memory,
     run,
 )
 from .errors import ConfigError, EpisodeAborted
@@ -165,6 +167,87 @@ def dip_cycles(trace: Trace) -> DipMetrics:
     return DipMetrics.from_nodes(dm.k_dip / per_cycle, dm.k_dip_tick, dm.e_dip)
 
 
+class _WorkerTraceback(Exception):
+    """The traceback, as text, of an exception raised in a worker process."""
+
+
+def _map_episodes(fn, configs: list[SimConfig]) -> list:
+    """`[fn(c) for c in configs]`, with the episodes spread over every usable
+    CPU.
+
+    There are `workers` = min(len(configs), usable CPUs, the number of the
+    largest episode's `episode_bytes` that fit in physical memory) workers,
+    and worker w runs configs[w::workers].  This process is worker 0; each
+    other worker is a child made by `os.fork`, which sends its results, or
+    its first exception, back through a pipe as one pickle and always leaves
+    through `os._exit`, so it never flushes this process's buffers.  With one
+    worker, or without `os.fork`, there are no children.  Every child is
+    reaped on every path, and killed first if this process is interrupted.
+    The first failure in config order is raised here.
+    """
+    import pickle
+    import signal
+    import traceback
+
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    fits = physical_memory() // max([1, *map(episode_bytes, configs)])
+    workers = max(1, min(len(configs), cpus, fits)) if hasattr(os, "fork") else 1
+
+    def share(w):
+        """Worker w's results, up to its first exception, and that failure
+        as (config index, exception, traceback text), or None."""
+        results = []
+        for i in range(w, len(configs), workers):
+            try:
+                results.append(fn(configs[i]))
+            except Exception as exc:
+                return results, (i, exc, traceback.format_exc())
+        return results, None
+
+    children = []   # (pid, read end of its pipe)
+    try:
+        for w in range(1, workers):
+            r, wr = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                status = 1
+                try:
+                    with os.fdopen(wr, "wb") as fh:
+                        pickle.dump(share(w), fh)
+                    status = 0
+                finally:
+                    os._exit(status)
+            os.close(wr)
+            children.append((pid, os.fdopen(r, "rb")))
+        shares = [share(0)]
+        for w, (pid, fh) in enumerate(children, 1):
+            data = fh.read()
+            shares.append(pickle.loads(data) if data else ([], (
+                w, RuntimeError(f"worker process {pid} ended without a result"), "")))
+    except BaseException:
+        for pid, _ in children:
+            try:
+                os.kill(pid, signal.SIGKILL)
+            except ProcessLookupError:
+                pass
+        raise
+    finally:
+        for pid, fh in children:
+            fh.close()
+            os.waitpid(pid, 0)
+
+    failures = [failure for _, failure in shares if failure]
+    if failures:
+        _, exc, tb = min(failures, key=lambda f: f[0])
+        if exc.__traceback__ is None:   # raised in a child
+            raise exc from _WorkerTraceback(tb)
+        raise exc
+    out = [None] * len(configs)
+    for w, (results, _) in enumerate(shares):
+        out[w::workers] = results
+    return out
+
+
 def cmd_run(args) -> int:
     spec = load_spec(resolve_spec_path(args.spec))
     out_dir = Path(args.out or spec.output_dir)
@@ -197,21 +280,18 @@ def cmd_sweep_links(args) -> int:
     protocol = ProtocolKind.parse(args.protocol)
     seed = env_seed(args.seed)
     topo = make_grid(4, 4)
+    configs = [SimConfig(topology=topo, protocol=protocol, link_p=p,
+                         seed=repeat_seed(seed, r), max_ticks=args.ticks,
+                         freeze_on_dip=False)
+               for p in args.p for r in range(args.repeats)]
+    metrics = _map_episodes(lambda cfg: dip_cycles(run(cfg)), configs)
     lines = ["p,median_E_dip_min,min_E_dip_min,max_E_dip_min,median_k_dip_min,dip_persists"]
-    for p in args.p:
-        e_vals, k_vals = [], []
-        per_node = []
-        for r in range(args.repeats):
-            cfg = SimConfig(topology=topo, protocol=protocol, link_p=p,
-                            seed=repeat_seed(seed, r), max_ticks=args.ticks,
-                            freeze_on_dip=False)
-            dm = dip_cycles(run(cfg))
-            e_vals.append(dm.e_dip_min)
-            k_vals.append(dm.k_dip_min)
-            per_node.append(dm.e_dip)
-        med_node = np.median(np.array(per_node), axis=0)
+    for n, p in enumerate(args.p):
+        dms = metrics[n * args.repeats:(n + 1) * args.repeats]
+        e_vals = sorted(dm.e_dip_min for dm in dms)
+        k_vals = [dm.k_dip_min for dm in dms]
+        med_node = np.median(np.array([dm.e_dip for dm in dms]), axis=0)
         persists = bool((med_node >= 1e-5).all() and (med_node <= 1e-2).all())
-        e_vals.sort()
         lines.append(
             f"{p!r},{statistics.median(e_vals)!r},{e_vals[0]!r},{e_vals[-1]!r},"
             f"{statistics.median(k_vals)!r},{str(persists).lower()}"
@@ -240,10 +320,9 @@ _ORDER_CHECKS = {
 def cmd_compare(args) -> int:
     protocols = [ProtocolKind.parse(p) for p in args.protocols]
     seed = env_seed(args.seed)
-    results = {}
-    for proto in protocols:
-        cfg = scenario_config(args.scenario, proto, seed, args.ticks)
-        results[proto.value] = dip_cycles(run(cfg))
+    configs = [scenario_config(args.scenario, proto, seed, args.ticks) for proto in protocols]
+    metrics = _map_episodes(lambda cfg: dip_cycles(run(cfg)), configs)
+    results = dict(zip((proto.value for proto in protocols), metrics))
     sys.stdout.write(summary_table(list(results.items())))
     # the order checks rank tsau, uaf and baf against each other only
     checked = {name: results[name] for name in ("tsau", "uaf", "baf") if name in results}

@@ -119,6 +119,18 @@ class Trace:
                 fh.close()
 
 
+def episode_bytes(config: SimConfig) -> int:
+    """Bytes of the link matrix and trace arrays of one episode: per tick a
+    uint8 link row, and per node the float64 estimate and the activated,
+    frozen and transmitted flags of the trace."""
+    return config.max_ticks * (len(config.topology.edges) + 11 * config.topology.node_count)
+
+
+def physical_memory() -> int:
+    """Bytes of physical memory, as `os.sysconf` reports them."""
+    return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+
+
 def _validate(config: SimConfig) -> int:
     if config.max_ticks < 1:
         raise ConfigError("max_ticks must be >= 1")
@@ -132,10 +144,8 @@ def _validate(config: SimConfig) -> int:
         raise ConfigError("need at least one non-gateway node")
     if config.topology.gateway != 0:
         raise ConfigError("engine expects the gateway at node id 0")
-    # per tick: a uint8 link row, and per node the float64 estimate and the
-    # activated, frozen and transmitted flags of the trace
-    need = config.max_ticks * (len(config.topology.edges) + 11 * config.topology.node_count)
-    memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    need = episode_bytes(config)
+    memory = physical_memory()
     if need > memory:
         raise ConfigError(f"max_ticks {config.max_ticks} needs {need / 2**30:.1f} GiB for "
                           f"the link matrix and trace, more than the "

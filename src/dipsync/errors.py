@@ -1,4 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package.
+
+Every type survives a pickle round trip with its message and attributes, so
+an error raised in a worker process can be raised again in its parent."""
 
 
 class ProtocolViolation(Exception):
@@ -16,6 +19,9 @@ class UnreachableNodeError(ValueError):
         self.node = node
         super().__init__(f"node {node} is unreachable from the gateway")
 
+    def __reduce__(self):
+        return type(self), (self.node,), self.__dict__
+
 
 class ConfigError(ValueError):
     """A simulation configuration was rejected before the run started."""
@@ -28,3 +34,6 @@ class EpisodeAborted(RuntimeError):
         self.tick = tick
         self.reason = reason
         super().__init__(f"episode aborted at tick {tick}: {reason}")
+
+    def __reduce__(self):
+        return type(self), (self.tick, self.reason), self.__dict__

@@ -1,12 +1,15 @@
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
 import dipsync
+import dipsync.cli as cli
 from dipsync.cli import main
+from dipsync.errors import ConfigError
 
 
 def run_cli(args, capsys):
@@ -231,6 +234,109 @@ def test_compare_checks_need_tsau_uaf_and_baf(scenario, capsys):
     checks = [ln for ln in three.splitlines() if ln.startswith("check ")]
     assert len(checks) == 2
     assert [ln for ln in four.splitlines() if ln.startswith("check ")] == checks
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def use_cpus(monkeypatch, n):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+
+
+EPISODE_MAPS = {
+    "sweep": ["sweep-links", "--protocol", "baf", "--p", "0.75", "0.5", "0.25",
+              "--repeats", "3", "--ticks", "400", "--seed", "2"],
+    "compare": ["compare", "--scenario", "malicious16", "--ticks", "600"],
+}
+
+
+@pytest.mark.parametrize("args", EPISODE_MAPS.values(), ids=EPISODE_MAPS.keys())
+def test_episodes_on_more_cpus_give_identical_output(args, capfd, monkeypatch):
+    # 1 CPU runs every episode here; 2 and 3 fork one and two children, whose
+    # writes to file descriptors 1 and 2 would show in capfd
+    outputs = []
+    for cpus in (1, 2, 3):
+        use_cpus(monkeypatch, cpus)
+        outputs.append(run_cli(args, capfd))
+        assert_no_child_left()
+    assert outputs[0][0] == 0
+    assert outputs[1] == outputs[0]
+    assert outputs[2] == outputs[0]
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3])
+def test_episode_map_reports_the_first_failure_in_item_order(cpus, capsys, monkeypatch):
+    # items 0, 1 and 2 are tsau, uaf and baf; with 2 CPUs this process runs
+    # items 0 and 2 and a child runs item 1
+    run = cli.run
+
+    def failing_run(cfg):
+        if cfg.protocol.value in ("uaf", "baf"):
+            raise ConfigError(f"{cfg.protocol.value} fails")
+        return run(cfg)
+
+    use_cpus(monkeypatch, cpus)
+    monkeypatch.setattr(cli, "run", failing_run)
+    assert run_cli(["compare", "--scenario", "grid16", "--ticks", "100"], capsys) == (
+        2, "", "error: uaf fails\n")
+    assert_no_child_left()
+
+
+def test_episode_map_raises_a_child_error_with_its_traceback(capfd, monkeypatch):
+    # with 2 CPUs a child runs item 1, tsau; an error it raises is raised here
+    # with the same type and message, caused by the child's traceback
+    run = cli.run
+
+    def failing_run(cfg):
+        if cfg.protocol.value == "tsau":
+            raise ValueError("tsau fails")
+        return run(cfg)
+
+    use_cpus(monkeypatch, 2)
+    monkeypatch.setattr(cli, "run", failing_run)
+    with pytest.raises(ValueError, match="^tsau fails$") as exc:
+        main(["compare", "--scenario", "grid16", "--protocols", "uaf", "tsau",
+              "--ticks", "100"])
+    assert "in failing_run" in str(exc.value.__cause__)
+    assert_no_child_left()
+    assert capfd.readouterr() == ("", "")
+
+
+def test_episode_map_kills_its_children_when_interrupted(capsys, monkeypatch):
+    # item 0 interrupts this process while a child sleeps in item 1; the
+    # child is killed and reaped, not waited for
+    def interrupted_run(cfg):
+        if cfg.protocol.value == "uaf":
+            raise KeyboardInterrupt
+        time.sleep(60)
+
+    use_cpus(monkeypatch, 2)
+    monkeypatch.setattr(cli, "run", interrupted_run)
+    start = time.monotonic()
+    with pytest.raises(KeyboardInterrupt):
+        main(["compare", "--scenario", "grid16", "--protocols", "uaf", "tsau",
+              "--ticks", "100"])
+    assert time.monotonic() - start < 30
+    assert_no_child_left()
+
+
+def test_episode_map_runs_here_without_fork_or_memory(capsys, monkeypatch):
+    # two episodes, two CPUs: a child would run item 1, unless os.fork is
+    # missing or physical memory holds only one episode
+    args = ["compare", "--scenario", "grid16", "--protocols", "tsau", "uaf", "--ticks", "300"]
+    use_cpus(monkeypatch, 1)
+    want = run_cli(args, capsys)
+    use_cpus(monkeypatch, 2)
+    with monkeypatch.context() as m:
+        m.delattr(os, "fork")
+        assert run_cli(args, capsys) == want
+    with monkeypatch.context() as m:
+        one = cli.episode_bytes(cli.scenario_config("grid16", dipsync.ProtocolKind.UAF, 1, 300))
+        m.setattr(cli, "physical_memory", lambda: one + 1)
+        m.setattr(os, "fork", lambda: pytest.fail("forked with memory for one episode"))
+        assert run_cli(args, capsys) == want
 
 
 def test_compare_rejects_unknown_scenario(capsys):

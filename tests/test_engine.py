@@ -607,6 +607,15 @@ def test_link_draw_in_chunks_equals_one_call(monkeypatch):
         assert np.array_equal(got, want.astype(np.uint8))
 
 
+def test_link_rows_in_chunks_equal_the_rows(monkeypatch):
+    # a chunk of 7 elements holds one row of 24 edges, or two rows of 3
+    m = substream(5, "links").integers(0, 2, (50, 24), dtype=np.uint8)
+    for chunk in (7, 1 << 12):
+        monkeypatch.setattr(kernels, "_ROW_CHUNK", chunk)
+        for link_live in (m, m[:, :3], m[:1]):
+            assert list(kernels._link_rows(link_live)) == link_live[1:].tolist()
+
+
 def test_link_draw_memory_is_bounded():
     # grid16 at 100000 ticks and p = 0.5: a 2.4 MB link matrix, where one
     # float64 draw of the whole matrix would take 19.2 MB

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from dipsync.noise import generate, malicious_node
+from dipsync.noise import _fractional_filter, generate, malicious_node
 from dipsync.topology import Topology, make_grid, make_line
 
 
@@ -77,3 +77,20 @@ def test_malicious_node_grid_opposite_corner():
 def test_malicious_node_star_tie_break():
     star = Topology.from_edges(5, 0, [(0, i) for i in range(1, 5)])
     assert malicious_node(star) == 1  # all leaves tie at layer 1; smallest id
+
+
+def numpy_scalar_filter(n, alpha):
+    """Oracle: the filter's recurrence on numpy float64 scalars."""
+    h = np.empty(n)
+    h[0] = 1.0
+    half = 0.5 * alpha
+    for m in range(1, n):
+        h[m] = h[m - 1] * (half + m - 1) / m
+    return h
+
+
+@pytest.mark.parametrize("alpha", [0.5, 1.0, 1.3, 2.0, 2.7])
+def test_fractional_filter_matches_numpy_scalar_recurrence(alpha):
+    got = _fractional_filter(4001, alpha)
+    assert got.dtype == np.float64
+    assert np.array_equal(got, numpy_scalar_filter(4001, alpha))
