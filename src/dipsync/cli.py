@@ -19,6 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
+from ._forkmap import fork_map, usable_cpus
 from .engine import (
     SimConfig,
     Trace,
@@ -167,85 +168,12 @@ def dip_cycles(trace: Trace) -> DipMetrics:
     return DipMetrics.from_nodes(dm.k_dip / per_cycle, dm.k_dip_tick, dm.e_dip)
 
 
-class _WorkerTraceback(Exception):
-    """The traceback, as text, of an exception raised in a worker process."""
-
-
 def _map_episodes(fn, configs: list[SimConfig]) -> list:
-    """`[fn(c) for c in configs]`, with the episodes spread over every usable
-    CPU.
-
-    There are `workers` = min(len(configs), usable CPUs, the number of the
-    largest episode's `episode_bytes` that fit in physical memory) workers,
-    and worker w runs configs[w::workers].  This process is worker 0; each
-    other worker is a child made by `os.fork`, which sends its results, or
-    its first exception, back through a pipe as one pickle and always leaves
-    through `os._exit`, so it never flushes this process's buffers.  With one
-    worker, or without `os.fork`, there are no children.  Every child is
-    reaped on every path, and killed first if this process is interrupted.
-    The first failure in config order is raised here.
-    """
-    import pickle
-    import signal
-    import traceback
-
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    """`[fn(c) for c in configs]` through `fork_map`, with one worker per
+    usable CPU, at most one per config, and no more workers than the largest
+    episode's `episode_bytes` fit in physical memory."""
     fits = physical_memory() // max([1, *map(episode_bytes, configs)])
-    workers = max(1, min(len(configs), cpus, fits)) if hasattr(os, "fork") else 1
-
-    def share(w):
-        """Worker w's results, up to its first exception, and that failure
-        as (config index, exception, traceback text), or None."""
-        results = []
-        for i in range(w, len(configs), workers):
-            try:
-                results.append(fn(configs[i]))
-            except Exception as exc:
-                return results, (i, exc, traceback.format_exc())
-        return results, None
-
-    children = []   # (pid, read end of its pipe)
-    try:
-        for w in range(1, workers):
-            r, wr = os.pipe()
-            pid = os.fork()
-            if pid == 0:
-                status = 1
-                try:
-                    with os.fdopen(wr, "wb") as fh:
-                        pickle.dump(share(w), fh)
-                    status = 0
-                finally:
-                    os._exit(status)
-            os.close(wr)
-            children.append((pid, os.fdopen(r, "rb")))
-        shares = [share(0)]
-        for w, (pid, fh) in enumerate(children, 1):
-            data = fh.read()
-            shares.append(pickle.loads(data) if data else ([], (
-                w, RuntimeError(f"worker process {pid} ended without a result"), "")))
-    except BaseException:
-        for pid, _ in children:
-            try:
-                os.kill(pid, signal.SIGKILL)
-            except ProcessLookupError:
-                pass
-        raise
-    finally:
-        for pid, fh in children:
-            fh.close()
-            os.waitpid(pid, 0)
-
-    failures = [failure for _, failure in shares if failure]
-    if failures:
-        _, exc, tb = min(failures, key=lambda f: f[0])
-        if exc.__traceback__ is None:   # raised in a child
-            raise exc from _WorkerTraceback(tb)
-        raise exc
-    out = [None] * len(configs)
-    for w, (results, _) in enumerate(shares):
-        out[w::workers] = results
-    return out
+    return fork_map(fn, configs, max(1, min(len(configs), usable_cpus(), fits)))
 
 
 def cmd_run(args) -> int:
@@ -318,7 +246,8 @@ _ORDER_CHECKS = {
 
 
 def cmd_compare(args) -> int:
-    protocols = [ProtocolKind.parse(p) for p in args.protocols]
+    # each distinct protocol runs once, in order of first mention
+    protocols = list(dict.fromkeys(ProtocolKind.parse(p) for p in args.protocols))
     seed = env_seed(args.seed)
     configs = [scenario_config(args.scenario, proto, seed, args.ticks) for proto in protocols]
     metrics = _map_episodes(lambda cfg: dip_cycles(run(cfg)), configs)

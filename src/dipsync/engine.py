@@ -19,11 +19,13 @@ from __future__ import annotations
 
 import dataclasses
 import os
+import tempfile
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import noise as noise_mod
+from ._forkmap import fork_map, usable_cpus
 from ._kernels import get_kernel
 from .dip import WARMUP_OUTPUTS
 from .errors import ConfigError, EpisodeAborted
@@ -33,6 +35,13 @@ from .topology import Topology, connectivity_layers, load_topology, make_grid, m
 RNG_LABELS = {"init-clocks": 0, "links": 1, "noise": 2}
 
 TRACE_CSV_HEADER = "tick,node,estimate,error,activated,frozen"
+
+# Trace CSV rows per writer process.  A row takes about 3 us to format and a
+# forked writer about 5 ms (fork, temporary file, reap, copy back), so a
+# fork pays for itself from about 2000 rows; this leaves a margin.
+_CSV_ROWS_PER_WORKER = 5000
+# bytes per read when this process appends the children's parts
+_CSV_COPY_BLOCK = 1 << 16
 
 
 def substream(seed: int, label: str) -> np.random.Generator:
@@ -90,33 +99,76 @@ class Trace:
 
         Floats are written as the `repr` of the Python float (shortest
         round-trip digits), flags as integers.  Each tick is formatted from
-        its rows converted to Python lists and written with one write call,
-        so the writer's extra memory is O(nodes) whatever the number of
-        ticks.  The bytes equal those of formatting every (tick, node) row on
-        its own.
+        its rows converted to Python lists and written with one write call.
+        The bytes equal those of formatting every (tick, node) row on its
+        own.
+
+        The ticks are split into contiguous ranges of equal length, one per
+        worker: one worker per usable CPU, and at most one per
+        _CSV_ROWS_PER_WORKER rows, so a smaller trace is written here alone.
+        The ranges run through `fork_map`.  This process writes the header
+        and range 0 straight into the target.  The child for range w > 0
+        formats it into an anonymous temporary file, opened before the fork,
+        so a failed or killed child leaves no file behind.  Once every range
+        is done, this process appends those files to the target in range
+        order, in blocks of _CSV_COPY_BLOCK bytes: as bytes to a path, as
+        text to an open text file.  Each process's extra memory is O(nodes
+        + _CSV_COPY_BLOCK) whatever the number of ticks.  A failure in any
+        range is raised here as `fork_map` raises it.
         """
+        rows = self.n_ticks * self.node_count
+        workers = max(1, min(usable_cpus(), rows // _CSV_ROWS_PER_WORKER))
+        bounds = [self.n_ticks * w // workers for w in range(workers + 1)]
         close = False
         if isinstance(path_or_file, (str, bytes)) or hasattr(path_or_file, "__fspath__"):
             fh = open(path_or_file, "w", encoding="utf-8", newline="\n")
             close = True
         else:
             fh = path_or_file
+        parts = []
         try:
             fh.write(TRACE_CSV_HEADER + "\n")
-            gw = self.gateway_times
-            node_cols = [f",{i}," for i in range(self.node_count)]
-            for k in range(self.n_ticks):
-                est = self.estimates[k]
-                tick = str(k)
-                fh.write("".join([
-                    f"{tick}{node}{e!r},{x!r},{a},{f}\n"
-                    for node, e, x, a, f in zip(
-                        node_cols, est.tolist(), np.abs(gw[k] - est).tolist(),
-                        self.activated[k].tolist(), self.frozen[k].tolist())
-                ]))
+            for _ in range(1, workers):
+                parts.append(tempfile.TemporaryFile())
+
+            def write_range(w):
+                if w == 0:
+                    self._write_ticks(fh, bounds[0], bounds[1])
+                    return
+                with open(parts[w - 1].fileno(), "w", encoding="utf-8", newline="\n",
+                          closefd=False) as part:
+                    self._write_ticks(part, bounds[w], bounds[w + 1])
+
+            fork_map(write_range, range(workers), workers)
+            if close:
+                fh.flush()
+            for part in parts:
+                part.seek(0)
+                while block := part.read(_CSV_COPY_BLOCK):
+                    # the rows are ASCII, so a block never splits a character
+                    if close:
+                        fh.buffer.write(block)
+                    else:
+                        fh.write(block.decode("utf-8"))
         finally:
+            for part in parts:
+                part.close()
             if close:
                 fh.close()
+
+    def _write_ticks(self, fh, start: int, stop: int) -> None:
+        """The CSV rows of ticks [start, stop), one write call per tick."""
+        gw = self.gateway_times
+        node_cols = [f",{i}," for i in range(self.node_count)]
+        for k in range(start, stop):
+            est = self.estimates[k]
+            tick = str(k)
+            fh.write("".join([
+                f"{tick}{node}{e!r},{x!r},{a},{f}\n"
+                for node, e, x, a, f in zip(
+                    node_cols, est.tolist(), np.abs(gw[k] - est).tolist(),
+                    self.activated[k].tolist(), self.frozen[k].tolist())
+            ]))
 
 
 def episode_bytes(config: SimConfig) -> int:

@@ -12,7 +12,7 @@ import time
 import numpy as np
 
 import dipsync.metrics as metrics
-from dipsync.cli import dip_cycles, main
+from dipsync.cli import _map_episodes, dip_cycles, main
 from dipsync.clock import resync_period
 from dipsync.dip import filter_output
 from dipsync.engine import SimConfig, run, substream
@@ -57,10 +57,13 @@ def dense_baseline_oracle(topo, init, delta, ticks):
     return out
 
 
+def grid16_config(proto, seed, freeze, malicious=False, link_p=1.0, ticks=4000):
+    return SimConfig(topology=GRID16, protocol=proto, max_ticks=ticks, seed=seed,
+                     freeze_on_dip=freeze, malicious=malicious, link_p=link_p)
+
+
 def grid16_run(proto, seed, freeze, malicious=False, link_p=1.0, ticks=4000):
-    return run(SimConfig(topology=GRID16, protocol=proto, max_ticks=ticks,
-                         seed=seed, freeze_on_dip=freeze, malicious=malicious,
-                         link_p=link_p))
+    return run(grid16_config(proto, seed, freeze, malicious, link_p, ticks))
 
 
 def test_criterion_1_baseline_oracle_equivalence():
@@ -126,30 +129,33 @@ def test_criterion_4_baf_lowest_error():
 
 
 def test_criterion_5_lossy_link_dip_persistence():
+    # no time bound: the seed panels run on every usable CPU
+    panels = [(p, proto) for p in (0.75, 0.5, 0.25) for proto in PROTOCOLS]
+    mins = _map_episodes(
+        lambda cfg: run(cfg).errors[:, 1:].min(axis=0),
+        [grid16_config(proto, s, freeze=False, link_p=p, ticks=16000)
+         for p, proto in panels for s in SEEDS])
     ok = True
     worst = (0.0, 1.0)
-    for p in (0.75, 0.5, 0.25):
-        for proto in PROTOCOLS:
-            per_node = np.array([
-                grid16_run(proto, s, freeze=False, link_p=p, ticks=16000)
-                .errors[:, 1:].min(axis=0)
-                for s in SEEDS
-            ])
-            med = np.median(per_node, axis=0)
-            ok &= bool(np.all(med >= 1e-5) and np.all(med <= 1e-2))
-            worst = (max(worst[0], float(med.max())), min(worst[1], float(med.min())))
+    for n in range(len(panels)):
+        per_node = np.array(mins[n * len(SEEDS):(n + 1) * len(SEEDS)])
+        med = np.median(per_node, axis=0)
+        ok &= bool(np.all(med >= 1e-5) and np.all(med <= 1e-2))
+        worst = (max(worst[0], float(med.max())), min(worst[1], float(med.min())))
     assert verdict(5, ok, f"per-node medians within [{worst[1]:.1e}, {worst[0]:.1e}]")
 
 
 def test_criterion_6_malicious_node_statistics():
+    # no time bound: the seed panels run on every usable CPU
+    dms = _map_episodes(
+        lambda cfg: dip_cycles(run(cfg)),
+        [grid16_config(proto, seed, freeze=True, malicious=True)
+         for proto in PROTOCOLS for seed in SEEDS])
     stats = {}
-    for proto in PROTOCOLS:
-        ks, vs = [], []
-        for seed in SEEDS:
-            dm = dip_cycles(grid16_run(proto, seed, freeze=True, malicious=True))
-            ks.append(dm.k_dip_min)
-            vs.append(dm.v_k_dip)
-        stats[proto.value] = (np.array(ks), np.array(vs))
+    for n, proto in enumerate(PROTOCOLS):
+        panel = dms[n * len(SEEDS):(n + 1) * len(SEEDS)]
+        stats[proto.value] = (np.array([dm.k_dip_min for dm in panel]),
+                              np.array([dm.v_k_dip for dm in panel]))
     n_a = sum(
         1 for i in range(len(SEEDS))
         if stats["baf"][1][i] > 10 * max(stats["tsau"][1][i], stats["uaf"][1][i])

@@ -236,6 +236,26 @@ def test_compare_checks_need_tsau_uaf_and_baf(scenario, capsys):
     assert [ln for ln in four.splitlines() if ln.startswith("check ")] == checks
 
 
+def test_compare_runs_each_distinct_protocol_once(capsys, monkeypatch):
+    # a repeated protocol is one episode and one row; the bytes are those of
+    # the version that ran it twice
+    run = cli.run
+    calls = []
+
+    def counting_run(cfg):
+        calls.append(cfg.protocol.value)
+        return run(cfg)
+
+    use_cpus(monkeypatch, 1)
+    monkeypatch.setattr(cli, "run", counting_run)
+    assert run_cli(["compare", "--scenario", "grid16", "--protocols", "tsau", "TSAU",
+                    "baseline", "--ticks", "200"], capsys) == (0, (
+        "protocol,E_dip_min,k_dip_min,V_k_dip\n"
+        "tsau,0.08965692807420694,12.4,11.17333333333334\n"
+        "baseline,0.00032069435895060264,101.93333333333334,25.26222222222223\n"), "")
+    assert calls == ["tsau", "baseline"]
+
+
 def assert_no_child_left():
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)

@@ -1,4 +1,7 @@
 import io
+import os
+import tempfile
+import time
 import tracemalloc
 
 import numpy as np
@@ -7,8 +10,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import array_kernels
+from test_cli import assert_no_child_left, use_cpus
 import dipsync._kernels as kernels
 import dipsync.engine as engine
+from dipsync._forkmap import WorkerTraceback
 from dipsync.dip import DipDetector
 from dipsync.engine import (
     SimConfig,
@@ -414,6 +419,123 @@ def test_to_csv_memory_is_bounded(tmp_path):
         tracemalloc.stop()
     assert (tmp_path / "trace.csv").stat().st_size > 7_000_000
     assert peak < 4_000_000
+
+
+# a trace whose ticks do not split evenly into 2 or 3 ranges
+CSV_TRACE = cfg(make_grid(4, 4), ProtocolKind.BAF, max_ticks=301, seed=3, freeze_on_dip=True)
+
+
+def count_forks(monkeypatch):
+    forks = []
+    fork = os.fork
+
+    def counting_fork():
+        forks.append(None)
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counting_fork)
+    return forks
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3])
+def test_to_csv_on_more_cpus_matches_per_row_writer(cpus, tmp_path, capfd, monkeypatch):
+    # the writer on 1 CPU forks nothing; on 2 and 3 it forks one and two
+    # children for every target, and their writes to file descriptors 1 and 2
+    # would show in capfd
+    trace = run(CSV_TRACE)
+    want = io.StringIO()
+    _per_row_csv(trace, want)
+    want = want.getvalue()
+    monkeypatch.setattr(engine, "_CSV_ROWS_PER_WORKER", 1000)
+    use_cpus(monkeypatch, cpus)
+    forks = count_forks(monkeypatch)
+    # a path
+    trace.to_csv(tmp_path / "path.csv")
+    assert (tmp_path / "path.csv").read_bytes() == want.encode()
+    # an open text handle
+    buf = io.StringIO()
+    trace.to_csv(buf)
+    assert buf.getvalue() == want
+    # an open text file whose buffer holds text not yet flushed
+    with open(tmp_path / "open.csv", "w", encoding="utf-8", newline="\n") as fh:
+        fh.write("before\n")
+        trace.to_csv(fh)
+        fh.write("after\n")
+    assert (tmp_path / "open.csv").read_bytes() == f"before\n{want}after\n".encode()
+    assert len(forks) == 3 * (cpus - 1)
+    assert_no_child_left()
+    assert capfd.readouterr() == ("", "")
+
+
+def test_to_csv_below_the_row_threshold_does_not_fork(tmp_path, monkeypatch):
+    # one row short of two writers' worth of rows
+    ticks = (2 * engine._CSV_ROWS_PER_WORKER - 1) // 16
+    trace = run(cfg(make_grid(4, 4), ProtocolKind.TSAU, max_ticks=ticks, seed=2))
+    use_cpus(monkeypatch, 3)
+    monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked below the row threshold"))
+    got, want = io.StringIO(), io.StringIO()
+    trace.to_csv(got)
+    _per_row_csv(trace, want)
+    assert got.getvalue() == want.getvalue()
+
+
+@pytest.fixture
+def csv_writer_in_children(tmp_path, monkeypatch):
+    """Two CPUs, so a child writes ticks [150, 301) of CSV_TRACE, and a
+    temporary-file directory of its own under tmp_path."""
+    monkeypatch.setattr(engine, "_CSV_ROWS_PER_WORKER", 1000)
+    use_cpus(monkeypatch, 2)
+    temp = tmp_path / "temp"
+    temp.mkdir()
+    monkeypatch.setattr(tempfile, "tempdir", str(temp))
+    target = tmp_path / "out"
+    target.mkdir()
+    (target / "trace.csv").touch()
+    return run(CSV_TRACE), target / "trace.csv"
+
+
+def assert_no_file_left(target):
+    assert os.listdir(tempfile.gettempdir()) == []
+    assert os.listdir(target.parent) == [target.name]
+
+
+def test_to_csv_raises_a_child_error_with_its_traceback(csv_writer_in_children, capfd,
+                                                        monkeypatch):
+    trace, target = csv_writer_in_children
+    write_ticks = engine.Trace._write_ticks
+
+    def failing_write_ticks(self, fh, start, stop):
+        if start > 0:
+            raise ValueError(f"ticks from {start} fail")
+        write_ticks(self, fh, start, stop)
+
+    monkeypatch.setattr(engine.Trace, "_write_ticks", failing_write_ticks)
+    with pytest.raises(ValueError, match="^ticks from 150 fail$") as exc:
+        trace.to_csv(target)
+    assert isinstance(exc.value.__cause__, WorkerTraceback)
+    assert "in failing_write_ticks" in str(exc.value.__cause__)
+    assert_no_child_left()
+    assert_no_file_left(target)
+    assert capfd.readouterr() == ("", "")
+
+
+def test_to_csv_kills_its_children_when_interrupted(csv_writer_in_children, monkeypatch):
+    # this process's range is interrupted while the child sleeps in its own;
+    # the child is killed and reaped, not waited for
+    trace, target = csv_writer_in_children
+
+    def interrupted_write_ticks(self, fh, start, stop):
+        if start == 0:
+            raise KeyboardInterrupt
+        time.sleep(60)
+
+    monkeypatch.setattr(engine.Trace, "_write_ticks", interrupted_write_ticks)
+    start = time.monotonic()
+    with pytest.raises(KeyboardInterrupt):
+        trace.to_csv(target)
+    assert time.monotonic() - start < 30
+    assert_no_child_left()
+    assert_no_file_left(target)
 
 
 def test_seed_substreams_are_independent():
