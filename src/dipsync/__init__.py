@@ -1,7 +1,7 @@
 """dipsync: deterministic simulator of asynchronous, decentralized, single-hop
 WSN time synchronization (TSAU, UAF, BAF) with transient-dip stopping."""
 
-from .clock import gateway_time, resync_period
+from .clock import resync_period
 from .dip import FILTER_TAPS, DipDetector, filter_output
 from .engine import SimConfig, Trace, current_backend, run, substream
 from .errors import (

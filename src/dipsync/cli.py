@@ -2,7 +2,8 @@
 sweep, protocol comparisons on the canonical scenarios, and the energy table.
 
 All outputs are UTF-8 CSV.  Every run is deterministic given its spec; the
-DIPSYNC_SEED environment variable overrides the spec's seed.
+DIPSYNC_SEED environment variable overrides the spec's seed.  `sweep-links`
+and `compare` take their seed from --seed only.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ from . import __version__
 from ._forkmap import fork_map, usable_cpus
 from .engine import (
     SimConfig,
-    Trace,
     config_from_mapping,
     current_backend,
     episode_bytes,
@@ -35,6 +35,7 @@ from .metrics import (
     PROTOCOL_ENERGY_CONSTANTS,
     QUOTED_TOTALS_UJ,
     DipMetrics,
+    EnergyParams,
     dip_metrics,
     summary_table,
     total_energy,
@@ -44,33 +45,17 @@ from .topology import make_grid, make_line
 
 _NAME_RE = re.compile(r"^[A-Za-z0-9._-]+$")
 
-# transmissions per dip cycle: a BAF wake-up cycle is one full
-# forward+backward round trip (two transmissions)
-TX_PER_CYCLE = {ProtocolKind.BAF: 2.0}
-
 
 @dataclass(frozen=True)
 class ExperimentSpec:
     name: str
     config: SimConfig
     repeat: int = 1
-    output_dir: str = "."
 
 
 def repeat_seed(base: int, rep: int) -> int:
     """Deterministic per-repeat seed derivation (documented label scheme)."""
     return base if rep == 0 else base * 1000003 + rep
-
-
-def env_seed(default):
-    """The DIPSYNC_SEED override as an int, or `default` when it is unset."""
-    raw = os.environ.get("DIPSYNC_SEED")
-    if raw is None:
-        return default
-    try:
-        return int(raw)
-    except ValueError:
-        raise ConfigError(f"DIPSYNC_SEED must be an integer, got {raw!r}") from None
 
 
 def load_spec(path) -> ExperimentSpec:
@@ -85,13 +70,13 @@ def load_spec(path) -> ExperimentSpec:
         raise ConfigError(f"repeat must be an integer, got {raw_repeat!r}") from None
     if repeat < 1:
         raise ConfigError("repeat must be >= 1")
-    output_dir = fields.pop("output_dir", ".")
-    seed = env_seed(None)
-    if seed is not None:
-        fields["seed"] = seed
-    return ExperimentSpec(
-        name=name, config=config_from_mapping(fields), repeat=repeat, output_dir=output_dir
-    )
+    raw_seed = os.environ.get("DIPSYNC_SEED")
+    if raw_seed is not None:
+        try:
+            fields["seed"] = int(raw_seed)
+        except ValueError:
+            raise ConfigError(f"DIPSYNC_SEED must be an integer, got {raw_seed!r}") from None
+    return ExperimentSpec(name=name, config=config_from_mapping(fields), repeat=repeat)
 
 
 def resolve_spec_path(arg: str) -> str:
@@ -124,7 +109,7 @@ def _write_manifest(path, spec: ExperimentSpec, seeds) -> None:
         f"protocol = {cfg.protocol.value}",
         f"nodes = {cfg.topology.node_count}",
         f"edges = {len(cfg.topology.edges)}",
-        f"gateway = {cfg.topology.gateway}",
+        "gateway = 0",
         f"delta = {cfg.delta!r}",
         f"max_ticks = {cfg.max_ticks}",
         f"link_p = {cfg.link_p!r}",
@@ -159,15 +144,6 @@ def _metrics_csv(path, results: list[tuple[int, DipMetrics]]) -> None:
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def dip_cycles(trace: Trace) -> DipMetrics:
-    """Dip metrics with k_dip rescaled to the protocol's wake-up cycles."""
-    dm = dip_metrics(trace)
-    per_cycle = TX_PER_CYCLE.get(trace.config.protocol, 1.0)
-    if per_cycle == 1.0:
-        return dm
-    return DipMetrics.from_nodes(dm.k_dip / per_cycle, dm.k_dip_tick, dm.e_dip)
-
-
 def _map_episodes(fn, configs: list[SimConfig]) -> list:
     """`[fn(c) for c in configs]` through `fork_map`, with one worker per
     usable CPU, at most one per config, and no more workers than the largest
@@ -178,7 +154,7 @@ def _map_episodes(fn, configs: list[SimConfig]) -> list:
 
 def cmd_run(args) -> int:
     spec = load_spec(resolve_spec_path(args.spec))
-    out_dir = Path(args.out or spec.output_dir)
+    out_dir = Path(args.out)
     seeds = [repeat_seed(spec.config.seed, r) for r in range(spec.repeat)]
     results = []
     for rep, seed in enumerate(seeds):
@@ -190,7 +166,7 @@ def cmd_run(args) -> int:
         out_dir.mkdir(parents=True, exist_ok=True)
         name = "trace.csv" if spec.repeat == 1 else f"trace_r{rep}.csv"
         trace.to_csv(out_dir / name)
-        results.append((seed, dip_cycles(trace)))
+        results.append((seed, dip_metrics(trace)))
     _metrics_csv(out_dir / "metrics.csv", results)
     _write_manifest(out_dir / "manifest.txt", spec, seeds)
     print(f"wrote {out_dir}/trace*.csv, metrics.csv, manifest.txt")
@@ -206,13 +182,12 @@ def cmd_sweep_links(args) -> int:
     if args.repeats < 1:
         raise ConfigError("--repeats must be >= 1")
     protocol = ProtocolKind.parse(args.protocol)
-    seed = env_seed(args.seed)
     topo = make_grid(4, 4)
     configs = [SimConfig(topology=topo, protocol=protocol, link_p=p,
-                         seed=repeat_seed(seed, r), max_ticks=args.ticks,
+                         seed=repeat_seed(args.seed, r), max_ticks=args.ticks,
                          freeze_on_dip=False)
                for p in args.p for r in range(args.repeats)]
-    metrics = _map_episodes(lambda cfg: dip_cycles(run(cfg)), configs)
+    metrics = _map_episodes(lambda cfg: dip_metrics(run(cfg)), configs)
     lines = ["p,median_E_dip_min,min_E_dip_min,max_E_dip_min,median_k_dip_min,dip_persists"]
     for n, p in enumerate(args.p):
         dms = metrics[n * args.repeats:(n + 1) * args.repeats]
@@ -248,9 +223,9 @@ _ORDER_CHECKS = {
 def cmd_compare(args) -> int:
     # each distinct protocol runs once, in order of first mention
     protocols = list(dict.fromkeys(ProtocolKind.parse(p) for p in args.protocols))
-    seed = env_seed(args.seed)
-    configs = [scenario_config(args.scenario, proto, seed, args.ticks) for proto in protocols]
-    metrics = _map_episodes(lambda cfg: dip_cycles(run(cfg)), configs)
+    configs = [scenario_config(args.scenario, proto, args.seed, args.ticks)
+               for proto in protocols]
+    metrics = _map_episodes(lambda cfg: dip_metrics(run(cfg)), configs)
     results = dict(zip((proto.value for proto in protocols), metrics))
     sys.stdout.write(summary_table(list(results.items())))
     # the order checks rank tsau, uaf and baf against each other only
@@ -269,7 +244,7 @@ def cmd_energy(args) -> int:
         rep = total_energy(cpu_ticks, payload)
         quoted = QUOTED_TOTALS_UJ[name]
         lines.append(
-            f"{name},{cpu_ticks},{payload},{payload + 18},"
+            f"{name},{cpu_ticks},{payload},{payload + EnergyParams.header_footer},"
             f"{rep.cpu_energy * 1e6!r},{rep.tx_energy * 1e6!r},{rep.rx_energy * 1e6!r},"
             f"{rep.total * 1e6!r},{quoted!r}"
         )
@@ -286,7 +261,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_run = sub.add_parser("run", help="run an experiment spec file")
     p_run.add_argument("spec", help="path to a spec file or a bundled spec name")
-    p_run.add_argument("--out", help="output directory (overrides the spec)")
+    p_run.add_argument("--out", default=".", help="output directory (default: .)")
     p_run.set_defaults(func=cmd_run)
 
     p_sw = sub.add_parser("sweep-links", help="link-availability sweep on the 16-node grid")

@@ -1,19 +1,11 @@
-"""The gateway's reference time and the resynchronization period.
+"""The resynchronization period.
 
-Node clocks are state of the tick kernels in `_kernels.py`; this module
-holds the two closed-form relations the protocols are built on.
+Node clocks are state of the tick kernels in `_kernels.py`, and the gateway's
+reference time delta*k is `Trace.gateway_times`; this module holds the
+closed-form period that the resynchronization rate is built on.
 """
 
 from __future__ import annotations
-
-
-def gateway_time(k: int, delta: float) -> float:
-    """Gateway time at tick k, computed as the product delta*k (no running sum)."""
-    if k < 0:
-        raise ValueError("tick must be non-negative")
-    if delta <= 0:
-        raise ValueError("delta must be positive")
-    return delta * k
 
 
 def resync_period(drift_ppm: float, accuracy: float) -> float:

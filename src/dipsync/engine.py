@@ -87,6 +87,8 @@ class Trace:
 
     @property
     def gateway_times(self) -> np.ndarray:
+        """The gateway's time at every tick k, the product delta*k (no
+        running sum, so no error accumulates)."""
         return self.config.delta * np.arange(self.n_ticks)
 
     @property
@@ -107,22 +109,29 @@ class Trace:
         worker: one worker per usable CPU, and at most one per
         _CSV_ROWS_PER_WORKER rows, so a smaller trace is written here alone.
         The ranges run through `fork_map`.  This process writes the header
-        and range 0 straight into the target.  The child for range w > 0
+        and range 0 straight into the output.  The child for range w > 0
         formats it into an anonymous temporary file, opened before the fork,
         so a failed or killed child leaves no file behind.  Once every range
-        is done, this process appends those files to the target in range
+        is done, this process appends those files to the output in range
         order, in blocks of _CSV_COPY_BLOCK bytes: as bytes to a path, as
         text to an open text file.  Each process's extra memory is O(nodes
         + _CSV_COPY_BLOCK) whatever the number of ticks.  A failure in any
         range is raised here as `fork_map` raises it.
+
+        A path gets the whole trace or keeps what it held: the output is a
+        new file beside it (mode as umask gives), renamed onto the path after
+        the last range and unlinked on any failure or interrupt.  An open
+        text file is written in place.
         """
         rows = self.n_ticks * self.node_count
         workers = max(1, min(usable_cpus(), rows // _CSV_ROWS_PER_WORKER))
         bounds = [self.n_ticks * w // workers for w in range(workers + 1)]
-        close = False
+        tmp = None
         if isinstance(path_or_file, (str, bytes)) or hasattr(path_or_file, "__fspath__"):
-            fh = open(path_or_file, "w", encoding="utf-8", newline="\n")
-            close = True
+            target = os.fsdecode(path_or_file)
+            head, name = os.path.split(target)
+            tmp = os.path.join(head, f".{name}.{os.urandom(4).hex()}.tmp")
+            fh = open(tmp, "x", encoding="utf-8", newline="\n")
         else:
             fh = path_or_file
         parts = []
@@ -140,21 +149,29 @@ class Trace:
                     self._write_ticks(part, bounds[w], bounds[w + 1])
 
             fork_map(write_range, range(workers), workers)
-            if close:
+            if tmp is not None:
                 fh.flush()
             for part in parts:
                 part.seek(0)
                 while block := part.read(_CSV_COPY_BLOCK):
                     # the rows are ASCII, so a block never splits a character
-                    if close:
+                    if tmp is not None:
                         fh.buffer.write(block)
                     else:
                         fh.write(block.decode("utf-8"))
+            if tmp is not None:
+                fh.close()
+                os.replace(tmp, target)
+        except BaseException:
+            if tmp is not None:
+                try:
+                    fh.close()
+                finally:
+                    os.unlink(tmp)
+            raise
         finally:
             for part in parts:
                 part.close()
-            if close:
-                fh.close()
 
     def _write_ticks(self, fh, start: int, stop: int) -> None:
         """The CSV rows of ticks [start, stop), one write call per tick."""
@@ -194,8 +211,6 @@ def _validate(config: SimConfig) -> int:
         raise ConfigError(f"seed must be non-negative, got {config.seed}")
     if config.topology.node_count < 2:
         raise ConfigError("need at least one non-gateway node")
-    if config.topology.gateway != 0:
-        raise ConfigError("engine expects the gateway at node id 0")
     need = episode_bytes(config)
     memory = physical_memory()
     if need > memory:

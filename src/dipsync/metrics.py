@@ -4,11 +4,12 @@ and the energy model.
 Dip metrics follow the communication-cycle convention: the dip error of a
 node is the minimum of its per-tick error series, and the dip instant is the
 first tick that attains it (the argmin tick).  The dip "time" k_dip counts
-that node's own transmissions up to and including the argmin tick.  The tick
-the node's dip detector located (`Trace.dip_tick`) is not used.  For BAF,
-which transmits twice per wake-up cycle, `cli.dip_cycles` divides the count
-by `cli.TX_PER_CYCLE`.  For the synchronous baseline (one transmission per
-tick from tick 1 on, until a node freezes) k_dip equals the argmin tick.
+that node's own transmissions up to and including the argmin tick, in the
+protocol's wake-up cycles: the count is divided by `TX_PER_CYCLE`, so BAF,
+which transmits twice per wake-up cycle, counts half its transmissions.  The
+tick the node's dip detector located (`Trace.dip_tick`) is not used.  For
+the synchronous baseline (one transmission per tick from tick 1 on, until a
+node freezes) k_dip equals the argmin tick.
 """
 
 from __future__ import annotations
@@ -18,9 +19,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .engine import Trace
+from .protocol import PAYLOAD_BYTES, ProtocolKind
 from .topology import Topology
 
 MICROS_PER_TICK = 1e-6  # one CPU tick is ~1 microsecond on the target MCU
+
+# transmissions per dip cycle: a BAF wake-up cycle is one full
+# forward+backward round trip (two transmissions); every other protocol 1
+TX_PER_CYCLE = {ProtocolKind.BAF: 2.0}
 
 
 @dataclass(frozen=True)
@@ -29,7 +35,7 @@ class DipMetrics:
     aggregates: mean minimum error, mean dip cycle, variance of dip cycles
     (population normalization 1/(N-1) over the slaves)."""
 
-    k_dip: np.ndarray        # (N-1,) transmissions up to and including k_dip_tick
+    k_dip: np.ndarray        # (N-1,) wake-up cycles up to and including k_dip_tick
     k_dip_tick: np.ndarray   # (N-1,) tick index of the error minimum
     e_dip: np.ndarray        # (N-1,) minimum error, seconds
     e_dip_min: float
@@ -50,13 +56,14 @@ def dip_metrics(trace: Trace) -> DipMetrics:
 
     e_dip is the minimum of the node's error series and k_dip_tick the first
     tick that attains it.  k_dip counts the node's transmissions up to and
-    including k_dip_tick; the detector's dip tick is not read.  If freezing
-    was enabled the post-freeze error grows monotonically, so minima are
-    unaffected.
+    including k_dip_tick, divided by the protocol's `TX_PER_CYCLE` (1 unless
+    listed); the detector's dip tick is not read.  If freezing was enabled
+    the post-freeze error grows monotonically, so minima are unaffected.
     """
     n = trace.node_count
     if n < 2:
         raise ValueError("dip metrics need at least one non-gateway node")
+    per_cycle = TX_PER_CYCLE.get(trace.config.protocol, 1.0)
     gw = trace.gateway_times
     k_dip = np.zeros(n - 1)
     k_tick = np.zeros(n - 1, dtype=np.int64)
@@ -67,7 +74,7 @@ def dip_metrics(trace: Trace) -> DipMetrics:
         k_star = int(np.argmin(err))
         e_dip[idx] = err[k_star]
         k_tick[idx] = k_star
-        k_dip[idx] = int(trace.transmitted[: k_star + 1, i].sum())
+        k_dip[idx] = int(trace.transmitted[: k_star + 1, i].sum()) / per_cycle
     return DipMetrics.from_nodes(k_dip, k_tick, e_dip)
 
 
@@ -152,12 +159,13 @@ def total_energy(cpu_ticks: float, payload_bytes: int, params: EnergyParams = En
     return EnergyReport(cpu_energy=cpu, tx_energy=tx, rx_energy=rx, total=cpu + tx + rx)
 
 
-# Per-protocol constants: measured CPU overhead in ticks and payload bytes.
+# Per-protocol constants: measured CPU overhead in ticks and payload bytes,
+# the latter the wire codec's for the three protocols simulated here.
 # FTSP and FloodPISync appear as external reference rows only.
 PROTOCOL_ENERGY_CONSTANTS = {
-    "tsau": (141, 6),
-    "uaf": (133, 7),
-    "baf": (162, 9),
+    "tsau": (141, PAYLOAD_BYTES[ProtocolKind.TSAU]),
+    "uaf": (133, PAYLOAD_BYTES[ProtocolKind.UAF]),
+    "baf": (162, PAYLOAD_BYTES[ProtocolKind.BAF]),
     "ftsp": (5440, 9),
     "floodpisync": (145, 9),
 }

@@ -1,9 +1,10 @@
 """Network graphs: grid/line/arbitrary topologies and their BFS layers.
 
-Node ids are small non-negative integers; the gateway always gets id 0 in the
-built-in generators, and the remaining ids follow breadth-first order from the
-gateway (row-major tie-break for grids) so that id order tracks proximity to
-the gateway.  A grid has its gateway at cell (0, 0).
+Node ids are small non-negative integers, and the gateway is node 0 in every
+topology: the kernels assume it.  The built-in generators number the other
+nodes in breadth-first order from the gateway (row-major tie-break for grids)
+so that id order tracks proximity to the gateway.  A grid has its gateway at
+cell (0, 0).  An edge-list file must name node 0 as its gateway.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ Edge = tuple[int, int]
 
 @dataclass(frozen=True)
 class Topology:
-    """Undirected connected graph with a distinguished gateway node.
+    """Undirected connected graph whose gateway is node 0.
 
     `edges` is the canonical edge list: each edge stored once as (u, v) with
     u < v, sorted lexicographically.  `neighbors[i]` is the ascending tuple of
@@ -27,16 +28,13 @@ class Topology:
     """
 
     node_count: int
-    gateway: int
     edges: tuple[Edge, ...]
     neighbors: tuple[tuple[int, ...], ...]
 
     @classmethod
-    def from_edges(cls, node_count: int, gateway: int, edges) -> "Topology":
+    def from_edges(cls, node_count: int, edges) -> "Topology":
         if node_count < 1:
             raise ConfigError("node_count must be >= 1")
-        if not 0 <= gateway < node_count:
-            raise ConfigError(f"gateway id {gateway} out of range")
         canon = set()
         for u, v in edges:
             u, v = int(u), int(v)
@@ -52,7 +50,6 @@ class Topology:
             nbrs[v].append(u)
         topo = cls(
             node_count=node_count,
-            gateway=gateway,
             edges=edge_list,
             neighbors=tuple(tuple(sorted(n)) for n in nbrs),
         )
@@ -92,25 +89,25 @@ def make_grid(rows: int, cols: int) -> Topology:
     # each cell's edges to its right and lower neighbors
     edges = [(i, ids[nb]) for (r, c), i in ids.items()
              for nb in ((r, c + 1), (r + 1, c)) if nb in ids]
-    return Topology.from_edges(rows * cols, 0, edges)
+    return Topology.from_edges(rows * cols, edges)
 
 
 def make_line(n: int) -> Topology:
     """Path graph 0-1-...-(n-1) with the gateway at node 0."""
     if n < 2:
         raise ConfigError("line needs at least 2 nodes")
-    return Topology.from_edges(n, 0, [(i, i + 1) for i in range(n - 1)])
+    return Topology.from_edges(n, [(i, i + 1) for i in range(n - 1)])
 
 
 def connectivity_layers(topo: Topology) -> LayerAssignment:
-    """BFS hop distance of every node from the gateway.
+    """BFS hop distance of every node from the gateway, node 0.
 
     Raises UnreachableNodeError naming the first (lowest-id) node with no
     path to the gateway.
     """
     layer = [-1] * topo.node_count
-    layer[topo.gateway] = 0
-    queue = deque([topo.gateway])
+    layer[0] = 0
+    queue = deque([0])
     while queue:
         u = queue.popleft()
         for v in topo.neighbors[u]:
@@ -124,7 +121,9 @@ def connectivity_layers(topo: Topology) -> LayerAssignment:
 
 
 def load_topology(path) -> Topology:
-    """Read an edge-list file: first line "N gateway_id", then one "u v" per line."""
+    """Read an edge-list file: first line "N gateway_id", then one "u v" per line.
+
+    The gateway id must be 0, the gateway of every topology."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             lines = [ln.strip() for ln in fh if ln.strip() and not ln.startswith("#")]
@@ -136,10 +135,12 @@ def load_topology(path) -> Topology:
     if len(head) != 2:
         raise ConfigError(f"{path}: first line must be 'N gateway_id'")
     n, gw = int(head[0]), int(head[1])
+    if gw != 0:
+        raise ConfigError(f"{path}: gateway id must be 0, got {gw}")
     edges = []
     for ln in lines[1:]:
         parts = ln.split()
         if len(parts) != 2:
             raise ConfigError(f"{path}: bad edge line {ln!r}")
         edges.append((int(parts[0]), int(parts[1])))
-    return Topology.from_edges(n, gw, edges)
+    return Topology.from_edges(n, edges)

@@ -12,7 +12,7 @@ import time
 import numpy as np
 
 import dipsync.metrics as metrics
-from dipsync.cli import _map_episodes, dip_cycles, main
+from dipsync.cli import _map_episodes, main
 from dipsync.clock import resync_period
 from dipsync.dip import filter_output
 from dipsync.engine import SimConfig, run, substream
@@ -70,8 +70,8 @@ def test_criterion_1_baseline_oracle_equivalence():
     topologies = [
         make_grid(3, 3), make_grid(2, 2), make_grid(2, 4),
         make_line(2), make_line(5), make_line(9),
-        Topology.from_edges(9, 0, [(0, i) for i in range(1, 9)]),   # star
-        Topology.from_edges(8, 0, [(i, (i + 1) % 8) for i in range(8)]),  # ring
+        Topology.from_edges(9, [(0, i) for i in range(1, 9)]),   # star
+        Topology.from_edges(8, [(i, (i + 1) % 8) for i in range(8)]),  # ring
     ]
     t0 = time.perf_counter()
     worst = 0.0
@@ -114,7 +114,7 @@ def test_criterion_3_uaf_zero_variance():
     variances = []
     for seed in SEEDS:
         trace = grid16_run(ProtocolKind.UAF, seed, freeze=False)
-        variances.append(dip_cycles(trace).v_k_dip)
+        variances.append(dip_metrics(trace).v_k_dip)
     ok = all(v == 0.0 for v in variances)
     assert verdict(3, ok, f"V_k_dip per seed: {[round(v, 3) for v in variances]}")
 
@@ -148,7 +148,7 @@ def test_criterion_5_lossy_link_dip_persistence():
 def test_criterion_6_malicious_node_statistics():
     # no time bound: the seed panels run on every usable CPU
     dms = _map_episodes(
-        lambda cfg: dip_cycles(run(cfg)),
+        lambda cfg: dip_metrics(run(cfg)),
         [grid16_config(proto, seed, freeze=True, malicious=True)
          for proto in PROTOCOLS for seed in SEEDS])
     stats = {}

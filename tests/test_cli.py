@@ -111,15 +111,27 @@ def test_run_rejects_non_integer_env_seed(tmp_path, capsys, monkeypatch):
 
 
 @pytest.mark.parametrize("args", [
-    ["sweep-links", "--protocol", "tsau", "--p", "1", "--repeats", "1", "--ticks", "50"],
-    ["compare", "--scenario", "grid16", "--ticks", "50"],
-])
-def test_sweep_and_compare_reject_non_integer_env_seed(args, capsys, monkeypatch):
-    monkeypatch.setenv("DIPSYNC_SEED", "1.5")
-    code, out, err = run_cli(args, capsys)
-    assert code == 2
-    assert out == ""
-    assert err.startswith("error: DIPSYNC_SEED")
+    ["sweep-links", "--protocol", "baf", "--p", "0.75", "--repeats", "2", "--ticks", "300"],
+    ["compare", "--scenario", "malicious16", "--ticks", "300"],
+], ids=["sweep", "compare"])
+def test_sweep_and_compare_take_their_seed_from_the_flag_only(args, capsys, monkeypatch):
+    # DIPSYNC_SEED overrides a spec's seed; --seed has no second source
+    want = run_cli([*args, "--seed", "3"], capsys)
+    assert want[0] == 0
+    assert want != run_cli([*args, "--seed", "5"], capsys)
+    for env_seed in ("5", "x"):
+        monkeypatch.setenv("DIPSYNC_SEED", env_seed)
+        assert run_cli([*args, "--seed", "3"], capsys) == want
+
+
+def test_run_rejects_an_edge_list_whose_gateway_is_not_node_0(tmp_path, capsys):
+    edges = tmp_path / "net.txt"
+    edges.write_text("4 2\n0 1\n1 2\n2 3\n", encoding="utf-8")
+    spec = write_spec(tmp_path, topology=f"edgelist:{edges}")
+    code, out, err = run_cli(["run", str(spec), "--out", str(tmp_path / "o")], capsys)
+    assert (code, out) == (2, "")
+    assert err == f"error: {edges}: gateway id must be 0, got 2\n"
+    assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize("overrides,message", [
@@ -133,8 +145,10 @@ def test_sweep_and_compare_reject_non_integer_env_seed(args, capsys, monkeypatch
     ({"delta": "nan"}, "error: delta must be positive and finite, got nan"),
     ({"delta": "inf"}, "error: delta must be positive and finite, got inf"),
     ({"topology": "grid:4x4:br"}, "error: grid spec must be grid:RxC, got 'grid:4x4:br'"),
+    # the output directory is --out alone
+    ({"output_dir": "{tmp}/o"}, "error: unknown config keys: ['output_dir']"),
 ], ids=["negative-seed", "missing-edgelist", "aborted-episode", "oversized-max-ticks",
-        "nan-delta", "inf-delta", "grid-corner"])
+        "nan-delta", "inf-delta", "grid-corner", "output-dir-key"])
 def test_run_reports_bad_spec_or_abort_as_error(overrides, message, tmp_path, capsys):
     spec = write_spec(tmp_path, **{k: v.format(tmp=tmp_path) for k, v in overrides.items()})
     code, _, err = run_cli(["run", str(spec), "--out", str(tmp_path / "o")], capsys)
@@ -143,27 +157,24 @@ def test_run_reports_bad_spec_or_abort_as_error(overrides, message, tmp_path, ca
     assert not (tmp_path / "o").exists()
 
 
-@pytest.mark.parametrize("args,env_seed,message", [
+@pytest.mark.parametrize("args,message", [
     (["sweep-links", "--protocol", "tsau", "--p", "1", "--repeats", "1", "--ticks", "50",
-      "--seed", "-2"], None, "error: seed must be non-negative"),
-    (["compare", "--scenario", "grid16", "--ticks", "50"], "-3",
+      "--seed", "-2"], "error: seed must be non-negative"),
+    (["compare", "--scenario", "grid16", "--ticks", "50", "--seed", "-3"],
      "error: seed must be non-negative"),
-    (["sweep-links", "--protocol", "tsau", "--p", "1", "--repeats", "0"], None,
-     "error: --repeats"),
-    (["compare", "--scenario", "grid16", "--protocols", "foo", "--ticks", "50"], None,
+    (["sweep-links", "--protocol", "tsau", "--p", "1", "--repeats", "0"], "error: --repeats"),
+    (["compare", "--scenario", "grid16", "--protocols", "foo", "--ticks", "50"],
      "error: unknown protocol 'foo'"),
     (["sweep-links", "--protocol", "foo", "--p", "1", "--repeats", "1", "--ticks", "50"],
-     None, "error: unknown protocol 'foo'"),
-    (["sweep-links", "--protocol", "tsau", "--p", "1", "--ticks", "100000000000"], None,
+     "error: unknown protocol 'foo'"),
+    (["sweep-links", "--protocol", "tsau", "--p", "1", "--ticks", "100000000000"],
      "error: max_ticks 100000000000 needs "),
-    (["compare", "--scenario", "grid16", "--ticks", "100000000000"], None,
+    (["compare", "--scenario", "grid16", "--ticks", "100000000000"],
      "error: max_ticks 100000000000 needs "),
-], ids=["sweep-negative-seed", "compare-negative-env-seed", "sweep-zero-repeats",
+], ids=["sweep-negative-seed", "compare-negative-seed", "sweep-zero-repeats",
         "compare-unknown-protocol", "sweep-unknown-protocol", "sweep-oversized-ticks",
         "compare-oversized-ticks"])
-def test_sweep_and_compare_reject_bad_arguments(args, env_seed, message, capsys, monkeypatch):
-    if env_seed is not None:
-        monkeypatch.setenv("DIPSYNC_SEED", env_seed)
+def test_sweep_and_compare_reject_bad_arguments(args, message, capsys):
     code, out, err = run_cli(args, capsys)
     assert code == 2
     assert out == ""
@@ -364,9 +375,25 @@ def test_compare_rejects_unknown_scenario(capsys):
         main(["compare", "--scenario", "ring99"])
 
 
+ENERGY_TABLE = (
+    "protocol,cpu_ticks,payload_bytes,packet_bytes,cpu_uJ,tx_uJ,rx_uJ,total_uJ,"
+    "quoted_total_uJ_unverified\n"
+    "tsau,141,6,24,3.0456,43.54560000000001,48.31488000000001,94.90608000000002,14.53\n"
+    "uaf,133,7,25,2.8728000000000002,45.36000000000001,50.328,98.5608,14.8\n"
+    "baf,162,9,27,3.4992000000000005,48.988800000000005,54.354240000000004,"
+    "106.84224000000002,16.4\n"
+    "ftsp,5440,9,27,117.504,48.988800000000005,54.354240000000004,220.84704000000005,"
+    "130.4\n"
+    "floodpisync,145,9,27,3.1320000000000006,48.988800000000005,54.354240000000004,"
+    "106.47504000000002,16.1\n"
+)
+
+
 def test_energy_table_contents(capsys):
     code, out, _ = run_cli(["energy"], capsys)
     assert code == 0
+    # the payloads are the wire codec's, framed by EnergyParams.header_footer
+    assert out == ENERGY_TABLE
     lines = out.strip().split("\n")
     assert "quoted_total_uJ_unverified" in lines[0]
     rows = {ln.split(",")[0]: ln for ln in lines[1:]}

@@ -3,41 +3,47 @@ import math
 import numpy as np
 import pytest
 
-from dipsync.clock import gateway_time, resync_period
-from dipsync.engine import SimConfig, run, substream
+from dipsync.clock import resync_period
+from dipsync.engine import SimConfig, Trace, run, substream
 from dipsync.protocol import ProtocolKind
-from dipsync.topology import make_grid
+from dipsync.topology import make_grid, make_line
+
+
+def gateway_times(delta, ticks):
+    """`Trace.gateway_times` of a `ticks`-tick trace at tick length `delta`.
+    The property reads only the tick count and delta, so the trace holds no
+    node columns."""
+    empty = np.empty((ticks, 0))
+    config = SimConfig(topology=make_line(2), protocol=ProtocolKind.TSAU, delta=delta,
+                       max_ticks=ticks)
+    return Trace(empty, empty, empty, empty, None, None, None, None, None,
+                 config=config).gateway_times
 
 
 def test_gateway_time_zero():
-    assert gateway_time(0, 0.001) == 0.0
+    assert gateway_times(0.001, 1)[0] == 0.0
 
 
 def test_gateway_time_product():
-    assert gateway_time(1000, 0.001) == 1.0
-    assert gateway_time(7, 0.5) == 3.5
+    assert gateway_times(0.001, 1001)[1000] == 1.0
+    assert gateway_times(0.5, 8)[7] == 3.5
 
 
 def test_gateway_time_no_accumulated_error():
-    # product form: exact for values representable as delta*k
+    # product form: exact for values representable as delta*k, where a
+    # running sum of delta has drifted to 999.9999999832651
     delta = 0.001
-    k = 10_000_000
-    assert gateway_time(k, delta) == delta * k
+    k = 1_000_000
+    assert gateway_times(delta, k + 1)[k] == delta * k == 1000.0
 
 
 def test_gateway_time_near_linearity():
     delta = 0.001
+    times = gateway_times(delta, 66667)
     for a, b in [(3, 4), (100, 900), (12345, 54321)]:
-        lhs = gateway_time(a + b, delta)
-        rhs = gateway_time(a, delta) + gateway_time(b, delta)
+        lhs = times[a + b]
+        rhs = times[a] + times[b]
         assert lhs == pytest.approx(rhs, abs=math.ulp(rhs))
-
-
-def test_gateway_time_rejects_bad_args():
-    with pytest.raises(ValueError):
-        gateway_time(-1, 0.001)
-    with pytest.raises(ValueError):
-        gateway_time(1, 0.0)
 
 
 def initial_clocks(seed, protocol=ProtocolKind.TSAU, **kw):
@@ -49,7 +55,7 @@ def initial_clocks(seed, protocol=ProtocolKind.TSAU, **kw):
 
 def test_init_node_clock_range_and_fields():
     clocks = initial_clocks(42)
-    assert clocks[0] == gateway_time(0, 0.001)
+    assert clocks[0] == 0.0
     assert np.all((0.0 <= clocks[1:]) & (clocks[1:] < 1.0))
     # drawn in node-id order from the "init-clocks" sub-stream
     assert np.array_equal(clocks[1:], substream(42, "init-clocks").random(15))

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import array_kernels
-from dipsync.dip import DipDetector, filter_output
+from dipsync.dip import FILTER_TAPS, WINDOW_LEN, DipDetector, filter_output
 from dipsync.engine import SimConfig, run
 from dipsync.errors import ProtocolViolation
 from dipsync.protocol import ProtocolKind
@@ -29,6 +29,23 @@ def test_unit_ramp_value():
 
 def test_symmetric_vee_is_zero():
     assert filter_output([3, 2, 1, 0, 1, 2, 3]) == pytest.approx(0.0, abs=1e-15)
+
+
+def test_filter_taps_are_antisymmetric_with_zero_centre():
+    assert len(FILTER_TAPS) == WINDOW_LEN
+    assert FILTER_TAPS[WINDOW_LEN // 2] == 0.0
+    assert all(FILTER_TAPS[j] == -FILTER_TAPS[-1 - j] for j in range(WINDOW_LEN))
+
+
+def test_filter_output_is_the_tap_weighted_sum():
+    # filter_output evaluates the taps in paired form; the plain weighted sum
+    # differs from it by rounding only
+    rng = np.random.default_rng(7)
+    for scale in (1e-3, 1.0, 1e6):
+        for _ in range(200):
+            w = rng.uniform(-scale, scale, WINDOW_LEN).tolist()
+            weighted = sum(t * x for t, x in zip(FILTER_TAPS, w))
+            assert abs(filter_output(w) - weighted) <= 1e-12 * max(map(abs, w))
 
 
 def test_filter_rejects_wrong_length():

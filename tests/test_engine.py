@@ -516,6 +516,8 @@ def test_to_csv_raises_a_child_error_with_its_traceback(csv_writer_in_children, 
     assert "in failing_write_ticks" in str(exc.value.__cause__)
     assert_no_child_left()
     assert_no_file_left(target)
+    # the path keeps what it held, not the header and ticks [0, 150)
+    assert target.read_bytes() == b""
     assert capfd.readouterr() == ("", "")
 
 
@@ -536,6 +538,23 @@ def test_to_csv_kills_its_children_when_interrupted(csv_writer_in_children, monk
     assert time.monotonic() - start < 30
     assert_no_child_left()
     assert_no_file_left(target)
+    assert target.read_bytes() == b""
+
+
+def test_to_csv_replaces_a_path_with_a_new_file(tmp_path):
+    # the whole trace lands at once, in a file with the mode a new file gets
+    trace = run(cfg(make_line(3), ProtocolKind.TSAU, max_ticks=20, seed=1))
+    target = tmp_path / "trace.csv"
+    target.write_text("old\n")
+    target.chmod(0o600)
+    trace.to_csv(target)
+    want = io.StringIO()
+    _per_row_csv(trace, want)
+    assert target.read_text() == want.getvalue()
+    umask = os.umask(0)
+    os.umask(umask)
+    assert target.stat().st_mode & 0o777 == 0o666 & ~umask
+    assert os.listdir(tmp_path) == ["trace.csv"]
 
 
 def test_seed_substreams_are_independent():
@@ -569,7 +588,7 @@ def test_no_noise_array_without_attacker():
 
 
 def test_disconnected_topology_rejected():
-    broken = Topology(node_count=4, gateway=0, edges=((0, 1), (2, 3)),
+    broken = Topology(node_count=4, edges=((0, 1), (2, 3)),
                       neighbors=((1,), (0,), (3,), (2,)))
     with pytest.raises((ConfigError, ValueError)):
         run(cfg(broken, ProtocolKind.TSAU, max_ticks=10, seed=0))
@@ -642,7 +661,7 @@ def connected_topologies(draw):
             for i in range(1, n)}
     others = [(a, b) for a in range(n) for b in range(a + 1, n) if (a, b) not in tree]
     extra = draw(st.lists(st.sampled_from(others), unique=True)) if others else []
-    return Topology.from_edges(n, 0, [*tree, *extra])
+    return Topology.from_edges(n, [*tree, *extra])
 
 
 @settings(derandomize=True, deadline=None)

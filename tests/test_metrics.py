@@ -3,7 +3,6 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from dipsync.cli import dip_cycles
 from dipsync.engine import SimConfig, Trace, run
 from dipsync.metrics import (
     EnergyParams,
@@ -130,13 +129,17 @@ def test_dip_metrics_uses_detector_cycle_counts_in_docs_example():
 
 
 def test_dip_cycles_halves_baf_counts():
+    # BAF transmits twice per wake-up cycle, so its k_dip is the node's
+    # transmissions up to and including its argmin tick, divided by 2
     trace = run(SimConfig(topology=make_grid(3, 3), protocol=ProtocolKind.BAF,
                           max_ticks=300, seed=2, freeze_on_dip=False))
-    dm, dc = dip_metrics(trace), dip_cycles(trace)
-    assert np.array_equal(dc.k_dip, dm.k_dip / 2)
-    assert np.array_equal(dc.e_dip, dm.e_dip)
-    assert (dc.e_dip_min, dc.k_dip_min, dc.v_k_dip) == (
-        dm.e_dip_min, dm.k_dip_min / 2, dm.v_k_dip / 4)
+    dm = dip_metrics(trace)
+    assert np.array_equal(dm.k_dip_tick, trace.errors[:, 1:].argmin(axis=0))
+    tx = np.array([trace.transmitted[: k + 1, i].sum()
+                   for i, k in enumerate(dm.k_dip_tick, 1)])
+    assert (tx % 2).any()
+    assert np.array_equal(dm.k_dip, tx / 2)
+    assert dm.k_dip_min == (tx / 2).mean()
 
 
 # --- error series ----------------------------------------------------------------

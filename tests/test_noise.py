@@ -75,7 +75,7 @@ def test_malicious_node_grid_opposite_corner():
 
 
 def test_malicious_node_star_tie_break():
-    star = Topology.from_edges(5, 0, [(0, i) for i in range(1, 5)])
+    star = Topology.from_edges(5, [(0, i) for i in range(1, 5)])
     assert malicious_node(star) == 1  # all leaves tie at layer 1; smallest id
 
 

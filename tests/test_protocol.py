@@ -26,9 +26,9 @@ Episode = namedtuple("Episode", "est act frz tx sent delivered dip_tick dip_valu
                                 "fire_tick abort")
 
 # node 4 hears nodes 1, 2 and 3, which each hear only the gateway and node 4
-STAR3 = Topology.from_edges(5, 0, [(0, 1), (0, 2), (0, 3), (1, 4), (2, 4), (3, 4)])
+STAR3 = Topology.from_edges(5, [(0, 1), (0, 2), (0, 3), (1, 4), (2, 4), (3, 4)])
 # nodes 1 and 2 hear the gateway and each other
-TRIANGLE = Topology.from_edges(3, 0, [(0, 1), (0, 2), (1, 2)])
+TRIANGLE = Topology.from_edges(3, [(0, 1), (0, 2), (1, 2)])
 
 
 def episode(topo, proto, init, ticks, down=(), delta=DELTA):
@@ -268,10 +268,10 @@ def test_uaf_gateway_cycle_strict_inequality():
 def test_uaf_gateway_cycle_rejects_bad_layer():
     # a cycle needs at least one layer below the gateway, and every node
     # needs a layer
-    alone = Topology(node_count=1, gateway=0, edges=(), neighbors=((),))
+    alone = Topology(node_count=1, edges=(), neighbors=((),))
     with pytest.raises(ConfigError):
         run(SimConfig(topology=alone, protocol=ProtocolKind.UAF, max_ticks=10))
-    split = Topology(node_count=4, gateway=0, edges=((0, 1), (2, 3)),
+    split = Topology(node_count=4, edges=((0, 1), (2, 3)),
                      neighbors=((1,), (0,), (3,), (2,)))
     with pytest.raises(UnreachableNodeError):
         run(SimConfig(topology=split, protocol=ProtocolKind.UAF, max_ticks=10))
@@ -352,7 +352,7 @@ def test_baseline_two_node_tracks_gateway():
 def test_baseline_fixed_point_when_all_equal_gateway():
     # leaves of a star around the gateway equal the gateway from tick 1 on
     # and stay there
-    star = Topology.from_edges(4, 0, [(0, 1), (0, 2), (0, 3)])
+    star = Topology.from_edges(4, [(0, 1), (0, 2), (0, 3)])
     ep = episode(star, ProtocolKind.SYNC_BASELINE, [0.3, 0.6, 0.9], 20)
     gw = DELTA * np.arange(20)
     assert np.all(ep.est[1:, 1:] == gw[1:, None])

@@ -18,7 +18,6 @@ def test_grid_4x4_counts():
     topo = make_grid(4, 4)
     assert topo.node_count == 16
     assert len(topo.edges) == 24  # 2 * 4 * 3 grid edges
-    assert topo.gateway == 0
 
 
 def test_grid_3x3_layer_count_is_4():
@@ -87,7 +86,7 @@ def test_layers_line4():
 
 
 def test_layers_star():
-    star = Topology.from_edges(6, 0, [(0, i) for i in range(1, 6)])
+    star = Topology.from_edges(6, [(0, i) for i in range(1, 6)])
     lay = connectivity_layers(star)
     assert all(lay.of(i) == 1 for i in range(1, 6))
     assert lay.max_layer == 1
@@ -108,11 +107,11 @@ def test_grid_max_layer_formula(rows, cols):
 
 def test_unreachable_node_named():
     with pytest.raises(UnreachableNodeError) as exc:
-        Topology.from_edges(4, 0, [(0, 1), (2, 3)])
+        Topology.from_edges(4, [(0, 1), (2, 3)])
     assert exc.value.node == 2
     # the lowest-id unreachable node is named, isolated or not
     with pytest.raises(UnreachableNodeError) as exc:
-        Topology.from_edges(5, 0, [(0, 1), (2, 3)])
+        Topology.from_edges(5, [(0, 1), (2, 3)])
     assert exc.value.node == 2
 
 
@@ -163,7 +162,6 @@ def test_edge_list_file_roundtrip(tmp_path):
     path.write_text("4 0\n0 1\n1 2\n2 3\n1 3\n", encoding="utf-8")
     topo = load_topology(path)
     assert topo.node_count == 4
-    assert topo.gateway == 0
     assert topo.edges == ((0, 1), (1, 2), (1, 3), (2, 3))
 
 
@@ -176,4 +174,4 @@ def test_edge_list_rejects_garbage(tmp_path):
 
 def test_self_loop_rejected():
     with pytest.raises(ConfigError):
-        Topology.from_edges(3, 0, [(0, 1), (1, 1), (1, 2)])
+        Topology.from_edges(3, [(0, 1), (1, 1), (1, 2)])
