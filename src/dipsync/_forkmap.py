@@ -6,6 +6,8 @@ from __future__ import annotations
 
 import os
 import pickle
+import signal
+import traceback
 
 
 class WorkerTraceback(Exception):
@@ -38,11 +40,6 @@ def fork_map(fn, items, workers: int) -> list:
     - every child is reaped on every path (success, failure, interruption),
       and killed first when this process is interrupted.
     """
-    if workers <= 1:
-        return [fn(item) for item in items]
-    import signal
-    import traceback
-
     def share(w):
         """Worker w's results, up to its first exception, and that failure
         as (item index, exception, traceback text), or None."""

@@ -30,7 +30,7 @@ Shared conventions:
     its estimate biased by noise[k] (the pre-scaled colored-noise stream).
     Without an attacker `noise` may be None: it is read only at `mal`;
   * every node runs one `dip.DipDetector` over its own updates, until it
-    fires; dip_mode 1 records, 2 also freezes: on a fire the node rewinds to
+    fires, and records the fire; with `freeze` set the node also rewinds to
     the window's center sample and stops updating;
   * kernels return abort_tick >= 0 when a broadcast would overflow the 4-byte
     microsecond wire field; the caller raises;
@@ -74,8 +74,8 @@ class _Episode:
     about a third of a numpy one).  At episode end `outputs` fills the rows
     between a node's updates from the activated flags."""
 
-    def __init__(self, indptr, indices, edge_slot, init_est, delta, max_ticks,
-                 mal, noise, dip_mode, warmup):
+    def __init__(self, indptr, indices, edge_slot, link_live, init_est, delta,
+                 mal, noise, freeze):
         ids = indices.tolist()
         slots = edge_slot.tolist()
         bounds = indptr.tolist()
@@ -91,15 +91,15 @@ class _Episode:
         self.frozen = [0] * n
         self.fired = [0] * n
         self.fire_tick = [-1] * n
-        self.detectors = [DipDetector(warmup) for _ in range(n)]
-        self.freeze = dip_mode == 2
+        self.detectors = [DipDetector() for _ in range(n)]
+        self.freeze = freeze
         self.delta = delta
-        self.est_tr = np.zeros((max_ticks, n))
+        self.est_tr = np.zeros((len(link_live), n))
         self.est_tr[0] = self.est
         self.est_flat = memoryview(self.est_tr.reshape(-1))
-        self.act = bytearray(max_ticks * n)
-        self.tx = bytearray(max_ticks * n)
-        self.delivered = [0] * max_ticks
+        self.act = bytearray(self.est_tr.size)
+        self.tx = bytearray(self.est_tr.size)
+        self.delivered = [0] * len(link_live)
 
     def observe(self, i, k):
         """Feed node i's new estimate, updated at tick k, to its detector; on
@@ -183,14 +183,13 @@ def _link_rows(link_live):
 
 def baseline_kernel(
     indptr, indices, edge_slot, link_live, init_est,
-    delta, max_ticks, mal, noise, dip_mode, warmup,
+    delta, mal, noise, freeze,
 ):
     """Synchronous reference system: every non-gateway node averages its full
     live neighborhood each tick, the gateway contributing its current time.
     Each update counts as one broadcast in `sent`; `delivered` stays 0, as the
     baseline has no delivery model."""
-    ep = _Episode(indptr, indices, edge_slot, init_est, delta, max_ticks,
-                  mal, noise, dip_mode, warmup)
+    ep = _Episode(indptr, indices, edge_slot, link_live, init_est, delta, mal, noise, freeze)
     N, noise = ep.n, ep.noise
     nbrs, est, frozen, fired = ep.nbrs, ep.est, ep.frozen, ep.fired
     est_flat, act, tx = ep.est_flat, ep.act, ep.tx
@@ -222,13 +221,12 @@ def baseline_kernel(
 
 def tsau_kernel(
     indptr, indices, edge_slot, link_live, init_est,
-    delta, max_ticks, mal, noise, dip_mode, warmup,
+    delta, mal, noise, freeze,
 ):
     """Timed sequential update: one slot owner per tick averages what it heard
     since its last slot (if more than one value) and broadcasts; the gateway
     broadcasts its time once per slot cycle."""
-    ep = _Episode(indptr, indices, edge_slot, init_est, delta, max_ticks,
-                  mal, noise, dip_mode, warmup)
+    ep = _Episode(indptr, indices, edge_slot, link_live, init_est, delta, mal, noise, freeze)
     N, noise = ep.n, ep.noise
     nbrs, est, frozen, fired = ep.nbrs, ep.est, ep.frozen, ep.fired
     est_flat, act, tx, delivered = ep.est_flat, ep.act, ep.tx, ep.delivered
@@ -278,15 +276,14 @@ def tsau_kernel(
 
 def uaf_kernel(
     indptr, indices, edge_slot, link_live, init_est,
-    delta, max_ticks, mal, noise, dip_mode, warmup, max_layer,
+    delta, mal, noise, freeze, max_layer,
 ):
     """Gateway-timed flooding waves.  The gateway re-seeds a wave every
     max_layer+1 ticks with an alternating status bit; an opposite-status
     message wakes a node, which computes the average of its full live
     neighborhood and rebroadcasts.  Computed values commit simultaneously at
     the next cycle boundary, so all estimates step in lockstep."""
-    ep = _Episode(indptr, indices, edge_slot, init_est, delta, max_ticks,
-                  mal, noise, dip_mode, warmup)
+    ep = _Episode(indptr, indices, edge_slot, link_live, init_est, delta, mal, noise, freeze)
     N, noise = ep.n, ep.noise
     nbrs, est, frozen, fired = ep.nbrs, ep.est, ep.frozen, ep.fired
     est_flat, act, tx, delivered = ep.est_flat, ep.act, ep.tx, ep.delivered
@@ -375,7 +372,7 @@ def uaf_kernel(
 
 def baf_kernel(
     indptr, indices, edge_slot, link_live, init_est,
-    delta, max_ticks, mal, noise, dip_mode, warmup,
+    delta, mal, noise, freeze,
 ):
     """Self-regulating bidirectional flooding.  The gateway advertises its
     clock every tick with status 1.  Triggered nodes update immediately,
@@ -383,8 +380,7 @@ def baf_kernel(
     own wake-up, has heard only same-status counters smaller than its own
     concludes it is the flood frontier, zeroes its counter, negates its
     status and turns the flood around."""
-    ep = _Episode(indptr, indices, edge_slot, init_est, delta, max_ticks,
-                  mal, noise, dip_mode, warmup)
+    ep = _Episode(indptr, indices, edge_slot, link_live, init_est, delta, mal, noise, freeze)
     N, noise = ep.n, ep.noise
     nbrs, est, frozen, fired = ep.nbrs, ep.est, ep.frozen, ep.fired
     est_flat, act, tx, delivered = ep.est_flat, ep.act, ep.tx, ep.delivered

@@ -26,6 +26,7 @@ from .engine import (
     config_from_mapping,
     current_backend,
     episode_bytes,
+    parse_int,
     parse_keyvalue_file,
     physical_memory,
     run,
@@ -63,19 +64,12 @@ def load_spec(path) -> ExperimentSpec:
     name = fields.pop("name", Path(path).stem)
     if not _NAME_RE.match(name):
         raise ConfigError(f"experiment name {name!r} is not filesystem-safe")
-    raw_repeat = fields.pop("repeat", "1")
-    try:
-        repeat = int(raw_repeat)
-    except ValueError:
-        raise ConfigError(f"repeat must be an integer, got {raw_repeat!r}") from None
+    repeat = parse_int("repeat", fields.pop("repeat", "1"))
     if repeat < 1:
         raise ConfigError("repeat must be >= 1")
     raw_seed = os.environ.get("DIPSYNC_SEED")
     if raw_seed is not None:
-        try:
-            fields["seed"] = int(raw_seed)
-        except ValueError:
-            raise ConfigError(f"DIPSYNC_SEED must be an integer, got {raw_seed!r}") from None
+        fields["seed"] = parse_int("DIPSYNC_SEED", raw_seed)
     return ExperimentSpec(name=name, config=config_from_mapping(fields), repeat=repeat)
 
 

@@ -17,8 +17,10 @@ colored-noise series.  A sub-stream for label m is
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import os
+import shutil
 import tempfile
 from dataclasses import dataclass
 
@@ -27,10 +29,10 @@ import numpy as np
 from . import noise as noise_mod
 from ._forkmap import fork_map, usable_cpus
 from ._kernels import get_kernel
-from .dip import WARMUP_OUTPUTS
 from .errors import ConfigError, EpisodeAborted
 from .protocol import ProtocolKind
-from .topology import Topology, connectivity_layers, load_topology, make_grid, make_line
+from .topology import (Topology, connectivity_layers, load_topology, make_grid, make_line,
+                       read_lines)
 
 RNG_LABELS = {"init-clocks": 0, "links": 1, "noise": 2}
 
@@ -40,8 +42,6 @@ TRACE_CSV_HEADER = "tick,node,estimate,error,activated,frozen"
 # forked writer about 5 ms (fork, temporary file, reap, copy back), so a
 # fork pays for itself from about 2000 rows; this leaves a margin.
 _CSV_ROWS_PER_WORKER = 5000
-# bytes per read when this process appends the children's parts
-_CSV_COPY_BLOCK = 1 << 16
 
 
 def substream(seed: int, label: str) -> np.random.Generator:
@@ -95,83 +95,51 @@ class Trace:
     def errors(self) -> np.ndarray:
         return np.abs(self.gateway_times[:, None] - self.estimates)
 
-    def to_csv(self, path_or_file) -> None:
-        """Write "tick,node,estimate,error,activated,frozen" rows to a path or
-        an open text file.
+    def to_csv(self, path) -> None:
+        """Write "tick,node,estimate,error,activated,frozen" rows to the file
+        at `path`, all or nothing.
 
         Floats are written as the `repr` of the Python float (shortest
-        round-trip digits), flags as integers.  Each tick is formatted from
-        its rows converted to Python lists and written with one write call.
-        The bytes equal those of formatting every (tick, node) row on its
-        own.
+        round-trip digits), flags as integers; the bytes equal those of
+        formatting every (tick, node) row on its own.
 
-        The ticks are split into contiguous ranges of equal length, one per
-        worker: one worker per usable CPU, and at most one per
-        _CSV_ROWS_PER_WORKER rows, so a smaller trace is written here alone.
-        The ranges run through `fork_map`.  This process writes the header
-        and range 0 straight into the output.  The child for range w > 0
-        formats it into an anonymous temporary file, opened before the fork,
-        so a failed or killed child leaves no file behind.  Once every range
-        is done, this process appends those files to the output in range
-        order, in blocks of _CSV_COPY_BLOCK bytes: as bytes to a path, as
-        text to an open text file.  Each process's extra memory is O(nodes
-        + _CSV_COPY_BLOCK) whatever the number of ticks.  A failure in any
-        range is raised here as `fork_map` raises it.
-
-        A path gets the whole trace or keeps what it held: the output is a
-        new file beside it (mode as umask gives), renamed onto the path after
-        the last range and unlinked on any failure or interrupt.  An open
-        text file is written in place.
+        The ticks are split into contiguous ranges of equal length: one per
+        usable CPU, and at most one per _CSV_ROWS_PER_WORKER rows, so a
+        smaller trace is written here alone.  `fork_map` runs the ranges,
+        this process taking range 0, and each worker formats its range into
+        its own anonymous temporary file, opened before the fork, so a failed
+        or killed child leaves no file behind; a failure is raised here as
+        `fork_map` raises it.  This process then writes the header and the
+        ranges in order into a new file beside the path (mode as umask
+        gives) and renames it onto the path, unlinking it on any failure or
+        interrupt.  Each process's extra memory is O(nodes + copy buffer)
+        whatever the number of ticks.
         """
         rows = self.n_ticks * self.node_count
         workers = max(1, min(usable_cpus(), rows // _CSV_ROWS_PER_WORKER))
         bounds = [self.n_ticks * w // workers for w in range(workers + 1)]
-        tmp = None
-        if isinstance(path_or_file, (str, bytes)) or hasattr(path_or_file, "__fspath__"):
-            target = os.fsdecode(path_or_file)
-            head, name = os.path.split(target)
-            tmp = os.path.join(head, f".{name}.{os.urandom(4).hex()}.tmp")
-            fh = open(tmp, "x", encoding="utf-8", newline="\n")
-        else:
-            fh = path_or_file
-        parts = []
-        try:
-            fh.write(TRACE_CSV_HEADER + "\n")
-            for _ in range(1, workers):
-                parts.append(tempfile.TemporaryFile())
+        head, name = os.path.split(os.fsdecode(path))
+        tmp = os.path.join(head, f".{name}.{os.urandom(4).hex()}.tmp")
+        with contextlib.ExitStack() as stack:
+            parts = [stack.enter_context(tempfile.TemporaryFile()) for _ in range(workers)]
 
             def write_range(w):
-                if w == 0:
-                    self._write_ticks(fh, bounds[0], bounds[1])
-                    return
-                with open(parts[w - 1].fileno(), "w", encoding="utf-8", newline="\n",
+                with open(parts[w].fileno(), "w", encoding="utf-8", newline="\n",
                           closefd=False) as part:
                     self._write_ticks(part, bounds[w], bounds[w + 1])
 
             fork_map(write_range, range(workers), workers)
-            if tmp is not None:
-                fh.flush()
-            for part in parts:
-                part.seek(0)
-                while block := part.read(_CSV_COPY_BLOCK):
-                    # the rows are ASCII, so a block never splits a character
-                    if tmp is not None:
-                        fh.buffer.write(block)
-                    else:
-                        fh.write(block.decode("utf-8"))
-            if tmp is not None:
-                fh.close()
-                os.replace(tmp, target)
-        except BaseException:
-            if tmp is not None:
-                try:
-                    fh.close()
-                finally:
-                    os.unlink(tmp)
-            raise
-        finally:
-            for part in parts:
-                part.close()
+            out = open(tmp, "xb")
+            try:
+                with out:
+                    out.write(f"{TRACE_CSV_HEADER}\n".encode())
+                    for part in parts:
+                        part.seek(0)
+                        shutil.copyfileobj(part, out)
+                os.replace(tmp, path)
+            except BaseException:
+                os.unlink(tmp)
+                raise
 
     def _write_ticks(self, fh, start: int, stop: int) -> None:
         """The CSV rows of ticks [start, stop), one write call per tick."""
@@ -254,7 +222,9 @@ def _draw_links(rng: np.random.Generator, ticks: int, n_edges: int,
 
 def kernel_inputs(config: SimConfig) -> tuple[str, tuple]:
     """Validate `config` and draw its random inputs; return the kernel name
-    and the argument tuple that `run` passes to that kernel."""
+    and the argument tuple that `run` passes to that kernel: (indptr,
+    indices, edge_slot, link_live, init_est, delta, mal, noise,
+    freeze_on_dip), plus max_layer for UAF."""
     max_layer = _validate(config)
     topo = config.topology
     n = topo.node_count
@@ -281,13 +251,10 @@ def kernel_inputs(config: SimConfig) -> tuple[str, tuple]:
         mal, noise = -1, None
 
     indptr, indices, edge_slot = _csr(topo)
-    # detectors always observe; freeze_on_dip additionally stops the node
-    dip_mode = np.int64(2 if config.freeze_on_dip else 1)
     args = (indptr, indices, edge_slot, link_live, init_est,
-            float(config.delta), int(ticks), int(mal), noise,
-            dip_mode, int(WARMUP_OUTPUTS))
+            float(config.delta), mal, noise, config.freeze_on_dip)
     if config.protocol is ProtocolKind.UAF:
-        args += (int(max_layer),)
+        args += (max_layer,)
     return config.protocol.value, args
 
 
@@ -318,29 +285,37 @@ def topology_from_spec(spec: str) -> Topology:
             raise ConfigError(f"grid spec must be grid:RxC, got {spec!r}") from None
         return make_grid(rows, cols)
     if kind == "line":
-        return make_line(int(rest))
+        try:
+            n = int(rest)
+        except ValueError:
+            raise ConfigError(f"line spec must be line:N, got {spec!r}") from None
+        return make_line(n)
     if kind == "edgelist":
         return load_topology(rest)
     raise ConfigError(f"unknown topology spec {spec!r}")
 
 
+def _parser(convert, what: str):
+    """A parser of one outside value: `parse(key, raw)` returns
+    `convert(raw)`, or raises a ConfigError naming `key` when that fails."""
+    def parse(key, raw):
+        try:
+            return convert(raw)
+        except (KeyError, ValueError):
+            raise ConfigError(f"{key} must be {what}, got {raw!r}") from None
+    return parse
+
+
+parse_int = _parser(int, "an integer")
 _BOOL = {"true": True, "1": True, "yes": True, "false": False, "0": False, "no": False}
-
-
-def _parse_bool(key, raw):
-    try:
-        return _BOOL[str(raw).strip().lower()]
-    except KeyError:
-        raise ConfigError(f"{key} must be a boolean, got {raw!r}") from None
-
 
 # how a config value is parsed, by the type of its SimConfig field
 _PARSERS = {
     "Topology": lambda key, raw: topology_from_spec(str(raw)),
     "ProtocolKind": lambda key, raw: ProtocolKind.parse(str(raw)),
-    "float": lambda key, raw: float(raw),
-    "int": lambda key, raw: int(raw),
-    "bool": _parse_bool,
+    "float": _parser(float, "a number"),
+    "int": parse_int,
+    "bool": _parser(lambda raw: _BOOL[str(raw).strip().lower()], "a boolean"),
 }
 
 
@@ -354,27 +329,21 @@ def config_from_mapping(fields: dict) -> SimConfig:
     missing = {f.name for f in params if f.default is dataclasses.MISSING} - set(fields)
     if missing:
         raise ConfigError(f"missing config keys: {sorted(missing)}")
-    try:
-        return SimConfig(**{f.name: _PARSERS[f.type](f.name, fields[f.name])
-                            for f in params if f.name in fields})
-    except (TypeError, ValueError) as exc:
-        if isinstance(exc, ConfigError):
-            raise
-        raise ConfigError(str(exc)) from exc
+    return SimConfig(**{f.name: _PARSERS[f.type](f.name, fields[f.name])
+                        for f in params if f.name in fields})
 
 
 def parse_keyvalue_file(path) -> dict:
     """Read "key = value" lines; '#' starts a comment."""
     fields = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
-            key, _, value = line.partition("=")
-            fields[key.strip()] = value.strip()
+    for lineno, raw in enumerate(read_lines(path, "spec"), 1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
+        key, _, value = line.partition("=")
+        fields[key.strip()] = value.strip()
     return fields
 
 

@@ -120,27 +120,41 @@ def connectivity_layers(topo: Topology) -> LayerAssignment:
     return LayerAssignment(layer=tuple(layer), max_layer=max(layer))
 
 
+def read_lines(path, what: str) -> list[str]:
+    """The lines of the UTF-8 text file at `path`.  A file that cannot be
+    read or is not UTF-8 raises ConfigError naming it as a `what` file."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.readlines()
+    except OSError as exc:
+        raise ConfigError(f"{path}: cannot read {what} file: {exc.strerror}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: {what} file is not UTF-8 text") from exc
+
+
 def load_topology(path) -> Topology:
     """Read an edge-list file: first line "N gateway_id", then one "u v" per line.
 
-    The gateway id must be 0, the gateway of every topology."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            lines = [ln.strip() for ln in fh if ln.strip() and not ln.startswith("#")]
-    except OSError as exc:
-        raise ConfigError(f"{path}: cannot read topology file: {exc.strerror}") from exc
+    The gateway id must be 0, the gateway of every topology; errors name the file."""
+    lines = [ln.strip() for ln in read_lines(path, "topology")
+             if ln.strip() and not ln.startswith("#")]
     if not lines:
         raise ConfigError(f"{path}: empty topology file")
-    head = lines[0].split()
-    if len(head) != 2:
-        raise ConfigError(f"{path}: first line must be 'N gateway_id'")
-    n, gw = int(head[0]), int(head[1])
+    try:
+        n, gw = map(int, lines[0].split())
+    except ValueError:
+        raise ConfigError(f"{path}: first line must be 'N gateway_id', "
+                          f"got {lines[0]!r}") from None
     if gw != 0:
         raise ConfigError(f"{path}: gateway id must be 0, got {gw}")
     edges = []
     for ln in lines[1:]:
-        parts = ln.split()
-        if len(parts) != 2:
-            raise ConfigError(f"{path}: bad edge line {ln!r}")
-        edges.append((int(parts[0]), int(parts[1])))
-    return Topology.from_edges(n, edges)
+        try:
+            u, v = map(int, ln.split())
+        except ValueError:
+            raise ConfigError(f"{path}: bad edge line {ln!r}") from None
+        edges.append((u, v))
+    try:
+        return Topology.from_edges(n, edges)
+    except ValueError as exc:   # a bad edge or an unreachable node
+        raise ConfigError(f"{path}: {exc}") from exc

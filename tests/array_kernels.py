@@ -14,6 +14,7 @@ with fewer than 256 nodes.
 import numpy as np
 
 from dipsync._kernels import WIRE_MAX_MICROS
+from dipsync.dip import WARMUP_OUTPUTS
 
 
 def _observe_dip(
@@ -50,21 +51,21 @@ def _observe_dip(
         dip_tick[i] = win_t[i, 3]
         dip_val[i] = win_v[i, 3]
         fire_tick[i] = tick
-        if do_freeze == 1:
+        if do_freeze:
             frozen[i] = 1
             est[i] = win_v[i, 3]
 
 
 def baseline_kernel(
     indptr, indices, edge_slot, link_live, init_est,
-    delta, max_ticks, mal, noise, dip_mode, warmup,
+    delta, mal, noise, freeze,
 ):
     """Synchronous reference system: every non-gateway node averages its full
     live neighborhood each tick, the gateway contributing its current time.
     Each update counts as one broadcast in `sent`; `delivered` stays 0, as the
     baseline has no delivery model."""
     N = indptr.shape[0] - 1
-    T = max_ticks
+    T = link_live.shape[0]
     est = init_est.copy()
     est[0] = 0.0
     est_tr = np.zeros((T, N))
@@ -113,10 +114,10 @@ def baseline_kernel(
                 act_tr[k, i] = 1
                 tx_tr[k, i] = 1
                 sent[k] += 1
-                if dip_mode >= 1 and fired[i] == 0:
-                    _observe_dip(i, k, est[i], warmup, win_t, win_v, win_n,
+                if fired[i] == 0:
+                    _observe_dip(i, k, est[i], WARMUP_OUTPUTS, win_t, win_v, win_n,
                                  nout, yprev, fired, frozen, dip_tick, dip_val,
-                                 fire_tick, est, np.uint8(1 if dip_mode == 2 else 0))
+                                 fire_tick, est, freeze)
         for i in range(N):
             est_tr[k, i] = est[i]
             frz_tr[k, i] = frozen[i]
@@ -125,13 +126,13 @@ def baseline_kernel(
 
 def tsau_kernel(
     indptr, indices, edge_slot, link_live, init_est,
-    delta, max_ticks, mal, noise, dip_mode, warmup,
+    delta, mal, noise, freeze,
 ):
     """Timed sequential update: one slot owner per tick averages what it heard
     since its last slot (if more than one value) and broadcasts; the gateway
     broadcasts its time once per slot cycle."""
     N = indptr.shape[0] - 1
-    T = max_ticks
+    T = link_live.shape[0]
     cyc = N - 1
     est = init_est.copy()
     est[0] = 0.0
@@ -188,10 +189,10 @@ def tsau_kernel(
         if acc_n[i] > 1 and frozen[i] == 0:
             est[i] = acc_sum[i] / acc_n[i]
             act_tr[k, i] = 1
-            if dip_mode >= 1 and fired[i] == 0:
-                _observe_dip(i, k, est[i], warmup, win_t, win_v, win_n,
+            if fired[i] == 0:
+                _observe_dip(i, k, est[i], WARMUP_OUTPUTS, win_t, win_v, win_n,
                              nout, yprev, fired, frozen, dip_tick, dip_val,
-                             fire_tick, est, np.uint8(1 if dip_mode == 2 else 0))
+                             fire_tick, est, freeze)
         acc_sum[i] = 0.0
         acc_n[i] = 0
         out = est[i] + noise[k] if i == mal else est[i]
@@ -223,7 +224,7 @@ def tsau_kernel(
 
 def uaf_kernel(
     indptr, indices, edge_slot, link_live, init_est,
-    delta, max_ticks, mal, noise, dip_mode, warmup, max_layer,
+    delta, mal, noise, freeze, max_layer,
 ):
     """Gateway-timed flooding waves.  The gateway re-seeds a wave every
     max_layer+1 ticks with an alternating status bit; an opposite-status
@@ -231,7 +232,7 @@ def uaf_kernel(
     neighborhood and rebroadcasts.  Computed values commit simultaneously at
     the next cycle boundary, so all estimates step in lockstep."""
     N = indptr.shape[0] - 1
-    T = max_ticks
+    T = link_live.shape[0]
     cyc = max_layer + 1
     est = init_est.copy()
     est[0] = 0.0
@@ -279,11 +280,10 @@ def uaf_kernel(
                     if frozen[i] == 0:
                         est[i] = pend[i]
                         act_tr[k, i] = 1
-                        if dip_mode >= 1 and fired[i] == 0:
-                            _observe_dip(i, k, est[i], warmup, win_t, win_v,
+                        if fired[i] == 0:
+                            _observe_dip(i, k, est[i], WARMUP_OUTPUTS, win_t, win_v,
                                          win_n, nout, yprev, fired, frozen, dip_tick,
-                                         dip_val, fire_tick, est,
-                                         np.uint8(1 if dip_mode == 2 else 0))
+                                         dip_val, fire_tick, est, freeze)
                     has_pend[i] = 0
         # count deliveries (sender view)
         for b in range(N):
@@ -366,7 +366,7 @@ def uaf_kernel(
 
 def baf_kernel(
     indptr, indices, edge_slot, link_live, init_est,
-    delta, max_ticks, mal, noise, dip_mode, warmup,
+    delta, mal, noise, freeze,
 ):
     """Self-regulating bidirectional flooding.  The gateway advertises its
     clock every tick with status 1.  Triggered nodes update immediately,
@@ -375,7 +375,7 @@ def baf_kernel(
     concludes it is the flood frontier, zeroes its counter, negates its
     status and turns the flood around."""
     N = indptr.shape[0] - 1
-    T = max_ticks
+    T = link_live.shape[0]
     est = init_est.copy()
     est[0] = 0.0
     s = np.zeros(N, dtype=np.uint8)
@@ -468,11 +468,10 @@ def baf_kernel(
                     # unidirectional flood)
                     est[i] = (ssum + est[i]) / (cnt + 1)
                     act_tr[k, i] = 1
-                    if dip_mode >= 1 and fired[i] == 0:
-                        _observe_dip(i, k, est[i], warmup, win_t, win_v,
+                    if fired[i] == 0:
+                        _observe_dip(i, k, est[i], WARMUP_OUTPUTS, win_t, win_v,
                                      win_n, nout, yprev, fired, frozen, dip_tick,
-                                     dip_val, fire_tick, est,
-                                     np.uint8(1 if dip_mode == 2 else 0))
+                                     dip_val, fire_tick, est, freeze)
                 s[i] = 1 - s[i]
                 c[i] = max_opp_c + 1
                 # the wake-up messages open this node's new cycle window

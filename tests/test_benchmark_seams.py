@@ -3,9 +3,11 @@
 `perfbench/tracing.py` wraps module attributes of `dipsync.cli`,
 `dipsync.engine`, `dipsync.noise` and `dipsync.topology` by name.  If one is
 renamed or no longer called through its module global, the traced benchmark
-run (`perfbench/run.py --trace 1`) loses that layer's spans.  These tests
-load the tracer from its file, read only, and check the spans of one compare
-and one run.
+run (`perfbench/run.py --trace 1`) loses that layer's spans.  The tracer's
+counters also read the kernel's arguments and outputs by position: the link
+matrix at argument 3 and the 10-tuple of outputs.  These tests load the
+tracer from its file, read only, and check the spans and counters of one
+compare and one run.
 """
 
 import importlib.util
@@ -46,6 +48,9 @@ def test_compare_has_a_kernel_and_a_dip_metrics_span_per_episode(tracer, capsys)
     assert counts["metrics.summary_table"] == 1
     assert counts["noise.generate"] == 3
     assert counts["topology.make_grid"] == 3
+    counters = tracer.finish_iteration()[1]
+    assert counters["engine.link_bytes"] == 3 * 300 * 24
+    assert counters["engine.msg_count_mismatch_ticks"] == 0
 
 
 def test_run_has_a_kernel_a_dip_metrics_and_a_to_csv_span(tracer, tmp_path, capsys):
@@ -58,3 +63,7 @@ def test_run_has_a_kernel_a_dip_metrics_and_a_to_csv_span(tracer, tmp_path, caps
     assert counts["metrics.dip_metrics"] == 1
     assert counts["engine.to_csv"] == 1
     assert counts["topology.make_grid"] == 1
+    counters = tracer.finish_iteration()[1]
+    assert counters["engine.link_bytes"] == 120 * 12
+    assert counters["engine.to_csv_rows"] == 120 * 9
+    assert counters["engine.msg_count_mismatch_ticks"] == 0

@@ -147,13 +147,52 @@ def test_run_rejects_an_edge_list_whose_gateway_is_not_node_0(tmp_path, capsys):
     ({"topology": "grid:4x4:br"}, "error: grid spec must be grid:RxC, got 'grid:4x4:br'"),
     # the output directory is --out alone
     ({"output_dir": "{tmp}/o"}, "error: unknown config keys: ['output_dir']"),
+    ({"max_ticks": "abc"}, "error: max_ticks must be an integer, got 'abc'"),
+    ({"delta": "abc"}, "error: delta must be a number, got 'abc'"),
+    ({"topology": "line:abc"}, "error: line spec must be line:N, got 'line:abc'"),
 ], ids=["negative-seed", "missing-edgelist", "aborted-episode", "oversized-max-ticks",
-        "nan-delta", "inf-delta", "grid-corner", "output-dir-key"])
+        "nan-delta", "inf-delta", "grid-corner", "output-dir-key", "text-max-ticks",
+        "text-delta", "text-line-length"])
 def test_run_reports_bad_spec_or_abort_as_error(overrides, message, tmp_path, capsys):
     spec = write_spec(tmp_path, **{k: v.format(tmp=tmp_path) for k, v in overrides.items()})
     code, _, err = run_cli(["run", str(spec), "--out", str(tmp_path / "o")], capsys)
     assert code == 2
     assert err.startswith(message.format(tmp=tmp_path))
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("content,message", [
+    (b"x 0\n0 1\n", "first line must be 'N gateway_id', got 'x 0'"),
+    (b"2 0 1\n0 1\n", "first line must be 'N gateway_id', got '2 0 1'"),
+    (b"2 0\n0 a\n", "bad edge line '0 a'"),
+    (b"2 0\n0 1 # caf\xe9\n", "topology file is not UTF-8 text"),
+    (b"3 0\n0 1\n1 1\n", "self-loop on node 1"),
+    (b"3 0\n0 1\n", "node 2 is unreachable from the gateway"),
+], ids=["text-header", "long-header", "text-edge", "latin-1", "self-loop",
+        "unreachable"])
+def test_run_names_the_edge_list_it_rejects(content, message, tmp_path, capsys):
+    edges = tmp_path / "net.txt"
+    edges.write_bytes(content)
+    spec = write_spec(tmp_path, topology=f"edgelist:{edges}")
+    code, out, err = run_cli(["run", str(spec), "--out", str(tmp_path / "o")], capsys)
+    assert (code, out) == (2, "")
+    assert err == f"error: {edges}: {message}\n"
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("content,message", [
+    (None, "cannot read spec file: Is a directory"),
+    (b"protocol = tsau # caf\xe9\n", "spec file is not UTF-8 text"),
+], ids=["directory", "latin-1"])
+def test_run_names_the_spec_file_it_cannot_read(content, message, tmp_path, capsys):
+    spec = tmp_path / "bad.spec"
+    if content is None:
+        spec.mkdir()
+    else:
+        spec.write_bytes(content)
+    code, out, err = run_cli(["run", str(spec), "--out", str(tmp_path / "o")], capsys)
+    assert (code, out) == (2, "")
+    assert err == f"error: {spec}: {message}\n"
     assert not (tmp_path / "o").exists()
 
 

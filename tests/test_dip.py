@@ -172,7 +172,7 @@ def _oracle_fire(series, warmup):
     for k, v in enumerate(series):
         array_kernels._observe_dip(0, k, v, warmup, win_t, win_v, win_n, nout,
                                    yprev, fired, frozen, dip_tick, dip_val,
-                                   fire_tick, est, np.uint8(0))
+                                   fire_tick, est, False)
         if fired[0]:
             return int(fire_tick[0]), int(dip_tick[0]), float(dip_val[0])
     return None

@@ -337,21 +337,19 @@ def test_kernel_dip_detector_matches_dip_detector(proto, link_p, topo, malicious
         assert trace.dip_value[i] == (det.dip_value if det.fired else 0.0)
 
 
-def test_determinism_same_config_same_trace():
+def test_determinism_same_config_same_trace(tmp_path):
     c = cfg(make_grid(3, 3), ProtocolKind.BAF, max_ticks=500, seed=13, link_p=0.7)
     a, b = run(c), run(c)
     assert np.array_equal(a.estimates, b.estimates)
-    buf_a, buf_b = io.StringIO(), io.StringIO()
-    a.to_csv(buf_a)
-    b.to_csv(buf_b)
-    assert buf_a.getvalue() == buf_b.getvalue()
+    a.to_csv(tmp_path / "a.csv")
+    b.to_csv(tmp_path / "b.csv")
+    assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
 
 
-def test_trace_csv_shape_and_header():
+def test_trace_csv_shape_and_header(tmp_path):
     trace = run(cfg(make_line(3), ProtocolKind.SYNC_BASELINE, max_ticks=4, seed=0))
-    buf = io.StringIO()
-    trace.to_csv(buf)
-    lines = buf.getvalue().strip().split("\n")
+    trace.to_csv(tmp_path / "trace.csv")
+    lines = (tmp_path / "trace.csv").read_text().strip().split("\n")
     assert lines[0] == "tick,node,estimate,error,activated,frozen"
     assert len(lines) == 1 + 4 * 3
     assert lines[1].startswith("0,0,0.0,0.0,")
@@ -371,12 +369,6 @@ def _per_row_csv(trace, fh):
 
 
 def _assert_csv_matches_per_row_writer(trace, tmp_path):
-    # an open file handle as the target
-    got, want = io.StringIO(), io.StringIO()
-    trace.to_csv(got)
-    _per_row_csv(trace, want)
-    assert got.getvalue() == want.getvalue()
-    # a path as the target
     trace.to_csv(tmp_path / "got.csv")
     with open(tmp_path / "want.csv", "w", encoding="utf-8", newline="\n") as fh:
         _per_row_csv(trace, fh)
@@ -440,29 +432,17 @@ def count_forks(monkeypatch):
 @pytest.mark.parametrize("cpus", [1, 2, 3])
 def test_to_csv_on_more_cpus_matches_per_row_writer(cpus, tmp_path, capfd, monkeypatch):
     # the writer on 1 CPU forks nothing; on 2 and 3 it forks one and two
-    # children for every target, and their writes to file descriptors 1 and 2
-    # would show in capfd
+    # children, and their writes to file descriptors 1 and 2 would show in
+    # capfd
     trace = run(CSV_TRACE)
     want = io.StringIO()
     _per_row_csv(trace, want)
-    want = want.getvalue()
     monkeypatch.setattr(engine, "_CSV_ROWS_PER_WORKER", 1000)
     use_cpus(monkeypatch, cpus)
     forks = count_forks(monkeypatch)
-    # a path
-    trace.to_csv(tmp_path / "path.csv")
-    assert (tmp_path / "path.csv").read_bytes() == want.encode()
-    # an open text handle
-    buf = io.StringIO()
-    trace.to_csv(buf)
-    assert buf.getvalue() == want
-    # an open text file whose buffer holds text not yet flushed
-    with open(tmp_path / "open.csv", "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("before\n")
-        trace.to_csv(fh)
-        fh.write("after\n")
-    assert (tmp_path / "open.csv").read_bytes() == f"before\n{want}after\n".encode()
-    assert len(forks) == 3 * (cpus - 1)
+    trace.to_csv(tmp_path / "trace.csv")
+    assert (tmp_path / "trace.csv").read_bytes() == want.getvalue().encode()
+    assert len(forks) == cpus - 1
     assert_no_child_left()
     assert capfd.readouterr() == ("", "")
 
@@ -473,10 +453,7 @@ def test_to_csv_below_the_row_threshold_does_not_fork(tmp_path, monkeypatch):
     trace = run(cfg(make_grid(4, 4), ProtocolKind.TSAU, max_ticks=ticks, seed=2))
     use_cpus(monkeypatch, 3)
     monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked below the row threshold"))
-    got, want = io.StringIO(), io.StringIO()
-    trace.to_csv(got)
-    _per_row_csv(trace, want)
-    assert got.getvalue() == want.getvalue()
+    _assert_csv_matches_per_row_writer(trace, tmp_path)
 
 
 @pytest.fixture
@@ -582,9 +559,9 @@ def test_oversized_run_rejected_before_allocation():
 
 def test_no_noise_array_without_attacker():
     c = cfg(make_grid(3, 3), ProtocolKind.BAF, max_ticks=10)
-    assert engine.kernel_inputs(c)[1][8] is None
+    assert engine.kernel_inputs(c)[1][7] is None
     c = cfg(make_grid(3, 3), ProtocolKind.BAF, max_ticks=10, malicious=True)
-    assert engine.kernel_inputs(c)[1][8].shape == (10,)
+    assert engine.kernel_inputs(c)[1][7].shape == (10,)
 
 
 def test_disconnected_topology_rejected():
