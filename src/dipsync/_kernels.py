@@ -32,8 +32,8 @@ Shared conventions:
   * every node runs one `dip.DipDetector` over its own updates, until it
     fires, and records the fire; with `freeze` set the node also rewinds to
     the window's center sample and stops updating;
-  * kernels return abort_tick >= 0 when a broadcast would overflow the 4-byte
-    microsecond wire field; the caller raises;
+  * a kernel raises `EpisodeAborted(k)` when a broadcast of tick k would
+    overflow the 4-byte microsecond wire field; its tenth output is -1;
   * every average adds its values in CSR neighbor order, the order the
     oracle adds them in, so the two agree bit for bit.
 """
@@ -43,6 +43,7 @@ from __future__ import annotations
 import numpy as np
 
 from .dip import DipDetector
+from .errors import EpisodeAborted
 from .protocol import WIRE_TIME_MAX_TICKS
 
 WIRE_MAX_MICROS = float(WIRE_TIME_MAX_TICKS)
@@ -112,29 +113,26 @@ class _Episode:
                 self.frozen[i] = 1
                 self.est[i] = det.dip_value
 
-    def outputs(self, abort):
-        """The kernel's 10-tuple.
+    def outputs(self):
+        """The kernel's 10-tuple of a finished episode.
 
-        Up to the stop tick (the abort tick, else the end), a non-gateway
-        estimate changes only on a tick that activates the node, so each of
-        its rows is carried forward from the node's last activation, or from
-        tick 0; the gateway column is delta*k, the product the kernels
-        broadcast; rows from the abort tick on stay zero.  A frozen node
-        stays frozen from its fire tick on, up to the stop tick; each tick's
-        broadcasts are counted from the transmit trace."""
+        A non-gateway estimate changes only on a tick that activates the
+        node, so each of its rows is carried forward from the node's last
+        activation, or from tick 0; the gateway column is delta*k, the
+        product the kernels broadcast.  A frozen node stays frozen from its
+        fire tick on; each tick's broadcasts are counted from the transmit
+        trace.  The tenth output is -1: an overflow raises in the kernel."""
         est_tr = self.est_tr
         T, n = est_tr.shape
-        stop = abort if abort >= 0 else T
         act_tr = np.frombuffer(self.act, dtype=np.uint8).reshape(T, n)
         tx_tr = np.frombuffer(self.tx, dtype=np.uint8).reshape(T, n)
-        _forward_fill(est_tr[:stop, 1:], act_tr[:stop, 1:])
-        est_tr[:stop, 0] = self.delta * np.arange(stop)
-        est_tr[stop:] = 0.0
+        _forward_fill(est_tr[:, 1:], act_tr[:, 1:])
+        est_tr[:, 0] = self.delta * np.arange(T)
         frz_tr = np.zeros((T, n), dtype=np.uint8)
         if self.freeze:
             for i, f in enumerate(self.fire_tick):
                 if f >= 0:
-                    frz_tr[f:stop, i] = 1
+                    frz_tr[f:, i] = 1
         dets = self.detectors
         return (est_tr, act_tr, frz_tr, tx_tr,
                 tx_tr.sum(axis=1, dtype=np.int64),
@@ -144,7 +142,7 @@ class _Episode:
                 np.array([d.dip_value if d.fired else 0.0 for d in dets],
                          dtype=np.float64),
                 np.array(self.fire_tick, dtype=np.int64),
-                np.int64(abort))
+                np.int64(-1))
 
 
 # elements per chunk of the forward fill's index temporaries
@@ -216,7 +214,7 @@ def baseline_kernel(
                 if not fired[i]:
                     ep.observe(i, k)
                 est_flat[row + i] = est[i]
-    return ep.outputs(-1)
+    return ep.outputs()
 
 
 def tsau_kernel(
@@ -233,7 +231,6 @@ def tsau_kernel(
     cyc = N - 1
     acc_sum = [0.0] * N
     acc_n = [0] * N
-    abort = -1
     # last tick's broadcasts as (sender, value), ascending sender; at tick 0
     # only the gateway speaks
     sends = [(0, 0.0)]
@@ -260,18 +257,16 @@ def tsau_kernel(
         acc_n[i] = 0
         out = est[i] + noise[k] if i == mal else est[i]
         if out * 1e6 > WIRE_MAX_MICROS:
-            abort = k
-            break
+            raise EpisodeAborted(k)
         sends = [(i, out)]
         if k % cyc == 0:
             gv = delta * k
             if gv * 1e6 > WIRE_MAX_MICROS:
-                abort = k
-                break
+                raise EpisodeAborted(k)
             sends.insert(0, (0, gv))
         for b, _ in sends:
             tx[row + b] = 1
-    return ep.outputs(abort)
+    return ep.outputs()
 
 
 def uaf_kernel(
@@ -290,7 +285,6 @@ def uaf_kernel(
     cyc = max_layer + 1
     pend = [0.0] * N
     has_pend = [0] * N
-    abort = -1
     # per node its status bit, s[0] being the gateway's wave status, and the
     # last value it sent; at tick 0 the gateway seeds wave 0 with status 1
     s = [0] * N
@@ -350,24 +344,20 @@ def uaf_kernel(
             if i == mal:
                 outv = est[i] + noise[k]
             if outv * 1e6 > WIRE_MAX_MICROS:
-                abort = k
-                break
+                raise EpisodeAborted(k)
             senders.append(i)
             sent_val[i] = outv
-        if abort >= 0:
-            break
         # gateway re-seeds at cycle starts with alternating wave status
         if k % cyc == 0:
             gv = delta * k
             if gv * 1e6 > WIRE_MAX_MICROS:
-                abort = k
-                break
+                raise EpisodeAborted(k)
             senders.append(0)
             sent_val[0] = gv
             s[0] = 1 - ((k // cyc) % 2)
         for b in senders:
             tx[row + b] = 1
-    return ep.outputs(abort)
+    return ep.outputs()
 
 
 def baf_kernel(
@@ -391,7 +381,6 @@ def baf_kernel(
     heard_n = [0] * N
     heard_max = [-1] * N
     last_trig = [-(10 ** 9)] * N
-    abort = -1
     # at tick 0 the gateway starts the first forward flood
     senders = [0]
     tx[0] = 1
@@ -465,15 +454,13 @@ def baf_kernel(
                 heard_max[i] = -1
             outv = est[i] + noise[k] if i == mal else est[i]
             if outv * 1e6 > WIRE_MAX_MICROS:
-                abort = k
-                break
+                raise EpisodeAborted(k)
             senders.append(i)
-        if abort >= 0 or delta * k * 1e6 > WIRE_MAX_MICROS:
-            abort = k
-            break
+        if delta * k * 1e6 > WIRE_MAX_MICROS:
+            raise EpisodeAborted(k)
         for b in senders:
             tx[row + b] = 1
-    return ep.outputs(abort)
+    return ep.outputs()
 
 
 _KERNELS = {

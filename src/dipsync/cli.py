@@ -9,6 +9,8 @@ and `compare` take their seed from --seed only.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import dataclasses
 import os
 import re
 import statistics
@@ -96,6 +98,22 @@ def scenario_config(name: str, protocol: ProtocolKind, seed: int, max_ticks: int
     raise ConfigError(f"unknown scenario {name!r} (grid16, line16, malicious16)")
 
 
+@contextlib.contextmanager
+def _output(path):
+    """Raise an OSError from creating or writing the output `path` as a
+    ConfigError naming it."""
+    try:
+        yield
+    except OSError as exc:
+        raise ConfigError(f"{path}: cannot write output: {exc.strerror}") from exc
+
+
+def _write_text(path, text: str) -> None:
+    """Write `text` as UTF-8 to the output file at `path`."""
+    with _output(path):
+        Path(path).write_text(text, encoding="utf-8")
+
+
 def _write_manifest(path, spec: ExperimentSpec, seeds) -> None:
     cfg = spec.config
     lines = [
@@ -115,7 +133,7 @@ def _write_manifest(path, spec: ExperimentSpec, seeds) -> None:
         f"kernel_backend = {current_backend()}",
         f"dipsync_version = {__version__}",
     ]
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    _write_text(path, "\n".join(lines) + "\n")
 
 
 def _metrics_csv(path, results: list[tuple[int, DipMetrics]]) -> None:
@@ -135,7 +153,7 @@ def _metrics_csv(path, results: list[tuple[int, DipMetrics]]) -> None:
             lines.append(f"median_{field},,{med!r}")
             lines.append(f"min_{field},,{vals[0]!r}")
             lines.append(f"max_{field},,{vals[-1]!r}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    _write_text(path, "\n".join(lines) + "\n")
 
 
 def _map_episodes(fn, configs: list[SimConfig]) -> list:
@@ -152,12 +170,11 @@ def cmd_run(args) -> int:
     seeds = [repeat_seed(spec.config.seed, r) for r in range(spec.repeat)]
     results = []
     for rep, seed in enumerate(seeds):
-        cfg = spec.config if seed == spec.config.seed else SimConfig(
-            **{**spec.config.__dict__, "seed": seed})
-        trace = run(cfg)
+        trace = run(dataclasses.replace(spec.config, seed=seed))
         # created only now, so a rejected spec or an aborted episode leaves
         # no empty directory behind
-        out_dir.mkdir(parents=True, exist_ok=True)
+        with _output(out_dir):
+            out_dir.mkdir(parents=True, exist_ok=True)
         name = "trace.csv" if spec.repeat == 1 else f"trace_r{rep}.csv"
         trace.to_csv(out_dir / name)
         results.append((seed, dip_metrics(trace)))
@@ -196,7 +213,7 @@ def cmd_sweep_links(args) -> int:
     out = "\n".join(lines) + "\n"
     sys.stdout.write(out)
     if args.out:
-        Path(args.out).write_text(out, encoding="utf-8")
+        _write_text(args.out, out)
     return 0
 
 
@@ -245,7 +262,7 @@ def cmd_energy(args) -> int:
     out = "\n".join(lines) + "\n"
     sys.stdout.write(out)
     if args.out:
-        Path(args.out).write_text(out, encoding="utf-8")
+        _write_text(args.out, out)
     return 0
 
 

@@ -29,7 +29,7 @@ import numpy as np
 from . import noise as noise_mod
 from ._forkmap import fork_map, usable_cpus
 from ._kernels import get_kernel
-from .errors import ConfigError, EpisodeAborted
+from .errors import ConfigError
 from .protocol import ProtocolKind
 from .topology import (Topology, connectivity_layers, load_topology, make_grid, make_line,
                        read_lines)
@@ -261,11 +261,8 @@ def kernel_inputs(config: SimConfig) -> tuple[str, tuple]:
 def run(config: SimConfig) -> Trace:
     """Simulate one episode; deterministic in (config, seed)."""
     name, args = kernel_inputs(config)
-    *arrays, abort = get_kernel(name)(*args)
-    if abort >= 0:
-        raise EpisodeAborted(int(abort), "broadcast time overflows the 4-byte wire field")
-    # the kernel's arrays come in Trace's field order
-    return Trace(*arrays, config=config)
+    # the kernel's first nine outputs come in Trace's field order
+    return Trace(*get_kernel(name)(*args)[:9], config=config)
 
 
 # ---------------------------------------------------------------------------
@@ -291,6 +288,8 @@ def topology_from_spec(spec: str) -> Topology:
             raise ConfigError(f"line spec must be line:N, got {spec!r}") from None
         return make_line(n)
     if kind == "edgelist":
+        if not rest:
+            raise ConfigError(f"edgelist spec must be edgelist:PATH, got {spec!r}")
         return load_topology(rest)
     raise ConfigError(f"unknown topology spec {spec!r}")
 

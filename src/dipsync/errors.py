@@ -28,12 +28,13 @@ class ConfigError(ValueError):
 
 
 class EpisodeAborted(RuntimeError):
-    """A run was aborted mid-episode; `tick` names the offending tick."""
+    """A broadcast at `tick` overflows the 4-byte microsecond wire field; the
+    kernel raises this, so no trace of the episode is built."""
 
-    def __init__(self, tick: int, reason: str):
+    def __init__(self, tick: int):
         self.tick = tick
-        self.reason = reason
-        super().__init__(f"episode aborted at tick {tick}: {reason}")
+        super().__init__(f"episode aborted at tick {tick}: broadcast time overflows "
+                         "the 4-byte wire field")
 
     def __reduce__(self):
-        return type(self), (self.tick, self.reason), self.__dict__
+        return type(self), (self.tick,), self.__dict__

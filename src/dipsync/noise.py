@@ -39,8 +39,7 @@ def generate(n: int, alpha: float, rng) -> np.ndarray:
         raise ValueError("need at least 2 samples")
     if alpha < 0:
         raise ValueError("alpha must be non-negative")
-    gen = rng if isinstance(rng, np.random.Generator) else np.random.default_rng(rng)
-    w = gen.standard_normal(n)
+    w = np.random.default_rng(rng).standard_normal(n)
     if alpha == 0.0:
         x = w
     else:

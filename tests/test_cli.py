@@ -150,15 +150,30 @@ def test_run_rejects_an_edge_list_whose_gateway_is_not_node_0(tmp_path, capsys):
     ({"max_ticks": "abc"}, "error: max_ticks must be an integer, got 'abc'"),
     ({"delta": "abc"}, "error: delta must be a number, got 'abc'"),
     ({"topology": "line:abc"}, "error: line spec must be line:N, got 'line:abc'"),
+    ({"topology": "edgelist:"}, "error: edgelist spec must be edgelist:PATH, got 'edgelist:'"),
 ], ids=["negative-seed", "missing-edgelist", "aborted-episode", "oversized-max-ticks",
         "nan-delta", "inf-delta", "grid-corner", "output-dir-key", "text-max-ticks",
-        "text-delta", "text-line-length"])
+        "text-delta", "text-line-length", "empty-edgelist"])
 def test_run_reports_bad_spec_or_abort_as_error(overrides, message, tmp_path, capsys):
     spec = write_spec(tmp_path, **{k: v.format(tmp=tmp_path) for k, v in overrides.items()})
     code, _, err = run_cli(["run", str(spec), "--out", str(tmp_path / "o")], capsys)
     assert code == 2
     assert err.startswith(message.format(tmp=tmp_path))
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("command,out,reason", [
+    (["run", "{spec}"], "{tmp}/file", "File exists"),
+    (["sweep-links", "--protocol", "tsau", "--p", "1", "--repeats", "1", "--ticks", "50"],
+     "{tmp}/missing/x.csv", "No such file or directory"),
+    (["energy"], "{tmp}/missing/x.csv", "No such file or directory"),
+], ids=["run-out-is-a-file", "sweep-out-in-missing-dir", "energy-out-in-missing-dir"])
+def test_output_that_cannot_be_written_is_an_error(command, out, reason, tmp_path, capsys):
+    (tmp_path / "file").write_text("", encoding="utf-8")
+    spec = write_spec(tmp_path)
+    out = out.format(tmp=tmp_path)
+    code, _, err = run_cli([arg.format(spec=spec) for arg in command] + ["--out", out], capsys)
+    assert (code, err) == (2, f"error: {out}: cannot write output: {reason}\n")
 
 
 @pytest.mark.parametrize("content,message", [

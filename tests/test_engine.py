@@ -622,9 +622,31 @@ def test_interpreted_kernels_match_compiled_source_on_abort(proto):
     # sends no messages and never aborts)
     c = cfg(make_line(3), proto, max_ticks=4000, seed=0, delta=10.0)
     name, args = engine.kernel_inputs(c)
-    got = kernels.get_kernel(name)(*args)
-    _assert_same_kernel_outputs(got, array_kernels.KERNELS[name](*args))
-    assert (got[9] > 0) == (proto is not ProtocolKind.SYNC_BASELINE)
+    want = array_kernels.KERNELS[name](*args)
+    if proto is ProtocolKind.SYNC_BASELINE:
+        _assert_same_kernel_outputs(kernels.get_kernel(name)(*args), want)
+        return
+    # the kernel raises at the tick where the oracle stops
+    assert want[9] > 0
+    with pytest.raises(EpisodeAborted) as exc:
+        kernels.get_kernel(name)(*args)
+    assert exc.value.tick == want[9]
+
+
+@pytest.mark.parametrize("proto", [ProtocolKind.TSAU, ProtocolKind.UAF, ProtocolKind.BAF])
+def test_node_broadcast_overflow_raises_at_the_oracle_tick(proto):
+    # node clocks that start past the 4-byte microsecond field: a node's own
+    # broadcast overflows long before the gateway's time does
+    c = cfg(make_line(3), proto, max_ticks=50, seed=0)
+    name, args = engine.kernel_inputs(c)
+    init_est = args[4].copy()
+    init_est[1:] += 10000.0
+    args = (*args[:4], init_est, *args[5:])
+    want = array_kernels.KERNELS[name](*args)
+    assert 0 < want[9] < 50
+    with pytest.raises(EpisodeAborted) as exc:
+        kernels.get_kernel(name)(*args)
+    assert exc.value.tick == want[9]
 
 
 @st.composite
@@ -664,18 +686,15 @@ def test_kernels_on_random_connected_topologies(topo, proto, link_p, malicious, 
 def _assert_recorded_rows(out, delta):
     """What the kernels' recording relies on and produces: a non-gateway
     estimate changes only on a tick that activates the node; the gateway
-    column is delta*k up to the stop tick; estimate rows from the abort tick
-    on are zero."""
+    column is delta*k."""
     est, act = out[0], out[1]
-    abort = int(out[9])
-    stop = abort if abort >= 0 else est.shape[0]
-    changed = est[1:stop, 1:] != est[:stop - 1, 1:]
-    assert not np.any(changed & (act[1:stop, 1:] == 0))
-    assert np.array_equal(est[:stop, 0], delta * np.arange(stop))
-    assert not np.any(est[stop:])
+    changed = est[1:, 1:] != est[:-1, 1:]
+    assert not np.any(changed & (act[1:, 1:] == 0))
+    assert np.array_equal(est[:, 0], delta * np.arange(est.shape[0]))
 
 
-# a delta of 50 s overflows the wire field near tick 86, so some cases abort
+# a delta of 50 s overflows the wire field near tick 86, so some cases abort:
+# there the kernel raises at the oracle's abort tick
 @settings(derandomize=True, deadline=None)
 @given(topo=connected_topologies(), proto=st.sampled_from(list(ProtocolKind)),
        link_p=st.sampled_from([1.0, 0.5]), malicious=st.booleans(),
@@ -687,8 +706,14 @@ def test_kernel_rows_change_only_on_activation(topo, proto, link_p, malicious,
                   link_p=link_p, malicious=malicious, freeze_on_dip=freeze,
                   delta=delta)
     name, args = engine.kernel_inputs(c)
+    want = array_kernels.KERNELS[name](*args)
+    if want[9] >= 0:
+        with pytest.raises(EpisodeAborted) as exc:
+            kernels.get_kernel(name)(*args)
+        assert exc.value.tick == want[9]
+        return
     got = kernels.get_kernel(name)(*args)
-    _assert_same_kernel_outputs(got, array_kernels.KERNELS[name](*args))
+    _assert_same_kernel_outputs(got, want)
     _assert_recorded_rows(got, delta)
 
 

@@ -16,7 +16,9 @@ from dipsync.errors import (
     (MalformedMessage("bad length 3"), "bad length 3", {}),
     (UnreachableNodeError(3), "node 3 is unreachable from the gateway", {"node": 3}),
     (ConfigError("max_ticks must be >= 1"), "max_ticks must be >= 1", {}),
-    (EpisodeAborted(5, "x"), "episode aborted at tick 5: x", {"tick": 5, "reason": "x"}),
+    (EpisodeAborted(5),
+     "episode aborted at tick 5: broadcast time overflows the 4-byte wire field",
+     {"tick": 5}),
 ], ids=["ProtocolViolation", "MalformedMessage", "UnreachableNodeError", "ConfigError",
         "EpisodeAborted"])
 def test_errors_survive_a_pickle_round_trip(exc, message, attrs):
