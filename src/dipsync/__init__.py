@@ -13,7 +13,6 @@ from .errors import (
 )
 from .metrics import (
     DipMetrics,
-    EnergyParams,
     EnergyReport,
     ErrorSeries,
     dip_metrics,
@@ -21,11 +20,9 @@ from .metrics import (
     summary_table,
     total_energy,
 )
-from .noise import generate as generate_noise
 from .noise import malicious_node
 from .protocol import ProtocolKind, SyncMessage, decode, encode
 from .topology import (
-    LayerAssignment,
     Topology,
     connectivity_layers,
     load_topology,

@@ -30,8 +30,8 @@ Shared conventions:
     its estimate biased by noise[k] (the pre-scaled colored-noise stream).
     Without an attacker `noise` may be None: it is read only at `mal`;
   * every node runs one `dip.DipDetector` over its own updates, until it
-    fires, and records the fire; with `freeze` set the node also rewinds to
-    the window's center sample and stops updating;
+    fires, and the detector records its fire; with `freeze` set the node
+    also rewinds to the window's center sample and stops updating;
   * a kernel raises `EpisodeAborted(k)` when a broadcast of tick k would
     overflow the 4-byte microsecond wire field; its tenth output is -1;
   * every average adds its values in CSR neighbor order, the order the
@@ -91,7 +91,6 @@ class _Episode:
         self.est[0] = 0.0
         self.frozen = [0] * n
         self.fired = [0] * n
-        self.fire_tick = [-1] * n
         self.detectors = [DipDetector() for _ in range(n)]
         self.freeze = freeze
         self.delta = delta
@@ -104,11 +103,10 @@ class _Episode:
 
     def observe(self, i, k):
         """Feed node i's new estimate, updated at tick k, to its detector; on
-        a fire, record it and, when freezing, rewind and freeze the node."""
+        a fire, flag it and, when freezing, rewind and freeze the node."""
         det = self.detectors[i]
         if det.observe(self.est[i], k):
             self.fired[i] = 1
-            self.fire_tick[i] = k
             if self.freeze:
                 self.frozen[i] = 1
                 self.est[i] = det.dip_value
@@ -128,20 +126,18 @@ class _Episode:
         tx_tr = np.frombuffer(self.tx, dtype=np.uint8).reshape(T, n)
         _forward_fill(est_tr[:, 1:], act_tr[:, 1:])
         est_tr[:, 0] = self.delta * np.arange(T)
+        dets = self.detectors
         frz_tr = np.zeros((T, n), dtype=np.uint8)
         if self.freeze:
-            for i, f in enumerate(self.fire_tick):
-                if f >= 0:
-                    frz_tr[f:, i] = 1
-        dets = self.detectors
+            for i, d in enumerate(dets):
+                if d.fired:
+                    frz_tr[d.fire_tick:, i] = 1
         return (est_tr, act_tr, frz_tr, tx_tr,
                 tx_tr.sum(axis=1, dtype=np.int64),
                 np.array(self.delivered, dtype=np.int64),
-                np.array([d.dip_tick if d.fired else -1 for d in dets],
-                         dtype=np.int64),
-                np.array([d.dip_value if d.fired else 0.0 for d in dets],
-                         dtype=np.float64),
-                np.array(self.fire_tick, dtype=np.int64),
+                np.array([d.dip_tick for d in dets], dtype=np.int64),
+                np.array([d.dip_value for d in dets], dtype=np.float64),
+                np.array([d.fire_tick for d in dets], dtype=np.int64),
                 np.int64(-1))
 
 

@@ -9,7 +9,6 @@ and `compare` take their seed from --seed only.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import dataclasses
 import os
 import re
@@ -32,13 +31,14 @@ from .engine import (
     parse_keyvalue_file,
     physical_memory,
     run,
+    writing_output,
 )
 from .errors import ConfigError, EpisodeAborted
 from .metrics import (
+    HEADER_FOOTER_BYTES,
     PROTOCOL_ENERGY_CONSTANTS,
     QUOTED_TOTALS_UJ,
     DipMetrics,
-    EnergyParams,
     dip_metrics,
     summary_table,
     total_energy,
@@ -98,19 +98,9 @@ def scenario_config(name: str, protocol: ProtocolKind, seed: int, max_ticks: int
     raise ConfigError(f"unknown scenario {name!r} (grid16, line16, malicious16)")
 
 
-@contextlib.contextmanager
-def _output(path):
-    """Raise an OSError from creating or writing the output `path` as a
-    ConfigError naming it."""
-    try:
-        yield
-    except OSError as exc:
-        raise ConfigError(f"{path}: cannot write output: {exc.strerror}") from exc
-
-
 def _write_text(path, text: str) -> None:
     """Write `text` as UTF-8 to the output file at `path`."""
-    with _output(path):
+    with writing_output(path):
         Path(path).write_text(text, encoding="utf-8")
 
 
@@ -173,7 +163,7 @@ def cmd_run(args) -> int:
         trace = run(dataclasses.replace(spec.config, seed=seed))
         # created only now, so a rejected spec or an aborted episode leaves
         # no empty directory behind
-        with _output(out_dir):
+        with writing_output(out_dir):
             out_dir.mkdir(parents=True, exist_ok=True)
         name = "trace.csv" if spec.repeat == 1 else f"trace_r{rep}.csv"
         trace.to_csv(out_dir / name)
@@ -255,7 +245,7 @@ def cmd_energy(args) -> int:
         rep = total_energy(cpu_ticks, payload)
         quoted = QUOTED_TOTALS_UJ[name]
         lines.append(
-            f"{name},{cpu_ticks},{payload},{payload + EnergyParams.header_footer},"
+            f"{name},{cpu_ticks},{payload},{payload + HEADER_FOOTER_BYTES},"
             f"{rep.cpu_energy * 1e6!r},{rep.tx_energy * 1e6!r},{rep.rx_energy * 1e6!r},"
             f"{rep.total * 1e6!r},{quoted!r}"
         )

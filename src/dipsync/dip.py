@@ -18,8 +18,7 @@ are held to bit for bit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .errors import ProtocolViolation
 
@@ -48,24 +47,26 @@ def filter_output(window: Sequence[float]) -> float:
     )
 
 
-@dataclass
 class DipDetector:
     """Streaming zero-crossing detector over one node's estimate samples.
 
     Feed one (tick, estimate) pair per communication instant via `observe`.
-    The first `warmup` outputs only seed the sign comparison; afterwards the
-    detector fires once, on a strict sign change or an exact zero, and reports
-    the dip at the window's center sample (undoing the 3-sample delay).
+    The first `WARMUP_OUTPUTS` outputs only seed the sign comparison;
+    afterwards the detector fires once, on a strict sign change or an exact
+    zero, records the tick it fired at, and reports the dip at the window's
+    center sample (undoing the 3-sample delay).  Until it fires, `fire_tick`
+    and `dip_tick` are -1 and `dip_value` is 0.0, as in a `Trace`.
     """
 
-    warmup: int = WARMUP_OUTPUTS
-    ticks: list = field(default_factory=list)
-    values: list = field(default_factory=list)
-    last_output: Optional[float] = None
-    outputs_seen: int = 0
-    fired: bool = False
-    dip_tick: Optional[int] = None
-    dip_value: Optional[float] = None
+    def __init__(self):
+        self.ticks = []
+        self.values = []
+        self.last_output = 0.0
+        self.outputs_seen = 0
+        self.fired = False
+        self.fire_tick = -1
+        self.dip_tick = -1
+        self.dip_value = 0.0
 
     def observe(self, estimate: float, tick: int) -> bool:
         if self.fired:
@@ -79,14 +80,13 @@ class DipDetector:
             return False
         y = filter_output(self.values)
         self.outputs_seen += 1
-        crossed = False
-        if self.outputs_seen > self.warmup:
-            # a sign change needs an earlier output; an exact zero does not
-            crossed = y == 0.0 or (self.last_output is not None
-                                   and y * self.last_output < 0.0)
+        # the warm-up outputs come first, so a test always has an earlier one
+        crossed = (self.outputs_seen > WARMUP_OUTPUTS
+                   and (y == 0.0 or y * self.last_output < 0.0))
         self.last_output = y
         if crossed:
             self.fired = True
+            self.fire_tick = tick
             self.dip_tick = self.ticks[CAUSAL_DELAY]
             self.dip_value = self.values[CAUSAL_DELAY]
         return crossed

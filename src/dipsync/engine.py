@@ -44,6 +44,16 @@ TRACE_CSV_HEADER = "tick,node,estimate,error,activated,frozen"
 _CSV_ROWS_PER_WORKER = 5000
 
 
+@contextlib.contextmanager
+def writing_output(path):
+    """Raise an OSError from creating or writing the output `path` as a
+    ConfigError naming it."""
+    try:
+        yield
+    except OSError as exc:
+        raise ConfigError(f"{path}: cannot write output: {exc.strerror}") from exc
+
+
 def substream(seed: int, label: str) -> np.random.Generator:
     """Named RNG sub-stream; see module docstring for the labels."""
     return np.random.default_rng(np.random.SeedSequence([int(seed), RNG_LABELS[label]]))
@@ -112,8 +122,9 @@ class Trace:
         `fork_map` raises it.  This process then writes the header and the
         ranges in order into a new file beside the path (mode as umask
         gives) and renames it onto the path, unlinking it on any failure or
-        interrupt.  Each process's extra memory is O(nodes + copy buffer)
-        whatever the number of ticks.
+        interrupt; an OSError of this last stage is a ConfigError naming the
+        path (`writing_output`).  Each process's extra memory is
+        O(nodes + copy buffer) whatever the number of ticks.
         """
         rows = self.n_ticks * self.node_count
         workers = max(1, min(usable_cpus(), rows // _CSV_ROWS_PER_WORKER))
@@ -129,17 +140,18 @@ class Trace:
                     self._write_ticks(part, bounds[w], bounds[w + 1])
 
             fork_map(write_range, range(workers), workers)
-            out = open(tmp, "xb")
-            try:
-                with out:
-                    out.write(f"{TRACE_CSV_HEADER}\n".encode())
-                    for part in parts:
-                        part.seek(0)
-                        shutil.copyfileobj(part, out)
-                os.replace(tmp, path)
-            except BaseException:
-                os.unlink(tmp)
-                raise
+            with writing_output(path):
+                out = open(tmp, "xb")
+                try:
+                    with out:
+                        out.write(f"{TRACE_CSV_HEADER}\n".encode())
+                        for part in parts:
+                            part.seek(0)
+                            shutil.copyfileobj(part, out)
+                    os.replace(tmp, path)
+                except BaseException:
+                    os.unlink(tmp)
+                    raise
 
     def _write_ticks(self, fh, start: int, stop: int) -> None:
         """The CSV rows of ticks [start, stop), one write call per tick."""
@@ -185,7 +197,7 @@ def _validate(config: SimConfig) -> int:
         raise ConfigError(f"max_ticks {config.max_ticks} needs {need / 2**30:.1f} GiB for "
                           f"the link matrix and trace, more than the "
                           f"{memory / 2**30:.1f} GiB of physical memory")
-    return connectivity_layers(config.topology).max_layer  # raises if disconnected
+    return max(connectivity_layers(config.topology))  # raises if disconnected
 
 
 def _csr(topo: Topology):
@@ -333,7 +345,8 @@ def config_from_mapping(fields: dict) -> SimConfig:
 
 
 def parse_keyvalue_file(path) -> dict:
-    """Read "key = value" lines; '#' starts a comment."""
+    """Read "key = value" lines; '#' starts a comment.  A key set twice
+    raises ConfigError naming the line of its second setting."""
     fields = {}
     for lineno, raw in enumerate(read_lines(path, "spec"), 1):
         line = raw.split("#", 1)[0].strip()
@@ -342,7 +355,10 @@ def parse_keyvalue_file(path) -> dict:
         if "=" not in line:
             raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
         key, _, value = line.partition("=")
-        fields[key.strip()] = value.strip()
+        key = key.strip()
+        if key in fields:
+            raise ConfigError(f"{path}:{lineno}: duplicate key '{key}'")
+        fields[key] = value.strip()
     return fields
 
 

@@ -20,7 +20,6 @@ import numpy as np
 
 from .engine import Trace
 from .protocol import PAYLOAD_BYTES, ProtocolKind
-from .topology import Topology
 
 MICROS_PER_TICK = 1e-6  # one CPU tick is ~1 microsecond on the target MCU
 
@@ -41,14 +40,6 @@ class DipMetrics:
     e_dip_min: float
     k_dip_min: float
     v_k_dip: float
-
-    @classmethod
-    def from_nodes(cls, k_dip, k_dip_tick, e_dip) -> "DipMetrics":
-        """The per-node arrays with their three aggregates."""
-        mean_k = float(k_dip.mean())
-        return cls(k_dip=k_dip, k_dip_tick=k_dip_tick, e_dip=e_dip,
-                   e_dip_min=float(e_dip.mean()), k_dip_min=mean_k,
-                   v_k_dip=float(((k_dip - mean_k) ** 2).mean()))
 
 
 def dip_metrics(trace: Trace) -> DipMetrics:
@@ -75,7 +66,10 @@ def dip_metrics(trace: Trace) -> DipMetrics:
         e_dip[idx] = err[k_star]
         k_tick[idx] = k_star
         k_dip[idx] = int(trace.transmitted[: k_star + 1, i].sum()) / per_cycle
-    return DipMetrics.from_nodes(k_dip, k_tick, e_dip)
+    mean_k = float(k_dip.mean())
+    return DipMetrics(k_dip=k_dip, k_dip_tick=k_tick, e_dip=e_dip,
+                      e_dip_min=float(e_dip.mean()), k_dip_min=mean_k,
+                      v_k_dip=float(((k_dip - mean_k) ** 2).mean()))
 
 
 @dataclass(frozen=True)
@@ -93,9 +87,9 @@ class ErrorSeries:
     e_avg_l: np.ndarray
 
 
-def error_series(trace: Trace, topo: Topology) -> ErrorSeries:
-    if topo.node_count != trace.node_count:
-        raise ValueError("trace and topology node sets differ")
+def error_series(trace: Trace) -> ErrorSeries:
+    """The error series of `trace`, whose local pairs are the edges of its
+    config's topology."""
     est = trace.estimates
     mx = est.max(axis=1)
     mn = est.min(axis=1)
@@ -103,7 +97,7 @@ def error_series(trace: Trace, topo: Topology) -> ErrorSeries:
     e_avg_g = np.maximum(est - mn[:, None], mx[:, None] - est).mean(axis=1)
     node_worst = np.zeros_like(est)
     e_max_l = np.zeros(est.shape[0])
-    for u, v in topo.edges:
+    for u, v in trace.config.topology.edges:
         d = np.abs(est[:, u] - est[:, v])
         np.maximum(e_max_l, d, out=e_max_l)
         np.maximum(node_worst[:, u], d, out=node_worst[:, u])
@@ -116,17 +110,15 @@ def error_series(trace: Trace, topo: Topology) -> ErrorSeries:
 # Energy model
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class EnergyParams:
-    """MicaZ-class electrical constants; packet framing adds 18 bytes
-    (11-byte header + 7-byte footer) to every payload."""
-
-    v_min: float = 2.7
-    i_mcu: float = 8.0e-3
-    i_tx: float = 21.0e-3
-    i_rx: float = 23.3e-3
-    data_rate: float = 250_000.0
-    header_footer: int = 18
+# MicaZ-class electrical constants: supply voltage (V), MCU, transmit and
+# receive currents (A) and the radio's data rate (bit/s).  Packet framing adds
+# 18 bytes (11-byte header + 7-byte footer) to every payload.
+V_MIN = 2.7
+I_MCU = 8.0e-3
+I_TX = 21.0e-3
+I_RX = 23.3e-3
+DATA_RATE = 250_000.0
+HEADER_FOOTER_BYTES = 18
 
 
 @dataclass(frozen=True)
@@ -137,7 +129,7 @@ class EnergyReport:
     total: float
 
 
-def total_energy(cpu_ticks: float, payload_bytes: int, params: EnergyParams = EnergyParams()) -> EnergyReport:
+def total_energy(cpu_ticks: float, payload_bytes: int) -> EnergyReport:
     """Per-message energy: CPU term plus air-time transmit and receive terms.
 
     cpu_ticks is in 1-microsecond CPU ticks; the L/R terms use the full
@@ -147,15 +139,11 @@ def total_energy(cpu_ticks: float, payload_bytes: int, params: EnergyParams = En
         raise ValueError("cpu_ticks must be positive")
     if payload_bytes < 0:
         raise ValueError("payload_bytes must be non-negative")
-    if min(params.v_min, params.i_mcu, params.i_tx, params.i_rx, params.data_rate) <= 0:
-        raise ValueError("electrical parameters must be positive")
-    if params.header_footer < 0:
-        raise ValueError("header_footer must be non-negative")
     c_seconds = cpu_ticks * MICROS_PER_TICK
-    air_seconds = (payload_bytes + params.header_footer) * 8 / params.data_rate
-    cpu = c_seconds * params.i_mcu * params.v_min
-    tx = air_seconds * params.i_tx * params.v_min
-    rx = air_seconds * params.i_rx * params.v_min
+    air_seconds = (payload_bytes + HEADER_FOOTER_BYTES) * 8 / DATA_RATE
+    cpu = c_seconds * I_MCU * V_MIN
+    tx = air_seconds * I_TX * V_MIN
+    rx = air_seconds * I_RX * V_MIN
     return EnergyReport(cpu_energy=cpu, tx_energy=tx, rx_energy=rx, total=cpu + tx + rx)
 
 

@@ -57,4 +57,4 @@ def malicious_node(topo: Topology) -> int:
     """The attacker position: the node furthest from the gateway in BFS hops,
     ties broken by the smallest id."""
     layers = connectivity_layers(topo)
-    return layers.layer.index(layers.max_layer)
+    return layers.index(max(layers))

@@ -62,17 +62,6 @@ class Topology:
         return {e: i for i, e in enumerate(self.edges)}
 
 
-@dataclass(frozen=True)
-class LayerAssignment:
-    """BFS hop distance from the gateway; the gateway itself sits at layer 0."""
-
-    layer: tuple[int, ...]
-    max_layer: int
-
-    def of(self, node: int) -> int:
-        return self.layer[node]
-
-
 def make_grid(rows: int, cols: int) -> Topology:
     """4-neighbor grid of `rows` x `cols` cells with the gateway at cell (0, 0).
 
@@ -99,8 +88,9 @@ def make_line(n: int) -> Topology:
     return Topology.from_edges(n, [(i, i + 1) for i in range(n - 1)])
 
 
-def connectivity_layers(topo: Topology) -> LayerAssignment:
-    """BFS hop distance of every node from the gateway, node 0.
+def connectivity_layers(topo: Topology) -> tuple[int, ...]:
+    """BFS hop distance of every node from the gateway, node 0, by node id;
+    the gateway itself sits at layer 0.
 
     Raises UnreachableNodeError naming the first (lowest-id) node with no
     path to the gateway.
@@ -117,7 +107,7 @@ def connectivity_layers(topo: Topology) -> LayerAssignment:
     for node, d in enumerate(layer):
         if d < 0:
             raise UnreachableNodeError(node)
-    return LayerAssignment(layer=tuple(layer), max_layer=max(layer))
+    return tuple(layer)
 
 
 def read_lines(path, what: str) -> list[str]:

@@ -162,18 +162,39 @@ def test_run_reports_bad_spec_or_abort_as_error(overrides, message, tmp_path, ca
     assert not (tmp_path / "o").exists()
 
 
-@pytest.mark.parametrize("command,out,reason", [
-    (["run", "{spec}"], "{tmp}/file", "File exists"),
+@pytest.mark.parametrize("command,out,named,reason", [
+    (["run", "{spec}"], "{tmp}/file", "{tmp}/file", "File exists"),
+    (["run", "{spec}"], "{tmp}/d", "{tmp}/d/trace.csv", "Is a directory"),
     (["sweep-links", "--protocol", "tsau", "--p", "1", "--repeats", "1", "--ticks", "50"],
-     "{tmp}/missing/x.csv", "No such file or directory"),
-    (["energy"], "{tmp}/missing/x.csv", "No such file or directory"),
-], ids=["run-out-is-a-file", "sweep-out-in-missing-dir", "energy-out-in-missing-dir"])
-def test_output_that_cannot_be_written_is_an_error(command, out, reason, tmp_path, capsys):
+     "{tmp}/missing/x.csv", "{tmp}/missing/x.csv", "No such file or directory"),
+    (["energy"], "{tmp}/missing/x.csv", "{tmp}/missing/x.csv", "No such file or directory"),
+], ids=["run-out-is-a-file", "run-trace-is-a-directory", "sweep-out-in-missing-dir",
+        "energy-out-in-missing-dir"])
+def test_output_that_cannot_be_written_is_an_error(command, out, named, reason, tmp_path,
+                                                   capsys):
     (tmp_path / "file").write_text("", encoding="utf-8")
+    (tmp_path / "d" / "trace.csv").mkdir(parents=True)
     spec = write_spec(tmp_path)
     out = out.format(tmp=tmp_path)
     code, _, err = run_cli([arg.format(spec=spec) for arg in command] + ["--out", out], capsys)
-    assert (code, err) == (2, f"error: {out}: cannot write output: {reason}\n")
+    assert (code, err) == (2, f"error: {named.format(tmp=tmp_path)}: cannot write output: "
+                              f"{reason}\n")
+    # the trace writer removes its unfinished file
+    assert not list(tmp_path.glob("d/.trace.csv.*.tmp"))
+
+
+@pytest.mark.parametrize("line,key", [
+    ("protocol = uaf", "protocol"), ("name = other", "name"), ("repeat = 2", "repeat"),
+], ids=["protocol", "name", "repeat"])
+def test_run_rejects_a_spec_that_sets_a_key_twice(line, key, tmp_path, capsys):
+    spec = write_spec(tmp_path, repeat="1")
+    with spec.open("a", encoding="utf-8") as fh:
+        fh.write(f"{line}\n")
+    lineno = len(spec.read_text(encoding="utf-8").splitlines())
+    code, out, err = run_cli(["run", str(spec), "--out", str(tmp_path / "o")], capsys)
+    assert (code, out) == (2, "")
+    assert err == f"error: {spec}:{lineno}: duplicate key '{key}'\n"
+    assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize("content,message", [
@@ -446,7 +467,7 @@ ENERGY_TABLE = (
 def test_energy_table_contents(capsys):
     code, out, _ = run_cli(["energy"], capsys)
     assert code == 0
-    # the payloads are the wire codec's, framed by EnergyParams.header_footer
+    # the payloads are the wire codec's, framed by HEADER_FOOTER_BYTES
     assert out == ENERGY_TABLE
     lines = out.strip().split("\n")
     assert "quoted_total_uJ_unverified" in lines[0]

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import array_kernels
-from dipsync.dip import FILTER_TAPS, WINDOW_LEN, DipDetector, filter_output
+from dipsync.dip import FILTER_TAPS, WARMUP_OUTPUTS, WINDOW_LEN, DipDetector, filter_output
 from dipsync.engine import SimConfig, run
 from dipsync.errors import ProtocolViolation
 from dipsync.protocol import ProtocolKind
@@ -84,7 +84,7 @@ def test_detector_never_fires_on_monotone_series():
 def test_detector_needs_seven_samples():
     det = DipDetector()
     assert feed(det, [5, 4, 3, 2, 1, 0.5]) is None
-    assert det.last_output is None
+    assert det.outputs_seen == 0
 
 
 def test_detector_fires_once_then_rejects():
@@ -104,7 +104,7 @@ def test_warmup_swallows_early_crossings():
     series = [1.0, 0.8, 0.6, 0.5, 0.55, 0.6, 0.65, 0.7, 0.75, 0.8]
     det = DipDetector()
     fired = feed(det, series)
-    assert fired is None or det.outputs_seen > det.warmup
+    assert fired is None or det.outputs_seen > WARMUP_OUTPUTS
 
 
 def test_exact_zero_counts_as_crossing():
@@ -155,9 +155,10 @@ def test_freeze_requires_fire_and_rejects_double():
         assert not free.frozen.any()
 
 
-def _oracle_fire(series, warmup):
+def _oracle_fire(series):
     """Feed `series` (ticks 0, 1, ...) to the array oracle's `_observe_dip`
-    for one node; return (fire tick, dip tick, dip value), or None."""
+    for one node, with the detector's warm-up; return (fire tick, dip tick,
+    dip value), or None."""
     win_t = np.zeros((1, 7), dtype=np.int64)
     win_v = np.zeros((1, 7))
     win_n = np.zeros(1, dtype=np.int64)
@@ -170,7 +171,7 @@ def _oracle_fire(series, warmup):
     fire_tick = np.full(1, -1, dtype=np.int64)
     est = np.zeros(1)
     for k, v in enumerate(series):
-        array_kernels._observe_dip(0, k, v, warmup, win_t, win_v, win_n, nout,
+        array_kernels._observe_dip(0, k, v, WARMUP_OUTPUTS, win_t, win_v, win_n, nout,
                                    yprev, fired, frozen, dip_tick, dip_val,
                                    fire_tick, est, False)
         if fired[0]:
@@ -178,8 +179,8 @@ def _oracle_fire(series, warmup):
     return None
 
 
-def _detector_fire(series, warmup):
-    det = DipDetector(warmup)
+def _detector_fire(series):
+    det = DipDetector()
     for k, v in enumerate(series):
         if det.observe(v, k):
             return k, det.dip_tick, det.dip_value
@@ -198,17 +199,11 @@ def _streams():
         yield rng.integers(0, 3, int(rng.integers(7, 30))).astype(float).tolist()
 
 
-@pytest.mark.parametrize("warmup", [0, 1, 2, 3])
-def test_detector_matches_array_oracle(warmup):
+def test_detector_matches_array_oracle():
     fires = 0
     for series in _streams():
-        want = _oracle_fire(series, warmup)
-        assert _detector_fire(series, warmup) == want, series
+        want = _oracle_fire(series)
+        assert _detector_fire(series) == want, series
         fires += want is not None
     assert fires > 0
 
-
-def test_equal_samples_fire_at_warmup_zero():
-    # the first output of a constant window is an exact zero
-    assert _detector_fire([0.5] * 7, 0) == (6, 3, 0.5)
-    assert _detector_fire([0.5] * 7, 1) is None

@@ -72,8 +72,7 @@ def ref_tsau(topo, init, ticks, delta=DELTA):
 
 def ref_uaf(topo, init, ticks, delta=DELTA):
     n = topo.node_count
-    layers = connectivity_layers(topo)
-    cyc = layers.max_layer + 1
+    cyc = max(connectivity_layers(topo)) + 1
     est = init.copy()
     s = [0] * n
     pend = {}

@@ -21,8 +21,7 @@ def test_grid_4x4_counts():
 
 
 def test_grid_3x3_layer_count_is_4():
-    lay = connectivity_layers(make_grid(3, 3))
-    assert lay.max_layer == 4
+    assert max(connectivity_layers(make_grid(3, 3))) == 4
 
 
 def test_minimal_grid_1x2():
@@ -41,8 +40,7 @@ def test_grid_2x3_hand_ids():
 
 def test_grid_ids_follow_bfs_order():
     topo = make_grid(4, 4)
-    lay = connectivity_layers(topo)
-    layers = [lay.of(i) for i in range(16)]
+    layers = list(connectivity_layers(topo))
     assert layers == sorted(layers)  # ids ordered by hop distance
 
 
@@ -55,13 +53,13 @@ def test_grid_rejects_degenerate_shapes(rows, cols):
 def test_line_16():
     topo = make_line(16)
     assert len(topo.edges) == 15
-    assert connectivity_layers(topo).max_layer == 15
+    assert max(connectivity_layers(topo)) == 15
 
 
 def test_line_2():
     topo = make_line(2)
     assert topo.edges == ((0, 1),)
-    assert connectivity_layers(topo).of(1) == 1
+    assert connectivity_layers(topo)[1] == 1
 
 
 def test_line_5_middle_neighbors():
@@ -77,32 +75,31 @@ def test_line_rejects_single_node():
 def test_layers_3x3_hand_bfs():
     # hand BFS on the 3x3 corner-gateway grid
     lay = connectivity_layers(make_grid(3, 3))
-    assert sorted(lay.layer[1:]) == [1, 1, 2, 2, 2, 3, 3, 4]
+    assert sorted(lay[1:]) == [1, 1, 2, 2, 2, 3, 3, 4]
 
 
 def test_layers_line4():
     lay = connectivity_layers(make_line(4))
-    assert lay.layer == (0, 1, 2, 3)
+    assert lay == (0, 1, 2, 3)
 
 
 def test_layers_star():
     star = Topology.from_edges(6, [(0, i) for i in range(1, 6)])
     lay = connectivity_layers(star)
-    assert all(lay.of(i) == 1 for i in range(1, 6))
-    assert lay.max_layer == 1
+    assert all(lay[i] == 1 for i in range(1, 6))
+    assert max(lay) == 1
 
 
 def test_layer_edge_lipschitz_property():
     for topo in (make_grid(4, 4), make_grid(5, 3), make_line(9)):
         lay = connectivity_layers(topo)
         for u, v in topo.edges:
-            assert abs(lay.of(u) - lay.of(v)) <= 1
+            assert abs(lay[u] - lay[v]) <= 1
 
 
 @pytest.mark.parametrize("rows,cols", [(2, 2), (3, 4), (5, 5), (1, 7)])
 def test_grid_max_layer_formula(rows, cols):
-    lay = connectivity_layers(make_grid(rows, cols))
-    assert lay.max_layer == (rows - 1) + (cols - 1)
+    assert max(connectivity_layers(make_grid(rows, cols))) == (rows - 1) + (cols - 1)
 
 
 def test_unreachable_node_named():
