@@ -31,8 +31,8 @@ from ._forkmap import fork_map, usable_cpus
 from ._kernels import get_kernel
 from .errors import ConfigError
 from .protocol import ProtocolKind
-from .topology import (Topology, connectivity_layers, load_topology, make_grid, make_line,
-                       read_lines)
+from .topology import (Topology, connectivity_layers, edge_list_size, grid_size, line_size,
+                       load_topology, make_grid, make_line, read_lines)
 
 RNG_LABELS = {"init-clocks": 0, "links": 1, "noise": 2}
 
@@ -168,16 +168,33 @@ class Trace:
             ]))
 
 
-def episode_bytes(config: SimConfig) -> int:
-    """Bytes of the link matrix and trace arrays of one episode: per tick a
+def _episode_bytes(ticks: int, node_count: int, edge_count: int) -> int:
+    """Bytes of the link matrix and trace arrays of an episode: per tick a
     uint8 link row, and per node the float64 estimate and the activated,
     frozen and transmitted flags of the trace."""
-    return config.max_ticks * (len(config.topology.edges) + 11 * config.topology.node_count)
+    return ticks * (edge_count + 11 * node_count)
+
+
+def episode_bytes(config: SimConfig) -> int:
+    """The `_episode_bytes` of `config`'s episode."""
+    topo = config.topology
+    return _episode_bytes(config.max_ticks, topo.node_count, len(topo.edges))
 
 
 def physical_memory() -> int:
     """Bytes of physical memory, as `os.sysconf` reports them."""
     return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+
+
+def _check_fits(ticks: int, node_count: int, edge_count: int) -> None:
+    """Raise a ConfigError naming max_ticks when an episode of `ticks` ticks
+    on a graph of these counts needs more than physical memory."""
+    need = _episode_bytes(ticks, node_count, edge_count)
+    memory = physical_memory()
+    if need > memory:
+        raise ConfigError(f"max_ticks {ticks} needs {need / 2**30:.1f} GiB for "
+                          f"the link matrix and trace, more than the "
+                          f"{memory / 2**30:.1f} GiB of physical memory")
 
 
 def _validate(config: SimConfig) -> int:
@@ -189,15 +206,11 @@ def _validate(config: SimConfig) -> int:
         raise ConfigError(f"link_p {config.link_p} outside [0, 1]")
     if config.seed < 0:
         raise ConfigError(f"seed must be non-negative, got {config.seed}")
-    if config.topology.node_count < 2:
+    topo = config.topology
+    if topo.node_count < 2:
         raise ConfigError("need at least one non-gateway node")
-    need = episode_bytes(config)
-    memory = physical_memory()
-    if need > memory:
-        raise ConfigError(f"max_ticks {config.max_ticks} needs {need / 2**30:.1f} GiB for "
-                          f"the link matrix and trace, more than the "
-                          f"{memory / 2**30:.1f} GiB of physical memory")
-    return max(connectivity_layers(config.topology))  # raises if disconnected
+    _check_fits(config.max_ticks, topo.node_count, len(topo.edges))
+    return max(connectivity_layers(topo))  # raises if disconnected
 
 
 def _csr(topo: Topology):
@@ -258,7 +271,7 @@ def kernel_inputs(config: SimConfig) -> tuple[str, tuple]:
         # the attacker biases its advertised clock by a stealth-scaled colored
         # noise stream: unit-variance process scaled to the tick quantum
         noise = config.delta * noise_mod.generate(
-            max(ticks, 2), 2.0, substream(config.seed, "noise"))[:ticks]
+            max(ticks, 2), substream(config.seed, "noise"))[:ticks]
     else:
         mal, noise = -1, None
 
@@ -281,8 +294,10 @@ def run(config: SimConfig) -> Trace:
 # Config-file ingestion ("key = value" lines mirroring SimConfig field names)
 # ---------------------------------------------------------------------------
 
-def topology_from_spec(spec: str) -> Topology:
-    """Parse a topology spec string: grid:RxC, line:N, edgelist:PATH."""
+def topology_from_spec(spec: str, max_ticks: int) -> Topology:
+    """Parse a topology spec string: grid:RxC, line:N, edgelist:PATH.  The
+    graph's node and edge counts are checked against physical memory for an
+    episode of `max_ticks` ticks before the graph is built."""
     spec = spec.strip()
     kind, _, rest = spec.partition(":")
     kind = kind.lower()
@@ -292,16 +307,19 @@ def topology_from_spec(spec: str) -> Topology:
             rows, cols = int(r), int(c)
         except ValueError:
             raise ConfigError(f"grid spec must be grid:RxC, got {spec!r}") from None
+        _check_fits(max_ticks, *grid_size(rows, cols))
         return make_grid(rows, cols)
     if kind == "line":
         try:
             n = int(rest)
         except ValueError:
             raise ConfigError(f"line spec must be line:N, got {spec!r}") from None
+        _check_fits(max_ticks, *line_size(n))
         return make_line(n)
     if kind == "edgelist":
         if not rest:
             raise ConfigError(f"edgelist spec must be edgelist:PATH, got {spec!r}")
+        _check_fits(max_ticks, *edge_list_size(rest))
         return load_topology(rest)
     raise ConfigError(f"unknown topology spec {spec!r}")
 
@@ -320,9 +338,9 @@ def _parser(convert, what: str):
 parse_int = _parser(int, "an integer")
 _BOOL = {"true": True, "1": True, "yes": True, "false": False, "0": False, "no": False}
 
-# how a config value is parsed, by the type of its SimConfig field
+# how a config value is parsed, by the type of its SimConfig field; the
+# topology is parsed apart, after max_ticks
 _PARSERS = {
-    "Topology": lambda key, raw: topology_from_spec(str(raw)),
     "ProtocolKind": lambda key, raw: ProtocolKind.parse(str(raw)),
     "float": _parser(float, "a number"),
     "int": parse_int,
@@ -332,7 +350,9 @@ _PARSERS = {
 
 def config_from_mapping(fields: dict) -> SimConfig:
     """Build a SimConfig from string key/value pairs named after its fields
-    (unknown keys rejected); an absent key takes the field's default."""
+    (unknown keys rejected); an absent key takes the field's default.  The
+    topology comes last, so that its size is checked against max_ticks before
+    its graph is built."""
     params = dataclasses.fields(SimConfig)
     unknown = set(fields) - {f.name for f in params}
     if unknown:
@@ -340,8 +360,11 @@ def config_from_mapping(fields: dict) -> SimConfig:
     missing = {f.name for f in params if f.default is dataclasses.MISSING} - set(fields)
     if missing:
         raise ConfigError(f"missing config keys: {sorted(missing)}")
-    return SimConfig(**{f.name: _PARSERS[f.type](f.name, fields[f.name])
-                        for f in params if f.name in fields})
+    values = {f.name: _PARSERS[f.type](f.name, fields[f.name])
+              for f in params if f.name in fields and f.name != "topology"}
+    topology = topology_from_spec(str(fields["topology"]),
+                                  values.get("max_ticks", SimConfig.max_ticks))
+    return SimConfig(topology=topology, **values)
 
 
 def parse_keyvalue_file(path) -> dict:

@@ -62,30 +62,44 @@ class Topology:
         return {e: i for i, e in enumerate(self.edges)}
 
 
+def grid_size(rows: int, cols: int) -> tuple[int, int]:
+    """The node and edge counts of `make_grid(rows, cols)`, without building
+    it; a shape with no grid of at least 2 nodes raises ConfigError."""
+    if rows < 1 or cols < 1:
+        raise ConfigError("rows and cols must be positive")
+    if rows * cols < 2:
+        raise ConfigError("grid needs at least 2 nodes")
+    return rows * cols, rows * (cols - 1) + cols * (rows - 1)
+
+
 def make_grid(rows: int, cols: int) -> Topology:
     """4-neighbor grid of `rows` x `cols` cells with the gateway at cell (0, 0).
 
     Ids follow breadth-first order from the gateway with a row-major
     tie-break, that is, cell (r, c) is numbered in the order of (r + c, r).
     """
-    if rows < 1 or cols < 1:
-        raise ConfigError("rows and cols must be positive")
-    if rows * cols < 2:
-        raise ConfigError("grid needs at least 2 nodes")
+    n, _ = grid_size(rows, cols)
     cells = sorted(((r, c) for r in range(rows) for c in range(cols)),
                    key=lambda rc: (rc[0] + rc[1], rc[0]))
     ids = {rc: i for i, rc in enumerate(cells)}
     # each cell's edges to its right and lower neighbors
     edges = [(i, ids[nb]) for (r, c), i in ids.items()
              for nb in ((r, c + 1), (r + 1, c)) if nb in ids]
-    return Topology.from_edges(rows * cols, edges)
+    return Topology.from_edges(n, edges)
+
+
+def line_size(n: int) -> tuple[int, int]:
+    """The node and edge counts of `make_line(n)`, without building it; fewer
+    than 2 nodes raise ConfigError."""
+    if n < 2:
+        raise ConfigError("line needs at least 2 nodes")
+    return n, n - 1
 
 
 def make_line(n: int) -> Topology:
     """Path graph 0-1-...-(n-1) with the gateway at node 0."""
-    if n < 2:
-        raise ConfigError("line needs at least 2 nodes")
-    return Topology.from_edges(n, [(i, i + 1) for i in range(n - 1)])
+    nodes, n_edges = line_size(n)
+    return Topology.from_edges(nodes, [(i, i + 1) for i in range(n_edges)])
 
 
 def connectivity_layers(topo: Topology) -> tuple[int, ...]:
@@ -122,12 +136,11 @@ def read_lines(path, what: str) -> list[str]:
         raise ConfigError(f"{path}: {what} file is not UTF-8 text") from exc
 
 
-def load_topology(path) -> Topology:
-    """Read an edge-list file: first line "N gateway_id", then one "u v" per line.
-
-    The gateway id must be 0, the gateway of every topology; errors name the file."""
-    lines = [ln.strip() for ln in read_lines(path, "topology")
-             if ln.strip() and not ln.startswith("#")]
+def _edge_list(path) -> tuple[int, list[str]]:
+    """The header's node count and the edge lines of an edge-list file, with
+    blank lines and '#' comments dropped; the gateway id is checked."""
+    lines = [ln.split("#", 1)[0].strip() for ln in read_lines(path, "topology")]
+    lines = [ln for ln in lines if ln]
     if not lines:
         raise ConfigError(f"{path}: empty topology file")
     try:
@@ -137,8 +150,24 @@ def load_topology(path) -> Topology:
                           f"got {lines[0]!r}") from None
     if gw != 0:
         raise ConfigError(f"{path}: gateway id must be 0, got {gw}")
+    return n, lines[1:]
+
+
+def edge_list_size(path) -> tuple[int, int]:
+    """The node and edge counts that the edge-list file at `path` declares:
+    its header's N and its number of edge lines, without building the graph."""
+    n, edge_lines = _edge_list(path)
+    return n, len(edge_lines)
+
+
+def load_topology(path) -> Topology:
+    """Read an edge-list file: first line "N gateway_id", then one "u v" per
+    line; '#' starts a comment anywhere on a line.
+
+    The gateway id must be 0, the gateway of every topology; errors name the file."""
+    n, edge_lines = _edge_list(path)
     edges = []
-    for ln in lines[1:]:
+    for ln in edge_lines:
         try:
             u, v = map(int, ln.split())
         except ValueError:

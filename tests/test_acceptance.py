@@ -186,7 +186,7 @@ def test_criterion_7_filter_identities():
 
 
 def test_criterion_8_colored_noise_spectrum():
-    x = generate(1 << 14, 2.0, 7)
+    x = generate(1 << 14, 7)
     spec = np.abs(np.fft.rfft(x)) ** 2 / len(x)
     freqs = np.fft.rfftfreq(len(x))
     keep = (freqs > 0) & (freqs <= 0.125)

@@ -785,10 +785,10 @@ def test_messages_sent_counts_every_broadcast():
 # --- config-file ingestion ----------------------------------------------------
 
 def test_topology_specs():
-    assert topology_from_spec("grid:4x4").node_count == 16
-    assert topology_from_spec("line:7").node_count == 7
+    assert topology_from_spec("grid:4x4", 1).node_count == 16
+    assert topology_from_spec("line:7", 1).node_count == 7
     with pytest.raises(ConfigError):
-        topology_from_spec("torus:3")
+        topology_from_spec("torus:3", 1)
 
 
 def test_config_mapping_roundtrip(tmp_path):
@@ -817,3 +817,25 @@ def test_config_mapping_rejects_unknown_and_missing():
         config_from_mapping({"protocol": "tsau"})
     with pytest.raises(ConfigError):
         config_from_mapping({"protocol": "tsau", "topology": "line:4", "bogus": "1"})
+
+
+@pytest.mark.parametrize("topology", ["grid:3000x3000", "line:100", "edgelist:{tmp}/net.txt"],
+                         ids=["grid", "line", "edgelist"])
+def test_oversized_spec_rejected_before_its_graph_is_built(topology, tmp_path, monkeypatch):
+    (tmp_path / "net.txt").write_text("3 0\n0 1\n1 2\n", encoding="utf-8")
+    # one episode of the default 4000 ticks on any of these graphs needs
+    # more than 100 bytes
+    monkeypatch.setattr(engine, "physical_memory", lambda: 100)
+
+    def from_edges(*args):
+        raise AssertionError("the graph was built")
+
+    monkeypatch.setattr(Topology, "from_edges", from_edges)
+    with pytest.raises(ConfigError, match="max_ticks 4000 needs"):
+        config_from_mapping({"protocol": "tsau", "topology": topology.format(tmp=tmp_path)})
+
+
+def test_spec_grid_shape_is_checked_before_its_size():
+    # (-10^5) x (-10^5) cells would count as 10^10 nodes
+    with pytest.raises(ConfigError, match="rows and cols must be positive"):
+        config_from_mapping({"protocol": "tsau", "topology": "grid:-100000x-100000"})

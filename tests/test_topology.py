@@ -8,6 +8,9 @@ from dipsync.protocol import ProtocolKind
 from dipsync.topology import (
     Topology,
     connectivity_layers,
+    edge_list_size,
+    grid_size,
+    line_size,
     load_topology,
     make_grid,
     make_line,
@@ -160,6 +163,28 @@ def test_edge_list_file_roundtrip(tmp_path):
     topo = load_topology(path)
     assert topo.node_count == 4
     assert topo.edges == ((0, 1), (1, 2), (1, 3), (2, 3))
+
+
+def test_edge_list_comments_start_anywhere_on_a_line(tmp_path):
+    path = tmp_path / "net.txt"
+    path.write_text("# a path\n3 0  # nodes, gateway\n  # indented note\n"
+                    "0 1 # first edge\n1 2\n\t# end\n", encoding="utf-8")
+    topo = load_topology(path)
+    assert topo.node_count == 3
+    assert topo.edges == ((0, 1), (1, 2))
+    assert edge_list_size(path) == (3, 2)
+
+
+@pytest.mark.parametrize("rows,cols", [(1, 2), (2, 1), (1, 7), (3, 5), (4, 4)])
+def test_grid_size_counts_the_nodes_and_edges_of_make_grid(rows, cols):
+    topo = make_grid(rows, cols)
+    assert grid_size(rows, cols) == (topo.node_count, len(topo.edges))
+
+
+@pytest.mark.parametrize("n", [2, 3, 16])
+def test_line_size_counts_the_nodes_and_edges_of_make_line(n):
+    topo = make_line(n)
+    assert line_size(n) == (topo.node_count, len(topo.edges))
 
 
 def test_edge_list_rejects_garbage(tmp_path):
