@@ -8,6 +8,7 @@ import pytest
 
 import dipsync
 import dipsync.cli as cli
+from dipsync._forkmap import fork_map
 from dipsync.cli import main
 from dipsync.errors import ConfigError
 
@@ -351,6 +352,59 @@ def use_cpus(monkeypatch, n):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
 
 
+def shares_by_process(results):
+    """The items of `fork_map(lambda x: (x, os.getpid()), ...)` results,
+    grouped by the process that ran them: this process's share first."""
+    shares = {os.getpid(): []}
+    for item, pid in results:
+        shares.setdefault(pid, []).append(item)
+    return list(shares.values())
+
+
+def test_fork_map_runs_the_costliest_item_alone_here():
+    # tsau, uaf and baf at costs 1, 2 and 3: baf goes to this process, and
+    # the lighter two, 1 + 2 = 3, to one child
+    items = ["tsau", "uaf", "baf"]
+    cost = {"tsau": 1, "uaf": 2, "baf": 3}
+    got = fork_map(lambda x: (x, os.getpid()), items, 2, cost=cost.__getitem__)
+    assert_no_child_left()
+    assert [item for item, _ in got] == items
+    assert shares_by_process(got) == [["baf"], ["tsau", "uaf"]]
+
+
+@pytest.mark.parametrize("cost", [None, lambda x: 0.21], ids=["none", "equal"])
+@pytest.mark.parametrize("workers", [2, 3])
+def test_fork_map_with_equal_costs_is_the_stride(cost, workers):
+    # the split that sweep-links (one protocol, one tick count) and the
+    # trace CSV writer's tick ranges rely on
+    items = list(range(8))
+    got = fork_map(lambda x: (x, os.getpid()), items, workers, cost=cost)
+    assert_no_child_left()
+    assert [item for item, _ in got] == items
+    assert shares_by_process(got) == [items[w::workers] for w in range(workers)]
+
+
+def test_fork_map_runs_each_share_in_item_order():
+    # item 3 runs here alone and a child runs items 0, 1 and 2, in item
+    # order although item 2 costs more; items 1 and 2 fail, and the child
+    # stops at item 1, the first failure in item order
+    def fn(item):
+        if item in (1, 2):
+            raise ValueError(f"item {item} fails")
+        return item
+
+    with pytest.raises(ValueError, match="^item 1 fails$"):
+        fork_map(fn, range(4), 2, cost=[1, 1, 2, 10].__getitem__)
+    assert_no_child_left()
+
+
+def test_every_protocol_has_an_episode_cost():
+    costs = {kind.value: cli.episode_cost(cli.scenario_config("grid16", kind, 1, 300))
+             for kind in dipsync.ProtocolKind}
+    assert costs["tsau"] < costs["uaf"] < costs["baf"] < costs["baseline"]
+    assert costs["tsau"] > 0
+
+
 EPISODE_MAPS = {
     "sweep": ["sweep-links", "--protocol", "baf", "--p", "0.75", "0.5", "0.25",
               "--repeats", "3", "--ticks", "400", "--seed", "2"],
@@ -375,7 +429,7 @@ def test_episodes_on_more_cpus_give_identical_output(args, capfd, monkeypatch):
 @pytest.mark.parametrize("cpus", [1, 2, 3])
 def test_episode_map_reports_the_first_failure_in_item_order(cpus, capsys, monkeypatch):
     # items 0, 1 and 2 are tsau, uaf and baf; with 2 CPUs this process runs
-    # items 0 and 2 and a child runs item 1
+    # baf, the costliest, and a child runs tsau and uaf
     run = cli.run
 
     def failing_run(cfg):
@@ -429,8 +483,8 @@ def test_episode_map_kills_its_children_when_interrupted(capsys, monkeypatch):
 
 
 def test_episode_map_runs_here_without_fork_or_memory(capsys, monkeypatch):
-    # two episodes, two CPUs: a child would run item 1, unless os.fork is
-    # missing or physical memory holds only one episode
+    # two episodes, two CPUs: a child would run item 0, tsau, the cheaper,
+    # unless os.fork is missing or physical memory holds only one episode
     args = ["compare", "--scenario", "grid16", "--protocols", "tsau", "uaf", "--ticks", "300"]
     use_cpus(monkeypatch, 1)
     want = run_cli(args, capsys)
