@@ -7,7 +7,11 @@ The shares are fixed before any worker starts, from the costs alone, so
 which process runs which item never depends on timing.  A work queue could
 balance better when the costs are off, but the set of items this process
 runs, and so what a profile of this process sees, would then change from
-call to call."""
+call to call.
+
+`Child`, the forked process under each worker of the map, also runs the
+trace CSV's block writers, which `dipsync run` starts while its kernel runs.
+"""
 
 from __future__ import annotations
 
@@ -19,6 +23,80 @@ import traceback
 
 class WorkerTraceback(Exception):
     """The traceback, as text, of an exception raised in a worker process."""
+
+
+def reraise(exc: BaseException, tb: str):
+    """Raise `exc`, a failure that a child sent back with its traceback text
+    `tb`, here: with the same type and message, caused by a WorkerTraceback
+    of that text.  An `exc` raised in this process is raised as it is."""
+    if exc.__traceback__ is None:   # raised in a child
+        raise exc from WorkerTraceback(tb)
+    raise exc
+
+
+def failure_of(fn):
+    """Call `fn()`; return None, or (exception, traceback text) of the
+    Exception it raised."""
+    try:
+        fn()
+    except Exception as exc:
+        return exc, traceback.format_exc()
+    return None
+
+
+class Child:
+    """`fn()` run in a child made by `os.fork`.
+
+    The child sends what `fn` returns back through a pipe as one pickle and
+    always leaves through `os._exit`, so it never flushes this process's
+    buffers.  Whoever makes a Child reaps it on every path: through `wait`,
+    or through `kill` when this process is interrupted."""
+
+    def __init__(self, fn):
+        r, wr = os.pipe()
+        pid = os.fork()
+        if pid == 0:
+            status = 1
+            try:
+                with os.fdopen(wr, "wb") as fh:
+                    pickle.dump(fn(), fh)
+                status = 0
+            finally:
+                os._exit(status)
+        os.close(wr)
+        self.pid = pid
+        self.pipe = os.fdopen(r, "rb")
+        self.reaped = False
+
+    def ended(self) -> bool:
+        """Whether the child has ended, reaping it if so; never blocks.  A
+        child whose pickle does not fit the pipe's buffer ends only in
+        `wait`."""
+        if not self.reaped:
+            self.reaped = os.waitpid(self.pid, os.WNOHANG)[0] != 0
+        return self.reaped
+
+    def wait(self, missing):
+        """Wait for the child to end and reap it; return what `fn` returned,
+        or `missing` if the child ended without sending it.  Interrupted,
+        it leaves the child to `kill`."""
+        data = self.pipe.read()
+        self.pipe.close()
+        if not self.reaped:
+            os.waitpid(self.pid, 0)
+            self.reaped = True
+        return pickle.loads(data) if data else missing
+
+    def kill(self) -> None:
+        """Kill the child, unless it has been reaped, and reap it."""
+        self.pipe.close()
+        if not self.reaped:
+            try:
+                os.kill(self.pid, signal.SIGKILL)
+            except ProcessLookupError:
+                pass
+            os.waitpid(self.pid, 0)
+            self.reaped = True
 
 
 def usable_cpus() -> int:
@@ -69,50 +147,28 @@ def fork_map(fn, items, workers: int, cost=None) -> list:
         as (item index, exception, traceback text), or None."""
         results = []
         for i in plan[w]:
-            try:
-                results.append(fn(items[i]))
-            except Exception as exc:
-                return results, (i, exc, traceback.format_exc())
+            failure = failure_of(lambda: results.append(fn(items[i])))
+            if failure:
+                return results, (i, *failure)
         return results, None
 
-    children = []   # (pid, read end of its pipe)
+    children = []
     try:
         for w in range(1, workers):
-            r, wr = os.pipe()
-            pid = os.fork()
-            if pid == 0:
-                status = 1
-                try:
-                    with os.fdopen(wr, "wb") as fh:
-                        pickle.dump(share(w), fh)
-                    status = 0
-                finally:
-                    os._exit(status)
-            os.close(wr)
-            children.append((pid, os.fdopen(r, "rb")))
+            children.append(Child(lambda: share(w)))
         shares = [share(0)]
-        for w, (pid, fh) in enumerate(children, 1):
-            data = fh.read()
-            shares.append(pickle.loads(data) if data else ([], (
-                plan[w][0], RuntimeError(f"worker process {pid} ended without a result"), "")))
+        for w, child in enumerate(children, 1):
+            shares.append(child.wait(([], (plan[w][0], RuntimeError(
+                f"worker process {child.pid} ended without a result"), ""))))
     except BaseException:
-        for pid, _ in children:
-            try:
-                os.kill(pid, signal.SIGKILL)
-            except ProcessLookupError:
-                pass
+        for child in children:
+            child.kill()
         raise
-    finally:
-        for pid, fh in children:
-            fh.close()
-            os.waitpid(pid, 0)
 
     failures = [failure for _, failure in shares if failure]
     if failures:
         _, exc, tb = min(failures, key=lambda f: f[0])
-        if exc.__traceback__ is None:   # raised in a child
-            raise exc from WorkerTraceback(tb)
-        raise exc
+        reraise(exc, tb)
     out = [None] * len(items)
     for indices, (results, _) in zip(plan, shares):
         for i, result in zip(indices, results):

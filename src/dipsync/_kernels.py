@@ -9,9 +9,11 @@ holds these kernels to it bit for bit.
 
 The kernels record only what changes.  An update writes the node's new
 estimate in place into the (ticks, nodes) estimate array, and its activated
-and transmitted flags into flat bytearrays; no row is stored per tick.  At
-the end of the episode the rows between a node's updates are filled from the
-activated flags, and the gateway column is written as delta*k.
+and transmitted flags into flat bytearrays; no row is stored per tick.  The
+rows between a node's updates are filled from the activated flags, and the
+gateway column is written as delta*k, a block of final rows at a time: the
+blocks a trace CSV writer takes while the kernel runs (`_Episode.rows`),
+then the rest at the end of the episode.
 
 Shared conventions:
   * node 0 is the gateway; its estimate column is delta*k exactly;
@@ -34,6 +36,9 @@ Shared conventions:
     also rewinds to the window's center sample and stops updating;
   * a kernel raises `EpisodeAborted(k)` when a broadcast of tick k would
     overflow the 4-byte microsecond wire field; its tenth output is -1;
+  * a kernel's optional last argument, `writer`, is called with the episode
+    and a tick whenever every earlier tick is final (see `_Episode.rows`);
+    it reads the episode and changes none of its outputs;
   * every average adds its values in CSR neighbor order, the order the
     oracle adds them in, so the two agree bit for bit.
 """
@@ -65,18 +70,20 @@ class _Episode:
     """What every kernel shares: the node count `n`, the attacker's noise as
     a list, and per node its CSR neighbors as (neighbor id, edge slot) pairs,
     its estimate, frozen and fired flags and its dip detector; the trace
-    buffers; and the per-tick delivery counts.
+    buffers; the per-tick delivery counts; and the writer, if any.
 
     The kernels record only what changes.  `est_flat` is a flat view of the
-    (ticks, nodes) estimate array, preset with tick 0's row, and a kernel
-    writes a node's final value of tick k (after its detector and any freeze
-    rewind) at k*N + i, on the ticks that update it.  `act` and `tx` are
-    flat `bytearray` flags set at k*N + i (a bytearray item store costs
-    about a third of a numpy one).  At episode end `outputs` fills the rows
-    between a node's updates from the activated flags."""
+    (ticks, nodes) estimate array `est_tr`, preset with tick 0's row, and a
+    kernel writes a node's final value of tick k (after its detector and
+    any freeze rewind) at k*N + i, on the ticks that update it.  `act` and
+    `tx` are flat `bytearray` flags set at k*N + i (a bytearray item store
+    costs about a third of a numpy one); `act_tr` is the (ticks, nodes)
+    view of `act`.  `fill` completes the rows of finished ticks: those the
+    writer takes while the kernel runs, and at episode end, in `outputs`,
+    the rest."""
 
     def __init__(self, indptr, indices, edge_slot, link_live, init_est, delta,
-                 mal, noise, freeze):
+                 mal, noise, freeze, writer):
         ids = indices.tolist()
         slots = edge_slot.tolist()
         bounds = indptr.tolist()
@@ -87,7 +94,7 @@ class _Episode:
         self.noise = noise.tolist() if mal >= 0 else None
         self.est = init_est.tolist()
         # the gateway's entry stays 0.0; the kernels broadcast delta*k, and
-        # `outputs` writes that column
+        # `fill` writes that column
         self.est[0] = 0.0
         self.frozen = [0] * n
         self.fired = [0] * n
@@ -98,8 +105,25 @@ class _Episode:
         self.est_tr[0] = self.est
         self.est_flat = memoryview(self.est_tr.reshape(-1))
         self.act = bytearray(self.est_tr.size)
+        self.act_tr = np.frombuffer(self.act, dtype=np.uint8).reshape(self.est_tr.shape)
         self.tx = bytearray(self.est_tr.size)
         self.delivered = [0] * len(link_live)
+        self.writer = writer
+        # rows [0, filled) are complete: forward-filled, gateway column set
+        self.filled = 1
+
+    def rows(self, link_live):
+        """Rows 1, 2, ... of the (ticks, edges) link matrix as lists of 0/1.
+        They are converted a chunk of at most _ROW_CHUNK elements (at least
+        one row) at a time, which costs about half of a `tolist` per row.
+        When the first row of a chunk, tick a, is asked for, every tick
+        before a is final, and the writer, if any, is called with this
+        episode and a; so the tick loops themselves do no extra work."""
+        step = max(1, _ROW_CHUNK // link_live.shape[1])
+        for a in range(1, link_live.shape[0], step):
+            if self.writer is not None:
+                self.writer(self, a)
+            yield from link_live[a:a + step].tolist()
 
     def observe(self, i, k):
         """Feed node i's new estimate, updated at tick k, to its detector; on
@@ -111,28 +135,40 @@ class _Episode:
                 self.frozen[i] = 1
                 self.est[i] = det.dip_value
 
-    def outputs(self):
-        """The kernel's 10-tuple of a finished episode.
+    def fill(self, stop):
+        """Complete the estimate rows of the final ticks [filled, stop).  A
+        non-gateway estimate changes only on a tick that activates the node,
+        so each of its rows is carried forward from the node's last
+        activation, or from tick 0: from row filled - 1, which is complete;
+        the gateway column is delta*k, the product the kernels broadcast."""
+        a = self.filled
+        if stop > a:
+            _forward_fill(self.est_tr[a - 1:stop, 1:], self.act_tr[a - 1:stop, 1:])
+            self.est_tr[a:stop, 0] = self.delta * np.arange(a, stop)
+            self.filled = stop
 
-        A non-gateway estimate changes only on a tick that activates the
-        node, so each of its rows is carried forward from the node's last
-        activation, or from tick 0; the gateway column is delta*k, the
-        product the kernels broadcast.  A frozen node stays frozen from its
-        fire tick on; each tick's broadcasts are counted from the transmit
-        trace.  The tenth output is -1: an overflow raises in the kernel."""
-        est_tr = self.est_tr
-        T, n = est_tr.shape
-        act_tr = np.frombuffer(self.act, dtype=np.uint8).reshape(T, n)
-        tx_tr = np.frombuffer(self.tx, dtype=np.uint8).reshape(T, n)
-        _forward_fill(est_tr[:, 1:], act_tr[:, 1:])
-        est_tr[:, 0] = self.delta * np.arange(T)
-        dets = self.detectors
-        frz_tr = np.zeros((T, n), dtype=np.uint8)
+    def frozen_rows(self, start, stop):
+        """The (stop - start, nodes) frozen flags of ticks [start, stop),
+        from the fires the detectors have recorded: with freezing on, a node
+        is frozen from its fire tick on.  A fire at tick k sets only rows k
+        and later, so the rows of the final ticks are final."""
+        frz = np.zeros((stop - start, self.n), dtype=np.uint8)
         if self.freeze:
-            for i, d in enumerate(dets):
+            for i, d in enumerate(self.detectors):
                 if d.fired:
-                    frz_tr[d.fire_tick:, i] = 1
-        return (est_tr, act_tr, frz_tr, tx_tr,
+                    frz[max(d.fire_tick - start, 0):, i] = 1
+        return frz
+
+    def outputs(self):
+        """The kernel's 10-tuple of a finished episode: its estimate rows
+        completed by `fill`, and each tick's broadcasts counted from the
+        transmit trace.  The tenth output is -1: an overflow raises in the
+        kernel."""
+        T = len(self.est_tr)
+        self.fill(T)
+        tx_tr = np.frombuffer(self.tx, dtype=np.uint8).reshape(self.est_tr.shape)
+        dets = self.detectors
+        return (self.est_tr, self.act_tr, self.frozen_rows(0, T), tx_tr,
                 tx_tr.sum(axis=1, dtype=np.int64),
                 np.array(self.delivered, dtype=np.int64),
                 np.array([d.dip_tick for d in dets], dtype=np.int64),
@@ -147,8 +183,13 @@ _FILL_CHUNK = 1 << 14
 
 def _forward_fill(est, act):
     """Carry each column of `est` forward over the rows whose `act` flag is
-    0: row k takes the value of the column's last flagged row up to k, or of
-    row 0.  Works in chunks of rows, so its temporaries stay small."""
+    0: row k takes the value of the column's last flagged row in 1..k, or of
+    row 0, whose flags are not read.  Works in chunks of rows, so its
+    temporaries stay small.
+
+    Filling rows [a, b) of a larger array incrementally is a call on its rows
+    [a - 1, b), once rows before a are filled: row a - 1 then holds the value
+    the whole-array fill carries into row a."""
     T, n = est.shape
     cols = np.arange(n)
     last = np.zeros(n, dtype=np.intp)
@@ -166,28 +207,20 @@ def _forward_fill(est, act):
 _ROW_CHUNK = 1 << 12
 
 
-def _link_rows(link_live):
-    """Rows 1, 2, ... of the (ticks, edges) link matrix as lists of 0/1.
-    They are converted a chunk of at most _ROW_CHUNK elements (at least one
-    row) at a time, which costs about half of a `tolist` per row."""
-    step = max(1, _ROW_CHUNK // link_live.shape[1])
-    for a in range(1, link_live.shape[0], step):
-        yield from link_live[a:a + step].tolist()
-
-
 def baseline_kernel(
     indptr, indices, edge_slot, link_live, init_est,
-    delta, mal, noise, freeze,
+    delta, mal, noise, freeze, writer=None,
 ):
     """Synchronous reference system: every non-gateway node averages its full
     live neighborhood each tick, the gateway contributing its current time.
     Each update counts as one broadcast in `sent`; `delivered` stays 0, as the
     baseline has no delivery model."""
-    ep = _Episode(indptr, indices, edge_slot, link_live, init_est, delta, mal, noise, freeze)
+    ep = _Episode(indptr, indices, edge_slot, link_live, init_est, delta, mal, noise, freeze,
+                  writer)
     N, noise = ep.n, ep.noise
     nbrs, est, frozen, fired = ep.nbrs, ep.est, ep.frozen, ep.fired
     est_flat, act, tx = ep.est_flat, ep.act, ep.tx
-    for k, live in enumerate(_link_rows(link_live), 1):
+    for k, live in enumerate(ep.rows(link_live), 1):
         row = k * N
         # what each node hears from j: the tick-start estimates
         heard = est[:]
@@ -215,12 +248,13 @@ def baseline_kernel(
 
 def tsau_kernel(
     indptr, indices, edge_slot, link_live, init_est,
-    delta, mal, noise, freeze,
+    delta, mal, noise, freeze, writer=None,
 ):
     """Timed sequential update: one slot owner per tick averages what it heard
     since its last slot (if more than one value) and broadcasts; the gateway
     broadcasts its time once per slot cycle."""
-    ep = _Episode(indptr, indices, edge_slot, link_live, init_est, delta, mal, noise, freeze)
+    ep = _Episode(indptr, indices, edge_slot, link_live, init_est, delta, mal, noise, freeze,
+                  writer)
     N, noise = ep.n, ep.noise
     nbrs, est, frozen, fired = ep.nbrs, ep.est, ep.frozen, ep.fired
     est_flat, act, tx, delivered = ep.est_flat, ep.act, ep.tx, ep.delivered
@@ -231,7 +265,7 @@ def tsau_kernel(
     # only the gateway speaks
     sends = [(0, 0.0)]
     tx[0] = 1
-    for k, live in enumerate(_link_rows(link_live), 1):
+    for k, live in enumerate(ep.rows(link_live), 1):
         row = k * N
         for b, val in sends:
             reached = 0
@@ -267,14 +301,15 @@ def tsau_kernel(
 
 def uaf_kernel(
     indptr, indices, edge_slot, link_live, init_est,
-    delta, mal, noise, freeze, max_layer,
+    delta, mal, noise, freeze, max_layer, writer=None,
 ):
     """Gateway-timed flooding waves.  The gateway re-seeds a wave every
     max_layer+1 ticks with an alternating status bit; an opposite-status
     message wakes a node, which computes the average of its full live
     neighborhood and rebroadcasts.  Computed values commit simultaneously at
     the next cycle boundary, so all estimates step in lockstep."""
-    ep = _Episode(indptr, indices, edge_slot, link_live, init_est, delta, mal, noise, freeze)
+    ep = _Episode(indptr, indices, edge_slot, link_live, init_est, delta, mal, noise, freeze,
+                  writer)
     N, noise = ep.n, ep.noise
     nbrs, est, frozen, fired = ep.nbrs, ep.est, ep.frozen, ep.fired
     est_flat, act, tx, delivered = ep.est_flat, ep.act, ep.tx, ep.delivered
@@ -288,7 +323,7 @@ def uaf_kernel(
     sent_val = [0.0] * N
     senders = [0]
     tx[0] = 1
-    for k, live in enumerate(_link_rows(link_live), 1):
+    for k, live in enumerate(ep.rows(link_live), 1):
         row = k * N
         if k % cyc == 0:
             for i in range(1, N):
@@ -358,7 +393,7 @@ def uaf_kernel(
 
 def baf_kernel(
     indptr, indices, edge_slot, link_live, init_est,
-    delta, mal, noise, freeze,
+    delta, mal, noise, freeze, writer=None,
 ):
     """Self-regulating bidirectional flooding.  The gateway advertises its
     clock every tick with status 1.  Triggered nodes update immediately,
@@ -366,7 +401,8 @@ def baf_kernel(
     own wake-up, has heard only same-status counters smaller than its own
     concludes it is the flood frontier, zeroes its counter, negates its
     status and turns the flood around."""
-    ep = _Episode(indptr, indices, edge_slot, link_live, init_est, delta, mal, noise, freeze)
+    ep = _Episode(indptr, indices, edge_slot, link_live, init_est, delta, mal, noise, freeze,
+                  writer)
     N, noise = ep.n, ep.noise
     nbrs, est, frozen, fired = ep.nbrs, ep.est, ep.frozen, ep.fired
     est_flat, act, tx, delivered = ep.est_flat, ep.act, ep.tx, ep.delivered
@@ -380,7 +416,7 @@ def baf_kernel(
     # at tick 0 the gateway starts the first forward flood
     senders = [0]
     tx[0] = 1
-    for k, live in enumerate(_link_rows(link_live), 1):
+    for k, live in enumerate(ep.rows(link_live), 1):
         row = k * N
         # deliveries (sender view), and per receiver the count and largest
         # counter of the opposite- and same-status messages it hears

@@ -23,6 +23,7 @@ import numpy as np
 from . import __version__
 from ._forkmap import fork_map, usable_cpus
 from .engine import (
+    CsvBlocks,
     SimConfig,
     config_from_mapping,
     current_backend,
@@ -163,13 +164,16 @@ def cmd_run(args) -> int:
     seeds = [repeat_seed(spec.config.seed, r) for r in range(spec.repeat)]
     results = []
     for rep, seed in enumerate(seeds):
-        trace = run(dataclasses.replace(spec.config, seed=seed))
-        # created only now, so a rejected spec or an aborted episode leaves
-        # no empty directory behind
-        with writing_output(out_dir):
-            out_dir.mkdir(parents=True, exist_ok=True)
-        name = "trace.csv" if spec.repeat == 1 else f"trace_r{rep}.csv"
-        trace.to_csv(out_dir / name)
+        # the trace CSV's leading blocks are formatted while the kernel runs;
+        # leaving the block ends every writer still running
+        with CsvBlocks() as blocks:
+            trace = run(dataclasses.replace(spec.config, seed=seed), csv_blocks=blocks)
+            # created only now, so a rejected spec or an aborted episode
+            # leaves no empty directory behind
+            with writing_output(out_dir):
+                out_dir.mkdir(parents=True, exist_ok=True)
+            name = "trace.csv" if spec.repeat == 1 else f"trace_r{rep}.csv"
+            trace.to_csv(out_dir / name)
         results.append((seed, dip_metrics(trace)))
     _metrics_csv(out_dir / "metrics.csv", results)
     _write_manifest(out_dir / "manifest.txt", spec, seeds)

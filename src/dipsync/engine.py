@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import noise as noise_mod
-from ._forkmap import fork_map, usable_cpus
+from ._forkmap import Child, failure_of, fork_map, reraise, usable_cpus
 from ._kernels import get_kernel
 from .errors import ConfigError
 from .protocol import ProtocolKind
@@ -38,10 +38,20 @@ RNG_LABELS = {"init-clocks": 0, "links": 1, "noise": 2}
 
 TRACE_CSV_HEADER = "tick,node,estimate,error,activated,frozen"
 
-# Trace CSV rows per writer process.  A row takes about 3 us to format and a
-# forked writer about 5 ms (fork, temporary file, reap, copy back), so a
-# fork pays for itself from about 2000 rows; this leaves a margin.
+# Trace CSV rows per writer process.  A row takes about 3 us to format.  A
+# forked writer that formats nothing takes 3-10 ms from fork to reap
+# (temporary file, fork, child exit, reap, copy back; median of 30, 6.5 and
+# 9.5 ms in two runs), of which os.fork() itself returns in 0.5-1 ms: in a
+# 38 MB process that has just run 600 ticks of BAF on grid:16x16, on a
+# 2-vCPU x86-64 VM with Python 3.11.7.  So a fork pays for itself from about
+# 2000-3000 rows; this leaves a margin.
 _CSV_ROWS_PER_WORKER = 5000
+
+# A block of the trace CSV that a writer takes while the kernel runs holds at
+# least _CSV_ROWS_PER_WORKER rows and at most this many times as many: an
+# uncapped block grows to all the rows the kernel made while the last writer
+# ran, and the last block then lags the kernel.
+_CSV_BLOCK_MAX_FACTOR = 2
 
 
 @contextlib.contextmanager
@@ -86,6 +96,8 @@ class Trace:
     dip_value: np.ndarray          # (nodes,) frozen estimate value
     dip_fire_tick: np.ndarray      # (nodes,) tick the detector fired, -1 if none
     config: SimConfig
+    # the CSV blocks formatted while the kernel ran, if `run` was given them
+    csv_blocks: CsvBlocks | None = None
 
     @property
     def n_ticks(self) -> int:
@@ -111,35 +123,43 @@ class Trace:
 
         Floats are written as the `repr` of the Python float (shortest
         round-trip digits), flags as integers; the bytes equal those of
-        formatting every (tick, node) row on its own.
+        formatting every (tick, node) row on its own.  Every row is
+        formatted by `_write_rows`.
 
-        The ticks are split into contiguous ranges of equal length: one per
-        usable CPU, and at most one per _CSV_ROWS_PER_WORKER rows, so a
-        smaller trace is written here alone.  `fork_map` runs the ranges,
-        this process taking range 0, and each worker formats its range into
-        its own anonymous temporary file, opened before the fork, so a failed
-        or killed child leaves no file behind; a failure is raised here as
-        `fork_map` raises it.  This process then writes the header and the
-        ranges in order into a new file beside the path (mode as umask
-        gives) and renames it onto the path, unlinking it on any failure or
-        interrupt; an OSError of this last stage is a ConfigError naming the
-        path (`writing_output`).  Each process's extra memory is
+        The ticks that `csv_blocks` holds, [0, taken), were given to forked
+        writers while the kernel ran (see `CsvBlocks`).  The rest are split
+        into contiguous ranges of equal length: one per usable CPU, and at
+        most one per _CSV_ROWS_PER_WORKER rows, so a smaller remainder is
+        written here alone.  `fork_map` runs the ranges, this process taking
+        the first, and each worker formats its range into its own anonymous
+        temporary file, opened before the fork, so a failed or killed child
+        leaves no file behind; a failure is raised here as `fork_map` raises
+        it.  This process then waits for the block writers, raising the
+        first failure among them the same way, writes the header, the blocks
+        and the ranges in order into a new file beside the path (mode as
+        umask gives) and renames it onto the path, unlinking it on any
+        failure or interrupt; an OSError of this last stage is a ConfigError
+        naming the path (`writing_output`).  Each process's extra memory is
         O(nodes + copy buffer) whatever the number of ticks.
         """
-        rows = self.n_ticks * self.node_count
-        workers = max(1, min(usable_cpus(), rows // _CSV_ROWS_PER_WORKER))
-        bounds = [self.n_ticks * w // workers for w in range(workers + 1)]
+        blocks = self.csv_blocks
+        start = blocks.taken if blocks else 0
+        ticks = self.n_ticks - start
+        workers = max(1, min(usable_cpus(), ticks * self.node_count // _CSV_ROWS_PER_WORKER))
+        bounds = [start + ticks * w // workers for w in range(workers + 1)]
         head, name = os.path.split(os.fsdecode(path))
         tmp = os.path.join(head, f".{name}.{os.urandom(4).hex()}.tmp")
         with contextlib.ExitStack() as stack:
             parts = [stack.enter_context(tempfile.TemporaryFile()) for _ in range(workers)]
 
             def write_range(w):
-                with open(parts[w].fileno(), "w", encoding="utf-8", newline="\n",
-                          closefd=False) as part:
+                with _text(parts[w]) as part:
                     self._write_ticks(part, bounds[w], bounds[w + 1])
 
             fork_map(write_range, range(workers), workers)
+            if blocks:
+                blocks.wait()
+                parts[:0] = blocks.parts
             with writing_output(path):
                 out = open(tmp, "xb")
                 try:
@@ -154,18 +174,104 @@ class Trace:
                     raise
 
     def _write_ticks(self, fh, start: int, stop: int) -> None:
-        """The CSV rows of ticks [start, stop), one write call per tick."""
-        gw = self.gateway_times
-        node_cols = [f",{i}," for i in range(self.node_count)]
-        for k in range(start, stop):
-            est = self.estimates[k]
-            tick = str(k)
-            fh.write("".join([
-                f"{tick}{node}{e!r},{x!r},{a},{f}\n"
-                for node, e, x, a, f in zip(
-                    node_cols, est.tolist(), np.abs(gw[k] - est).tolist(),
-                    self.activated[k].tolist(), self.frozen[k].tolist())
-            ]))
+        """The CSV rows of ticks [start, stop)."""
+        _write_rows(fh, start, self.estimates[start:stop], self.activated[start:stop],
+                    self.frozen[start:stop], self.config.delta)
+
+
+def _text(part):
+    """A UTF-8 text stream with "\n" line ends onto the binary file `part`,
+    which stays open when the stream is closed."""
+    return open(part.fileno(), "w", encoding="utf-8", newline="\n", closefd=False)
+
+
+def _write_rows(fh, start: int, estimates, activated, frozen, delta: float) -> None:
+    """The trace CSV rows of ticks start, start + 1, ..., whose estimates,
+    activated and frozen flags are the rows of these (ticks, nodes) arrays,
+    one write call per tick.  The gateway's time at tick k is the product
+    delta*k of `Trace.gateway_times`."""
+    gw = delta * np.arange(start, start + len(estimates))
+    node_cols = [f",{i}," for i in range(estimates.shape[1])]
+    for k, g, est, act, frz in zip(range(start, start + len(estimates)), gw, estimates,
+                                   activated, frozen):
+        tick = str(k)
+        fh.write("".join([
+            f"{tick}{node}{e!r},{x!r},{a},{f}\n"
+            for node, e, x, a, f in zip(
+                node_cols, est.tolist(), np.abs(g - est).tolist(), act.tolist(),
+                frz.tolist())
+        ]))
+
+
+class CsvBlocks:
+    """The leading ticks of one episode's trace CSV, formatted by forked
+    writers while the kernel runs, on the CPUs the kernel leaves idle.
+
+    `run(config, csv_blocks=...)` hands the object to the kernel as its
+    writer when there is more than one usable CPU.  The kernel calls it
+    whenever every tick before some tick `final` is final; the call reaps,
+    without blocking, the writers that have ended, and when fewer than
+    usable_cpus() - 1 writers run and at least _CSV_ROWS_PER_WORKER rows
+    are untaken it completes the next block of final rows, at most
+    _CSV_BLOCK_MAX_FACTOR times as many, and forks a writer that formats it
+    with `_write_rows` into an anonymous temporary file.  `Trace.to_csv`
+    writes the remaining ticks and waits for the writers (`wait`).  A failure
+    in a writer is raised here, where the writer is reaped, with its type,
+    message and the `WorkerTraceback` cause.
+
+    Use it as a context manager around the run and the `to_csv` call:
+    leaving it kills and reaps every writer still running and closes the
+    blocks' files, on success, abort and interrupt alike."""
+
+    def __init__(self):
+        self.slots = usable_cpus() - 1
+        self.taken = 0      # ticks [0, taken) are in the blocks
+        self.parts = []     # the blocks' files, in tick order
+        self.writers = []   # the writers not yet reaped, in tick order
+
+    def __call__(self, episode, final: int) -> None:
+        for writer in [w for w in self.writers if w.ended()]:
+            self._end(writer)
+        n = episode.n
+        if len(self.writers) >= self.slots or (final - self.taken) * n < _CSV_ROWS_PER_WORKER:
+            return
+        start = self.taken
+        stop = min(final, start + max(1, _CSV_BLOCK_MAX_FACTOR * _CSV_ROWS_PER_WORKER // n))
+        episode.fill(stop)
+        block = (start, episode.est_tr[start:stop], episode.act_tr[start:stop],
+                 episode.frozen_rows(start, stop), episode.delta)
+        part = tempfile.TemporaryFile()
+        self.parts.append(part)
+
+        def write_block():
+            with _text(part) as fh:
+                _write_rows(fh, *block)
+
+        self.writers.append(Child(lambda: failure_of(write_block)))
+        self.taken = stop
+
+    def _end(self, writer) -> None:
+        """Reap `writer`; raise its failure, if any."""
+        failure = writer.wait((RuntimeError(
+            f"CSV writer process {writer.pid} ended without a result"), ""))
+        self.writers.remove(writer)
+        if failure:
+            reraise(*failure)
+
+    def wait(self) -> None:
+        """Wait for every writer, in tick order; raise the first failure."""
+        while self.writers:
+            self._end(self.writers[0])
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc) -> None:
+        for writer in self.writers:
+            writer.kill()
+        for part in self.parts:
+            part.close()
+        self.taken, self.parts, self.writers = 0, [], []
 
 
 def _episode_bytes(ticks: int, node_count: int, edge_count: int) -> int:
@@ -303,11 +409,16 @@ def kernel_inputs(config: SimConfig) -> tuple[str, tuple]:
     return config.protocol.value, args
 
 
-def run(config: SimConfig) -> Trace:
-    """Simulate one episode; deterministic in (config, seed)."""
+def run(config: SimConfig, csv_blocks: CsvBlocks | None = None) -> Trace:
+    """Simulate one episode; deterministic in (config, seed).  With
+    `csv_blocks` and more than one usable CPU, forked writers format the
+    leading blocks of the trace CSV while the kernel runs, and the trace
+    keeps them for `Trace.to_csv`; see `CsvBlocks`."""
     name, args = kernel_inputs(config)
+    if csv_blocks is not None and csv_blocks.slots > 0:
+        args += (csv_blocks,)
     # the kernel's first nine outputs come in Trace's field order
-    return Trace(*get_kernel(name)(*args)[:9], config=config)
+    return Trace(*get_kernel(name)(*args)[:9], config=config, csv_blocks=csv_blocks)
 
 
 # ---------------------------------------------------------------------------

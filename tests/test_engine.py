@@ -750,12 +750,43 @@ def test_link_draw_in_chunks_equals_one_call(monkeypatch):
 
 
 def test_link_rows_in_chunks_equal_the_rows(monkeypatch):
-    # a chunk of 7 elements holds one row of 24 edges, or two rows of 3
+    # a chunk of 7 elements holds one row of 24 edges, or two rows of 3; the
+    # episode's writer is called at the first tick of every chunk
     m = substream(5, "links").integers(0, 2, (50, 24), dtype=np.uint8)
-    for chunk in (7, 1 << 12):
+    args = engine.kernel_inputs(cfg(make_grid(4, 4), ProtocolKind.BAF, max_ticks=50))[1]
+    for chunk, edges, step in ((7, 24, 1), (7, 3, 2), (1 << 12, 24, 170), (1 << 12, 3, 1365)):
         monkeypatch.setattr(kernels, "_ROW_CHUNK", chunk)
-        for link_live in (m, m[:, :3], m[:1]):
-            assert list(kernels._link_rows(link_live)) == link_live[1:].tolist()
+        for link_live in (m[:, :edges], m[:1, :edges]):
+            finals = []
+            ep = kernels._Episode(*args, lambda ep, final: finals.append(final))
+            assert list(ep.rows(link_live)) == link_live[1:].tolist()
+            assert finals == list(range(1, len(link_live), step))
+
+
+@settings(derandomize=True, deadline=None)
+@given(data=st.data(), ticks=st.integers(1, 40), n=st.integers(1, 4),
+       fill_chunk=st.sampled_from([1, 7, 1 << 14]))
+def test_forward_fill_in_blocks_equals_one_fill(data, ticks, n, fill_chunk):
+    # each block [a, b) is filled by a call on rows [a - 1, b), starting from
+    # the last filled row; row 0 may carry flags, which no fill reads, and a
+    # block may be a single row
+    size = ticks * n
+    est = np.array(data.draw(st.lists(st.floats(allow_nan=False), min_size=size,
+                                      max_size=size))).reshape(ticks, n)
+    act = np.array(data.draw(st.lists(st.integers(0, 1), min_size=size, max_size=size)),
+                   dtype=np.uint8).reshape(ticks, n)
+    cuts = sorted(data.draw(st.sets(st.integers(2, ticks - 1)))) if ticks > 2 else []
+    chunk = kernels._FILL_CHUNK
+    kernels._FILL_CHUNK = fill_chunk
+    try:
+        want = est.copy()
+        kernels._forward_fill(want, act)
+        got = est.copy()
+        for a, b in zip([1, *cuts], [*cuts, ticks]):
+            kernels._forward_fill(got[a - 1:b], act[a - 1:b])
+    finally:
+        kernels._FILL_CHUNK = chunk
+    assert got.tobytes() == want.tobytes()
 
 
 def test_link_draw_memory_is_bounded():
