@@ -48,10 +48,19 @@ TRACE_CSV_HEADER = "tick,node,estimate,error,activated,frozen"
 _CSV_ROWS_PER_WORKER = 5000
 
 # A block of the trace CSV that a writer takes while the kernel runs holds at
-# least _CSV_ROWS_PER_WORKER rows and at most this many times as many: an
-# uncapped block grows to all the rows the kernel made while the last writer
-# ran, and the last block then lags the kernel.
+# least _CSV_ROWS_PER_WORKER rows, or 1/_CSV_BLOCK_GROWTH of the rows already
+# taken if that is more, and at most _CSV_BLOCK_MAX_FACTOR times that least.
+# An uncapped block grows to all the rows the kernel made while the last
+# writer ran, and the last block then lags the kernel.  Blocks that do not
+# grow make the forks as many as the ticks, and each fork stalls the kernel
+# for longer the larger this process is; growing blocks make them
+# O(_CSV_BLOCK_GROWTH * log(ticks)).  Blocks grow only once
+# _CSV_BLOCK_GROWTH * _CSV_ROWS_PER_WORKER rows are taken: with a growth of
+# 8, the larger last blocks of a 600-tick BAF run on grid:16x16 (153600
+# rows) lagged the kernel: perfbench's run-large-csv wall_s read a median
+# 0.418 s against 0.385 s with 32 (4 runs each, 2-vCPU x86-64 VM).
 _CSV_BLOCK_MAX_FACTOR = 2
+_CSV_BLOCK_GROWTH = 32
 
 
 @contextlib.contextmanager
@@ -158,8 +167,7 @@ class Trace:
 
             fork_map(write_range, range(workers), workers)
             if blocks:
-                blocks.wait()
-                parts[:0] = blocks.parts
+                parts[:0] = blocks.wait()
             with writing_output(path):
                 out = open(tmp, "xb")
                 try:
@@ -209,15 +217,18 @@ class CsvBlocks:
 
     `run(config, csv_blocks=...)` hands the object to the kernel as its
     writer when there is more than one usable CPU.  The kernel calls it
-    whenever every tick before some tick `final` is final; the call reaps,
-    without blocking, the writers that have ended, and when fewer than
-    usable_cpus() - 1 writers run and at least _CSV_ROWS_PER_WORKER rows
-    are untaken it completes the next block of final rows, at most
-    _CSV_BLOCK_MAX_FACTOR times as many, and forks a writer that formats it
-    with `_write_rows` into an anonymous temporary file.  `Trace.to_csv`
-    writes the remaining ticks and waits for the writers (`wait`).  A failure
-    in a writer is raised here, where the writer is reaped, with its type,
-    message and the `WorkerTraceback` cause.
+    whenever every tick before some tick `final` is final.  The call first
+    reaps, without blocking, the writers that have ended ahead of every
+    running one, and appends each one's block to `merged`, one temporary
+    file of the blocks [0, ...) in tick order, closing the block's own file.
+    Then, when fewer than usable_cpus() - 1 blocks are pending and enough
+    rows are untaken (see _CSV_BLOCK_GROWTH), it completes the next block of
+    final rows and forks a writer that formats it with `_write_rows` into an
+    anonymous temporary file.  So at most usable_cpus() block files are
+    open, however long the episode.  `Trace.to_csv` writes the remaining
+    ticks and waits for the writers (`wait`).  A failure in a writer is
+    raised where the writer is reaped, with its type, message and the
+    `WorkerTraceback` cause.
 
     Use it as a context manager around the run and the `to_csv` call:
     leaving it kills and reaps every writer still running and closes the
@@ -225,53 +236,62 @@ class CsvBlocks:
 
     def __init__(self):
         self.slots = usable_cpus() - 1
-        self.taken = 0      # ticks [0, taken) are in the blocks
-        self.parts = []     # the blocks' files, in tick order
-        self.writers = []   # the writers not yet reaped, in tick order
+        self.taken = 0       # ticks [0, taken) are in the blocks
+        self.merged = None   # the blocks of the reaped writers, in tick order
+        self.pending = []    # (file, writer) of the other blocks, in tick order
 
     def __call__(self, episode, final: int) -> None:
-        for writer in [w for w in self.writers if w.ended()]:
-            self._end(writer)
-        n = episode.n
-        if len(self.writers) >= self.slots or (final - self.taken) * n < _CSV_ROWS_PER_WORKER:
+        self._merge(block=False)
+        n, start = episode.n, self.taken
+        least = max(_CSV_ROWS_PER_WORKER, start * n // _CSV_BLOCK_GROWTH)
+        if len(self.pending) >= self.slots or (final - start) * n < least:
             return
-        start = self.taken
-        stop = min(final, start + max(1, _CSV_BLOCK_MAX_FACTOR * _CSV_ROWS_PER_WORKER // n))
+        stop = min(final, start + max(1, _CSV_BLOCK_MAX_FACTOR * least // n))
         episode.fill(stop)
         block = (start, episode.est_tr[start:stop], episode.act_tr[start:stop],
                  episode.frozen_rows(start, stop), episode.delta)
+        if self.merged is None:
+            self.merged = tempfile.TemporaryFile()
         part = tempfile.TemporaryFile()
-        self.parts.append(part)
 
         def write_block():
             with _text(part) as fh:
                 _write_rows(fh, *block)
 
-        self.writers.append(Child(lambda: failure_of(write_block)))
+        self.pending.append((part, Child(lambda: failure_of(write_block))))
         self.taken = stop
 
-    def _end(self, writer) -> None:
-        """Reap `writer`; raise its failure, if any."""
-        failure = writer.wait((RuntimeError(
-            f"CSV writer process {writer.pid} ended without a result"), ""))
-        self.writers.remove(writer)
-        if failure:
-            reraise(*failure)
+    def _merge(self, block: bool) -> None:
+        """Reap the leading pending writers, those that have ended or, if
+        `block`, all of them; append their blocks to `merged`.  Raise the
+        first failure."""
+        while self.pending and (block or self.pending[0][1].ended()):
+            part, writer = self.pending[0]
+            failure = writer.wait((RuntimeError(
+                f"CSV writer process {writer.pid} ended without a result"), ""))
+            del self.pending[0]
+            with part:
+                if failure:
+                    reraise(*failure)
+                part.seek(0)
+                shutil.copyfileobj(part, self.merged)
 
-    def wait(self) -> None:
-        """Wait for every writer, in tick order; raise the first failure."""
-        while self.writers:
-            self._end(self.writers[0])
+    def wait(self) -> list:
+        """Wait for every writer; raise the first failure.  Return the files
+        that hold ticks [0, taken), in order."""
+        self._merge(block=True)
+        return [self.merged] if self.merged else []
 
     def __enter__(self):
         return self
 
     def __exit__(self, *exc) -> None:
-        for writer in self.writers:
+        for part, writer in self.pending:
             writer.kill()
-        for part in self.parts:
             part.close()
-        self.taken, self.parts, self.writers = 0, [], []
+        if self.merged:
+            self.merged.close()
+        self.taken, self.merged, self.pending = 0, None, []
 
 
 def _episode_bytes(ticks: int, node_count: int, edge_count: int) -> int:

@@ -1,13 +1,15 @@
 """`dipsync run` streams its trace CSV: forked writers format blocks of final
 ticks while the kernel runs (`engine.CsvBlocks`), and `Trace.to_csv` writes
 the rest.  These tests hold the streamed file to the per-row oracle, bound
-its forks, and check that no writer and no file outlives a run that ends in
-success, an abort, an interrupt or a writer's failure.  `sweep-links`,
-`compare` and library calls of `engine.run` stream nothing.
+its forks and its open files, and check that no writer and no file
+outlives a run that ends in success, an abort, an interrupt or a writer's
+failure.  `sweep-links`, `compare` and library calls of `engine.run`
+stream nothing.
 """
 
 import io
 import os
+import resource
 import signal
 import tempfile
 import time
@@ -83,18 +85,25 @@ def test_streamed_trace_csv_matches_per_row_writer(protocol, cpus, small_blocks,
         assert forks == []
     else:
         assert blocks[0] == (0, 5)
-        assert all(5 <= b - a <= 10 for a, b in blocks)
+        assert all(least_rows(a) <= (b - a) * 16 <= 2 * least_rows(a) for a, b in blocks)
         assert all(b == c for (_, b), (c, _) in zip(blocks, blocks[1:]))
+
+
+def least_rows(start):
+    """The fewest rows of a block of 16-node ticks from tick `start`."""
+    return max(engine._CSV_ROWS_PER_WORKER, start * 16 // engine._CSV_BLOCK_GROWTH)
 
 
 @pytest.mark.parametrize("protocol", PROTOCOLS)
 def test_streamed_frozen_column_is_final_at_block_boundaries(protocol, small_blocks, tmp_path,
                                                             capfd, monkeypatch):
     # a writer found running is waited for, so every hook with 5 untaken
-    # ticks forks the next block: ticks [0, 5), [5, 10), ...
+    # ticks forks the next block; blocks that do not grow are ticks [0, 5),
+    # [5, 10), ...
     spec = frozen_spec(tmp_path, protocol)
     want = per_row_bytes(spec)
     use_cpus(monkeypatch, 2)
+    monkeypatch.setattr(engine, "_CSV_BLOCK_GROWTH", 10**9)
     monkeypatch.setattr(forkmap.Child, "ended", lambda self: True)
     blocks = record_blocks(monkeypatch)
     assert run_cli(["run", str(spec), "--out", str(tmp_path / "o")], capfd)[0] == 0
@@ -104,6 +113,52 @@ def test_streamed_frozen_column_is_final_at_block_boundaries(protocol, small_blo
     fires = engine.run(cli.load_spec(spec).config).dip_fire_tick[1:]
     assert {"first", "inside", "last"} <= {
         ["first", "inside", "inside", "inside", "last"][f % 5] for f in fires if f > 0}
+
+
+def test_streamed_blocks_grow_with_the_rows_taken(small_blocks, tmp_path, monkeypatch):
+    # with every writer waited for at the next hook, each block is the least
+    # one: 5 ticks until tick 40, then 1/8 of the ticks taken, rounded up
+    spec = write_spec(tmp_path, protocol="tsau", topology="grid:4x4", max_ticks="4000",
+                      seed="1", link_p="0.75")
+    want = per_row_bytes(spec)
+    use_cpus(monkeypatch, 2)
+    monkeypatch.setattr(engine, "_CSV_BLOCK_GROWTH", 8)
+    monkeypatch.setattr(forkmap.Child, "ended", lambda self: True)
+    blocks = record_blocks(monkeypatch)
+    assert cli.main(["run", str(spec), "--out", str(tmp_path / "o")]) == 0
+    assert (tmp_path / "o" / "trace.csv").read_bytes() == want
+    assert_no_child_left()
+    least = []
+    a = 0
+    while a + -(-least_rows(a) // 16) < 4000:
+        least.append((a, a - (-least_rows(a) // 16)))
+        a = least[-1][1]
+    assert blocks == least
+    # blocks of 5 ticks would be 799 forks
+    assert len(blocks) == 46
+
+
+def test_streamed_run_keeps_few_block_files_open(small_blocks, tmp_path, monkeypatch):
+    # 200 blocks of 5 ticks stream, each writer waited for at the next hook,
+    # while this process may open only 32 files more than it holds now: each
+    # reaped block is appended to one file
+    spec = write_spec(tmp_path, protocol="baf", topology="grid:4x4", max_ticks="1000",
+                      seed="1", link_p="0.75")
+    want = per_row_bytes(spec)
+    use_cpus(monkeypatch, 3)
+    monkeypatch.setattr(engine, "_CSV_BLOCK_GROWTH", 10**9)
+    monkeypatch.setattr(forkmap.Child, "ended", lambda self: True)
+    blocks = record_blocks(monkeypatch)
+    soft, hard = resource.getrlimit(resource.RLIMIT_NOFILE)
+    resource.setrlimit(resource.RLIMIT_NOFILE, (len(os.listdir("/proc/self/fd")) + 32, hard))
+    try:
+        code = cli.main(["run", str(spec), "--out", str(tmp_path / "o")])
+    finally:
+        resource.setrlimit(resource.RLIMIT_NOFILE, (soft, hard))
+    assert code == 0
+    assert len(blocks) == 199
+    assert (tmp_path / "o" / "trace.csv").read_bytes() == want
+    assert_no_child_left()
 
 
 def test_streamed_trace_csv_waits_for_its_writers(small_blocks, tmp_path, monkeypatch):
@@ -156,7 +211,7 @@ def test_streamed_run_kills_its_writers_when_interrupted(small_blocks, tmp_path,
 
     def interrupting_call(self, episode, final):
         call(self, episode, final)
-        if len(self.writers) == 2:
+        if len(self.pending) == 2:
             raise KeyboardInterrupt
 
     monkeypatch.setattr(engine.CsvBlocks, "__call__", interrupting_call)
