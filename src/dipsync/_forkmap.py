@@ -1,7 +1,7 @@
-"""One fork-based map for independent work items: the episodes of
-`sweep-links` and `compare`, and the tick ranges of the trace CSV writer.
-Each caller chooses its own number of workers, and may give each item a cost
-by which the items are shared out longest first.
+"""One fork-based map for independent work items, the episodes of
+`sweep-links` and `compare`.  Each caller chooses its own number of workers,
+and may give each item a cost by which the items are shared out longest
+first.
 
 The shares are fixed before any worker starts, from the costs alone, so
 which process runs which item never depends on timing.  A work queue could
@@ -10,7 +10,8 @@ runs, and so what a profile of this process sees, would then change from
 call to call.
 
 `Child`, the forked process under each worker of the map, also runs the
-trace CSV's block writers, which `dipsync run` starts while its kernel runs.
+trace CSV's writers: one per spare CPU for each episode whose CSV is
+written, fed blocks of ticks through a pipe (`engine.CsvBlocks`).
 """
 
 from __future__ import annotations
@@ -68,23 +69,14 @@ class Child:
         self.pipe = os.fdopen(r, "rb")
         self.reaped = False
 
-    def ended(self) -> bool:
-        """Whether the child has ended, reaping it if so; never blocks.  A
-        child whose pickle does not fit the pipe's buffer ends only in
-        `wait`."""
-        if not self.reaped:
-            self.reaped = os.waitpid(self.pid, os.WNOHANG)[0] != 0
-        return self.reaped
-
     def wait(self, missing):
         """Wait for the child to end and reap it; return what `fn` returned,
         or `missing` if the child ended without sending it.  Interrupted,
         it leaves the child to `kill`."""
         data = self.pipe.read()
         self.pipe.close()
-        if not self.reaped:
-            os.waitpid(self.pid, 0)
-            self.reaped = True
+        os.waitpid(self.pid, 0)
+        self.reaped = True
         return pickle.loads(data) if data else missing
 
     def kill(self) -> None:
@@ -124,7 +116,7 @@ def fork_map(fn, items, workers: int, cost=None) -> list:
     and the items run here in order.  A caller passes at most `usable_cpus()`
     workers and at most one per item.
 
-    Both callers rely on this contract:
+    The episode map (`cli._map_episodes`) relies on this contract:
     - the results come back in item order, whatever worker computed them;
     - if items fail, the first failure in item order is raised here; one
       raised in a child keeps its type and message, and its traceback text

@@ -152,12 +152,10 @@ class _Episode:
         from the fires the detectors have recorded: with freezing on, a node
         is frozen from its fire tick on.  A fire at tick k sets only rows k
         and later, so the rows of the final ticks are final."""
-        frz = np.zeros((stop - start, self.n), dtype=np.uint8)
-        if self.freeze:
-            for i, d in enumerate(self.detectors):
-                if d.fired:
-                    frz[max(d.fire_tick - start, 0):, i] = 1
-        return frz
+        if not self.freeze:
+            return np.zeros((stop - start, self.n), dtype=np.uint8)
+        fires = np.array([d.fire_tick if d.fired else stop for d in self.detectors])
+        return (np.arange(start, stop)[:, None] >= fires).view(np.uint8)
 
     def outputs(self):
         """The kernel's 10-tuple of a finished episode: its estimate rows

@@ -20,14 +20,14 @@ from __future__ import annotations
 import contextlib
 import dataclasses
 import os
-import shutil
+import pickle
 import tempfile
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import noise as noise_mod
-from ._forkmap import Child, failure_of, fork_map, reraise, usable_cpus
+from ._forkmap import Child, failure_of, reraise, usable_cpus
 from ._kernels import get_kernel
 from .errors import ConfigError
 from .protocol import ProtocolKind
@@ -38,29 +38,20 @@ RNG_LABELS = {"init-clocks": 0, "links": 1, "noise": 2}
 
 TRACE_CSV_HEADER = "tick,node,estimate,error,activated,frozen"
 
-# Trace CSV rows per writer process.  A row takes about 3 us to format.  A
-# forked writer that formats nothing takes 3-10 ms from fork to reap
-# (temporary file, fork, child exit, reap, copy back; median of 30, 6.5 and
-# 9.5 ms in two runs), of which os.fork() itself returns in 0.5-1 ms: in a
-# 38 MB process that has just run 600 ticks of BAF on grid:16x16, on a
-# 2-vCPU x86-64 VM with Python 3.11.7.  So a fork pays for itself from about
-# 2000-3000 rows; this leaves a margin.
+# Trace CSV rows per writer process, and twice the rows of a block.  A row
+# takes about 3 us to format.  A writer is forked once per episode: forking
+# it takes about 2 ms, and with the page faults after the fork it costs the
+# kernel 3-7%.  Each block is then pickled and sent through the writer's
+# pipe, 60-80 us for a block of 2560 rows, under 1% of the 7.7 ms it takes
+# to format.  So a writer pays for itself from a few thousand rows, and a
+# block is small enough that no CPU idles long on another's last block
+# (run-large-csv's 600 ticks of BAF on grid:16x16, in a 38 MB process, on a
+# 2-vCPU x86-64 VM with Python 3.11.7).
 _CSV_ROWS_PER_WORKER = 5000
 
-# A block of the trace CSV that a writer takes while the kernel runs holds at
-# least _CSV_ROWS_PER_WORKER rows, or 1/_CSV_BLOCK_GROWTH of the rows already
-# taken if that is more, and at most _CSV_BLOCK_MAX_FACTOR times that least.
-# An uncapped block grows to all the rows the kernel made while the last
-# writer ran, and the last block then lags the kernel.  Blocks that do not
-# grow make the forks as many as the ticks, and each fork stalls the kernel
-# for longer the larger this process is; growing blocks make them
-# O(_CSV_BLOCK_GROWTH * log(ticks)).  Blocks grow only once
-# _CSV_BLOCK_GROWTH * _CSV_ROWS_PER_WORKER rows are taken: with a growth of
-# 8, the larger last blocks of a 600-tick BAF run on grid:16x16 (153600
-# rows) lagged the kernel: perfbench's run-large-csv wall_s read a median
-# 0.418 s against 0.385 s with 32 (4 runs each, 2-vCPU x86-64 VM).
-_CSV_BLOCK_MAX_FACTOR = 2
-_CSV_BLOCK_GROWTH = 32
+# Blocks a writer may hold unacknowledged: the one it formats, and the next,
+# so it never waits for this process between two blocks.
+_CSV_BLOCKS_PER_WRITER = 2
 
 
 @contextlib.contextmanager
@@ -133,58 +124,40 @@ class Trace:
         Floats are written as the `repr` of the Python float (shortest
         round-trip digits), flags as integers; the bytes equal those of
         formatting every (tick, node) row on its own.  Every row is
-        formatted by `_write_rows`.
+        formatted by `_write_rows`, in blocks of whole ticks (see
+        `CsvBlocks`): the `csv_blocks` that `run` was given, whose writers
+        took the leading blocks while the kernel ran, or, if there are none
+        or they have been closed, new ones.
 
-        The ticks that `csv_blocks` holds, [0, taken), were given to forked
-        writers while the kernel ran (see `CsvBlocks`).  The rest are split
-        into contiguous ranges of equal length: one per usable CPU, and at
-        most one per _CSV_ROWS_PER_WORKER rows, so a smaller remainder is
-        written here alone.  `fork_map` runs the ranges, this process taking
-        the first, and each worker formats its range into its own anonymous
-        temporary file, opened before the fork, so a failed or killed child
-        leaves no file behind; a failure is raised here as `fork_map` raises
-        it.  This process then waits for the block writers, raising the
-        first failure among them the same way, writes the header, the blocks
-        and the ranges in order into a new file beside the path (mode as
+        `CsvBlocks.finish` hands out the ticks no writer has taken and waits
+        for the writers, raising the first failure among them; a failure in
+        a writer keeps its type and message, with its traceback text as the
+        `WorkerTraceback` cause.  This process then writes the header and
+        the blocks in tick order into a new file beside the path (mode as
         umask gives) and renames it onto the path, unlinking it on any
         failure or interrupt; an OSError of this last stage is a ConfigError
         naming the path (`writing_output`).  Each process's extra memory is
-        O(nodes + copy buffer) whatever the number of ticks.
+        O(block + nodes) whatever the number of ticks.
         """
-        blocks = self.csv_blocks
-        start = blocks.taken if blocks else 0
-        ticks = self.n_ticks - start
-        workers = max(1, min(usable_cpus(), ticks * self.node_count // _CSV_ROWS_PER_WORKER))
-        bounds = [start + ticks * w // workers for w in range(workers + 1)]
         head, name = os.path.split(os.fsdecode(path))
         tmp = os.path.join(head, f".{name}.{os.urandom(4).hex()}.tmp")
         with contextlib.ExitStack() as stack:
-            parts = [stack.enter_context(tempfile.TemporaryFile()) for _ in range(workers)]
-
-            def write_range(w):
-                with _text(parts[w]) as part:
-                    self._write_ticks(part, bounds[w], bounds[w + 1])
-
-            fork_map(write_range, range(workers), workers)
-            if blocks:
-                parts[:0] = blocks.wait()
+            blocks = self.csv_blocks
+            if blocks is None or blocks.writers is None:   # none, or closed
+                blocks = stack.enter_context(CsvBlocks())
+            segments = blocks.finish(self)
             with writing_output(path):
                 out = open(tmp, "xb")
                 try:
                     with out:
                         out.write(f"{TRACE_CSV_HEADER}\n".encode())
-                        for part in parts:
-                            part.seek(0)
-                            shutil.copyfileobj(part, out)
+                        for part, a, b in segments:
+                            part.seek(a)
+                            out.write(part.read(b - a))
                     os.replace(tmp, path)
                 except BaseException:
                     os.unlink(tmp)
                     raise
-
-    def _write_ticks(self, fh, start: int, stop: int) -> None:
-        """The CSV rows of ticks [start, stop)."""
-        _write_rows(fh, start, self.estimates[start:stop], self.activated[start:stop],
-                    self.frozen[start:stop], self.config.delta)
 
 
 def _text(part):
@@ -211,87 +184,234 @@ def _write_rows(fh, start: int, estimates, activated, frozen, delta: float) -> N
         ]))
 
 
+def _write_all(fd: int, data: bytes) -> None:
+    """Write all of `data` to the file descriptor `fd`."""
+    view = memoryview(data)
+    while view:
+        view = view[os.write(fd, view):]
+
+
+class _Writer:
+    """A forked process that formats the blocks of the trace CSV sent to it.
+
+    It reads pickled blocks (start, estimates, activated, frozen, delta)
+    from its inbox pipe, formats each with `_write_rows` into `part`, an
+    anonymous temporary file opened before the fork (so a failed or killed
+    writer leaves no file behind), and acks each with one byte on its ack
+    pipe.  At a pickled None it returns the end offsets of its blocks in
+    `part`, with its failure, if any, as (exception, traceback text).
+    The child closes `parent_fds`, the pipe ends that this process holds
+    for this writer and those forked before it, so that each writer's inbox
+    reaches end of file when this process ends."""
+
+    def __init__(self, parent_fds: list):
+        self.part = tempfile.TemporaryFile()
+        inbox, self.inbox = os.pipe()
+        self.acks, ack = os.pipe()
+        parent_fds += [self.inbox, self.acks]
+
+        def serve():
+            for fd in parent_fds:
+                os.close(fd)
+            ends = []
+
+            def format_blocks():
+                with os.fdopen(inbox, "rb") as blocks, _text(self.part) as fh:
+                    for block in iter(lambda: pickle.load(blocks), None):
+                        _write_rows(fh, *block)
+                        fh.flush()
+                        ends.append(os.lseek(fh.fileno(), 0, os.SEEK_CUR))
+                        os.write(ack, b".")
+
+            return ends, failure_of(format_blocks)
+
+        try:
+            self.child = Child(serve)
+        except BaseException:
+            self.part.close()
+            os.close(self.inbox)
+            os.close(self.acks)
+            raise
+        finally:
+            os.close(inbox)
+            os.close(ack)
+        os.set_blocking(self.acks, False)
+        self.unacked = 0
+
+    def poll(self) -> None:
+        """Count the acks that have come; never blocks.  Raise the writer's
+        failure if it has ended."""
+        if self.unacked:
+            try:
+                acks = os.read(self.acks, 64)
+            except BlockingIOError:
+                return
+            if not acks:
+                self.fail()
+            self.unacked -= len(acks)
+
+    def send(self, block) -> int:
+        """Send a block; return its bytes.  Raise the writer's failure if it
+        has ended."""
+        data = pickle.dumps(block, pickle.HIGHEST_PROTOCOL)
+        try:
+            _write_all(self.inbox, data)
+        except BrokenPipeError:
+            self.fail()
+        self.unacked += 1
+        return len(data)
+
+    def wait(self) -> list:
+        """Wait for the writer to end; return its blocks' end offsets, or
+        raise its failure."""
+        ends, failure = self.child.wait(([], (RuntimeError(
+            f"CSV writer process {self.child.pid} ended without a result"), "")))
+        if failure:
+            reraise(*failure)
+        return ends
+
+    def fail(self):
+        """Raise the failure of the writer, which has ended before its
+        last block."""
+        self.wait()
+        raise RuntimeError(f"CSV writer process {self.child.pid} ended before its last block")
+
+    def close(self) -> None:
+        """Kill the writer, unless it has been reaped, and close its pipes
+        and its file."""
+        self.child.kill()
+        os.close(self.inbox)
+        os.close(self.acks)
+        self.part.close()
+
+
 class CsvBlocks:
-    """The leading ticks of one episode's trace CSV, formatted by forked
-    writers while the kernel runs, on the CPUs the kernel leaves idle.
+    """The trace CSV of one episode, formatted in blocks of whole ticks by
+    long-lived forked writers and by this process.
+
+    The writers are forked at the first call from the kernel, or in
+    `finish` if the kernel did not call: one per spare CPU (usable_cpus() -
+    1), and at most one per _CSV_ROWS_PER_WORKER rows of the episode beyond
+    the first _CSV_ROWS_PER_WORKER (see `_Writer`).  A block holds about
+    _CSV_ROWS_PER_WORKER // 2 rows, rounded up to whole ticks; block b holds
+    ticks [b * ticks, (b + 1) * ticks), whoever formats it.
 
     `run(config, csv_blocks=...)` hands the object to the kernel as its
-    writer when there is more than one usable CPU.  The kernel calls it
-    whenever every tick before some tick `final` is final.  The call first
-    reaps, without blocking, the writers that have ended ahead of every
-    running one, and appends each one's block to `merged`, one temporary
-    file of the blocks [0, ...) in tick order, closing the block's own file.
-    Then, when fewer than usable_cpus() - 1 blocks are pending and enough
-    rows are untaken (see _CSV_BLOCK_GROWTH), it completes the next block of
-    final rows and forks a writer that formats it with `_write_rows` into an
-    anonymous temporary file.  So at most usable_cpus() block files are
-    open, however long the episode.  `Trace.to_csv` writes the remaining
-    ticks and waits for the writers (`wait`).  A failure in a writer is
-    raised where the writer is reaped, with its type, message and the
-    `WorkerTraceback` cause.
+    writer when there is more than one usable CPU, and the kernel calls it
+    whenever every tick before some tick `final` is final.  The call
+    completes each next block of final ticks (`_Episode.fill`,
+    `_Episode.frozen_rows`) and sends it to the writer with the fewest
+    unacknowledged blocks, while that writer has room: no block, or fewer
+    than _CSV_BLOCKS_PER_WRITER whose bytes fit its pipe's buffer.  So the
+    kernel never waits on a writer.  `finish` hands out the rest the same
+    way, formatting a block here whenever no writer has room, so no CPU
+    idles while another formats a long share; then it waits for the writers.
+    A failure in a writer is raised where this process finds it: at an ack,
+    a send or the wait.
 
     Use it as a context manager around the run and the `to_csv` call:
     leaving it kills and reaps every writer still running and closes the
-    blocks' files, on success, abort and interrupt alike."""
+    pipes and files, on success, abort and interrupt alike."""
 
     def __init__(self):
         self.slots = usable_cpus() - 1
-        self.taken = 0       # ticks [0, taken) are in the blocks
-        self.merged = None   # the blocks of the reaped writers, in tick order
-        self.pending = []    # (file, writer) of the other blocks, in tick order
+        self.ticks = 1         # ticks per block
+        self.taken = 0         # ticks [0, taken) are in blocks
+        self.writers = None    # forked at the first call or in finish
+        self.here = None       # this process's file of blocks
+        self.order = []        # the file of each block, in tick order
+        self.ends = {}         # per file, the end offsets of its blocks
+        self.fits = False      # two blocks of the last size sent fit a pipe
+        self.capacity = 0      # bytes of a writer's pipe buffer
+        self.segments = None   # set by finish
+
+    def _start(self, nodes: int, ticks: int) -> None:
+        """Fork the writers of an episode of `ticks` ticks and `nodes` nodes."""
+        self.ticks = max(1, -(-(_CSV_ROWS_PER_WORKER // 2) // nodes))
+        self.writers = []
+        parent_fds = []
+        for _ in range(max(0, min(self.slots, ticks * nodes // _CSV_ROWS_PER_WORKER - 1))):
+            self.writers.append(_Writer(parent_fds))
+        if self.writers:
+            import fcntl    # POSIX only, like os.fork
+            self.capacity = fcntl.fcntl(self.writers[0].inbox, fcntl.F_GETPIPE_SZ)
+        self.here = tempfile.TemporaryFile()
+        self.ends = {self.here: []}
+
+    def _room(self):
+        """The writer with the fewest unacknowledged blocks, the first on a
+        tie, if it has room for one more; or None."""
+        if not self.writers:
+            return None
+        for writer in self.writers:
+            writer.poll()
+        writer = min(self.writers, key=lambda writer: writer.unacked)
+        if writer.unacked == 0 or writer.unacked < _CSV_BLOCKS_PER_WRITER and self.fits:
+            return writer
+        return None
+
+    def _send(self, writer: _Writer, block) -> None:
+        self.fits = _CSV_BLOCKS_PER_WRITER * writer.send(block) <= self.capacity
+        self.order.append(writer.part)
+        self.taken = block[0] + len(block[1])
 
     def __call__(self, episode, final: int) -> None:
-        self._merge(block=False)
-        n, start = episode.n, self.taken
-        least = max(_CSV_ROWS_PER_WORKER, start * n // _CSV_BLOCK_GROWTH)
-        if len(self.pending) >= self.slots or (final - start) * n < least:
-            return
-        stop = min(final, start + max(1, _CSV_BLOCK_MAX_FACTOR * least // n))
-        episode.fill(stop)
-        block = (start, episode.est_tr[start:stop], episode.act_tr[start:stop],
-                 episode.frozen_rows(start, stop), episode.delta)
-        if self.merged is None:
-            self.merged = tempfile.TemporaryFile()
-        part = tempfile.TemporaryFile()
+        if self.writers is None:
+            self._start(episode.n, len(episode.est_tr))
+        while final - self.taken >= self.ticks:
+            writer = self._room()
+            if writer is None:
+                return
+            start, stop = self.taken, self.taken + self.ticks
+            episode.fill(stop)
+            self._send(writer, (start, episode.est_tr[start:stop], episode.act_tr[start:stop],
+                                episode.frozen_rows(start, stop), episode.delta))
 
-        def write_block():
-            with _text(part) as fh:
+    def finish(self, trace: Trace) -> list:
+        """Hand out the ticks of `trace` from `taken` on, block by block in
+        tick order: to a writer with room, or else formatted here.  Wait for
+        every writer; raise the first failure.  Return (file, start, stop)
+        of every block's bytes, in tick order."""
+        if self.segments is not None:
+            return self.segments
+        if self.writers is None:
+            self._start(trace.node_count, trace.n_ticks)
+        with _text(self.here) as fh:
+            while self.taken < trace.n_ticks:
+                start, stop = self.taken, min(self.taken + self.ticks, trace.n_ticks)
+                block = (start, trace.estimates[start:stop], trace.activated[start:stop],
+                         trace.frozen[start:stop], trace.config.delta)
+                writer = self._room()
+                # a writer takes a block only while it holds fewer ticks than
+                # are left after the block, so that it has no backlog at the end
+                if writer is not None and writer.unacked * self.ticks < trace.n_ticks - stop:
+                    self._send(writer, block)
+                    continue
                 _write_rows(fh, *block)
-
-        self.pending.append((part, Child(lambda: failure_of(write_block))))
-        self.taken = stop
-
-    def _merge(self, block: bool) -> None:
-        """Reap the leading pending writers, those that have ended or, if
-        `block`, all of them; append their blocks to `merged`.  Raise the
-        first failure."""
-        while self.pending and (block or self.pending[0][1].ended()):
-            part, writer = self.pending[0]
-            failure = writer.wait((RuntimeError(
-                f"CSV writer process {writer.pid} ended without a result"), ""))
-            del self.pending[0]
-            with part:
-                if failure:
-                    reraise(*failure)
-                part.seek(0)
-                shutil.copyfileobj(part, self.merged)
-
-    def wait(self) -> list:
-        """Wait for every writer; raise the first failure.  Return the files
-        that hold ticks [0, taken), in order."""
-        self._merge(block=True)
-        return [self.merged] if self.merged else []
+                fh.flush()
+                self.ends[self.here].append(os.lseek(fh.fileno(), 0, os.SEEK_CUR))
+                self.order.append(self.here)
+                self.taken = stop
+        for writer in self.writers:
+            try:
+                _write_all(writer.inbox, pickle.dumps(None))
+            except BrokenPipeError:
+                pass    # its failure is raised by its wait
+        for writer in self.writers:
+            self.ends[writer.part] = writer.wait()
+        spans = {part: iter(zip([0, *ends], ends)) for part, ends in self.ends.items()}
+        self.segments = [(part, *next(spans[part])) for part in self.order]
+        return self.segments
 
     def __enter__(self):
         return self
 
     def __exit__(self, *exc) -> None:
-        for part, writer in self.pending:
-            writer.kill()
-            part.close()
-        if self.merged:
-            self.merged.close()
-        self.taken, self.merged, self.pending = 0, None, []
+        for writer in self.writers or []:
+            writer.close()
+        if self.here:
+            self.here.close()
+        self.__init__()
 
 
 def _episode_bytes(ticks: int, node_count: int, edge_count: int) -> int:

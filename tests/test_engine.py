@@ -431,7 +431,7 @@ def count_forks(monkeypatch):
 @pytest.mark.parametrize("cpus", [1, 2, 3])
 def test_to_csv_on_more_cpus_matches_per_row_writer(cpus, tmp_path, capfd, monkeypatch):
     # the writer on 1 CPU forks nothing; on 2 and 3 it forks one and two
-    # children, and their writes to file descriptors 1 and 2 would show in
+    # writers, and their writes to file descriptors 1 and 2 would show in
     # capfd
     trace = run(CSV_TRACE)
     want = io.StringIO()
@@ -457,8 +457,8 @@ def test_to_csv_below_the_row_threshold_does_not_fork(tmp_path, monkeypatch):
 
 @pytest.fixture
 def csv_writer_in_children(tmp_path, monkeypatch):
-    """Two CPUs, so a child writes ticks [150, 301) of CSV_TRACE, and a
-    temporary-file directory of its own under tmp_path."""
+    """Two CPUs, so a writer formats the first block of CSV_TRACE, ticks
+    [0, 32), and a temporary-file directory of its own under tmp_path."""
     monkeypatch.setattr(engine, "_CSV_ROWS_PER_WORKER", 1000)
     use_cpus(monkeypatch, 2)
     temp = tmp_path / "temp"
@@ -478,36 +478,39 @@ def assert_no_file_left(target):
 def test_to_csv_raises_a_child_error_with_its_traceback(csv_writer_in_children, capfd,
                                                         monkeypatch):
     trace, target = csv_writer_in_children
-    write_ticks = engine.Trace._write_ticks
+    here = os.getpid()
+    write_rows = engine._write_rows
 
-    def failing_write_ticks(self, fh, start, stop):
-        if start > 0:
+    def failing_write_rows(fh, start, *rows):
+        if os.getpid() != here:
             raise ValueError(f"ticks from {start} fail")
-        write_ticks(self, fh, start, stop)
+        write_rows(fh, start, *rows)
 
-    monkeypatch.setattr(engine.Trace, "_write_ticks", failing_write_ticks)
-    with pytest.raises(ValueError, match="^ticks from 150 fail$") as exc:
+    monkeypatch.setattr(engine, "_write_rows", failing_write_rows)
+    with pytest.raises(ValueError, match="^ticks from 0 fail$") as exc:
         trace.to_csv(target)
     assert isinstance(exc.value.__cause__, WorkerTraceback)
-    assert "in failing_write_ticks" in str(exc.value.__cause__)
+    assert "in failing_write_rows" in str(exc.value.__cause__)
     assert_no_child_left()
     assert_no_file_left(target)
-    # the path keeps what it held, not the header and ticks [0, 150)
+    # the path keeps what it held, not the header and the blocks formatted here
     assert target.read_bytes() == b""
     assert capfd.readouterr() == ("", "")
 
 
 def test_to_csv_kills_its_children_when_interrupted(csv_writer_in_children, monkeypatch):
-    # this process's range is interrupted while the child sleeps in its own;
-    # the child is killed and reaped, not waited for
+    # this process is interrupted in the first block it formats, while the
+    # writer sleeps in its first; the writer is killed and reaped, not
+    # waited for
     trace, target = csv_writer_in_children
+    here = os.getpid()
 
-    def interrupted_write_ticks(self, fh, start, stop):
-        if start == 0:
+    def interrupted_write_rows(*args):
+        if os.getpid() == here:
             raise KeyboardInterrupt
         time.sleep(60)
 
-    monkeypatch.setattr(engine.Trace, "_write_ticks", interrupted_write_ticks)
+    monkeypatch.setattr(engine, "_write_rows", interrupted_write_rows)
     start = time.monotonic()
     with pytest.raises(KeyboardInterrupt):
         trace.to_csv(target)

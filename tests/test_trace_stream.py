@@ -1,10 +1,10 @@
-"""`dipsync run` streams its trace CSV: forked writers format blocks of final
-ticks while the kernel runs (`engine.CsvBlocks`), and `Trace.to_csv` writes
-the rest.  These tests hold the streamed file to the per-row oracle, bound
-its forks and its open files, and check that no writer and no file
-outlives a run that ends in success, an abort, an interrupt or a writer's
-failure.  `sweep-links`, `compare` and library calls of `engine.run`
-stream nothing.
+"""`dipsync run` streams its trace CSV: long-lived forked writers format
+blocks of final ticks while the kernel runs (`engine.CsvBlocks`), and
+`Trace.to_csv` hands out the rest.  These tests hold the streamed file to
+the per-row oracle, bound its forks, its open files and the kernel's wait
+on the writers, and check that no writer and no file outlives a run that
+ends in success, an abort, an interrupt or a writer's failure.
+`sweep-links`, `compare` and library calls of `engine.run` stream nothing.
 """
 
 import io
@@ -13,30 +13,43 @@ import resource
 import signal
 import tempfile
 import time
+import tracemalloc
 
 import pytest
 
-import dipsync._forkmap as forkmap
 import dipsync._kernels as kernels
 import dipsync.cli as cli
 import dipsync.engine as engine
 from dipsync._forkmap import WorkerTraceback
+from dipsync.protocol import ProtocolKind
+from dipsync.topology import make_grid
 from test_cli import assert_no_child_left, run_cli, use_cpus, write_spec
 from test_engine import _per_row_csv, count_forks
 
 PROTOCOLS = ["baseline", "tsau", "uaf", "baf"]
 
 
+@pytest.fixture(autouse=True)
+def no_leftovers():
+    """Fail a test that leaves a child process, or more open file
+    descriptors than it started with: the writers add two pipes each."""
+    fds = len(os.listdir("/proc/self/fd"))
+    yield
+    assert_no_child_left()
+    assert len(os.listdir("/proc/self/fd")) <= fds
+
+
 @pytest.fixture
 def small_blocks(monkeypatch):
-    """A hook at every tick of a grid:4x4 run (24 edges), and blocks of 5 to
-    10 ticks (80 to 160 rows of 16 nodes)."""
+    """A hook at every tick of a grid:4x4 run (24 edges), and blocks of 5
+    ticks (80 rows of 16 nodes)."""
     monkeypatch.setattr(kernels, "_ROW_CHUNK", 24)
-    monkeypatch.setattr(engine, "_CSV_ROWS_PER_WORKER", 80)
+    monkeypatch.setattr(engine, "_CSV_ROWS_PER_WORKER", 160)
 
 
 def record_blocks(monkeypatch):
-    """The tick ranges the writers of every run take, in order."""
+    """The tick ranges that each call from the kernel hands to the writers,
+    in order."""
     blocks = []
     call = engine.CsvBlocks.__call__
 
@@ -48,6 +61,26 @@ def record_blocks(monkeypatch):
 
     monkeypatch.setattr(engine.CsvBlocks, "__call__", recording_call)
     return blocks
+
+
+def every_block_to_the_first_writer(monkeypatch):
+    """Give every block to writer 0, however many it holds, so each call
+    from the kernel sends every whole block of final ticks."""
+    monkeypatch.setattr(engine.CsvBlocks, "_room",
+                        lambda self: self.writers[0] if self.writers else None)
+
+
+def in_writers(fn):
+    """`_write_rows` that runs `fn(start)` first in a writer process only."""
+    here = os.getpid()
+    write_rows = engine._write_rows
+
+    def write_rows_in_writers(fh, start, *rows):
+        if os.getpid() != here:
+            fn(start)
+        write_rows(fh, start, *rows)
+
+    return write_rows_in_writers
 
 
 def frozen_spec(tmp_path, protocol):
@@ -76,78 +109,64 @@ def test_streamed_trace_csv_matches_per_row_writer(protocol, cpus, small_blocks,
     assert run_cli(["run", str(spec), "--out", str(tmp_path / "o")], capfd)[:2] == (
         0, f"wrote {tmp_path / 'o'}/trace*.csv, metrics.csv, manifest.txt\n")
     assert (tmp_path / "o" / "trace.csv").read_bytes() == want
-    assert_no_child_left()
     assert capfd.readouterr() == ("", "")
-    # one fork per block, and at most cpus - 1 for the rest of the ticks
-    assert len(blocks) <= len(forks) <= len(blocks) + cpus - 1
-    assert len(blocks) <= 400 * 16 // engine._CSV_ROWS_PER_WORKER
+    # one writer per spare CPU; the kernel hands out whole 5-tick blocks in
+    # tick order from tick 0
+    assert len(forks) == cpus - 1
     if cpus == 1:
-        assert forks == []
+        assert blocks == []
     else:
-        assert blocks[0] == (0, 5)
-        assert all(least_rows(a) <= (b - a) * 16 <= 2 * least_rows(a) for a, b in blocks)
+        assert blocks[0][0] == 0
+        assert all((b - a) % 5 == 0 for a, b in blocks)
         assert all(b == c for (_, b), (c, _) in zip(blocks, blocks[1:]))
 
 
-def least_rows(start):
-    """The fewest rows of a block of 16-node ticks from tick `start`."""
-    return max(engine._CSV_ROWS_PER_WORKER, start * 16 // engine._CSV_BLOCK_GROWTH)
+@pytest.mark.parametrize("cpus", [1, 2, 3])
+@pytest.mark.parametrize("ticks", [400, 4000])
+def test_streamed_run_forks_one_writer_per_spare_cpu(ticks, cpus, small_blocks, tmp_path,
+                                                    monkeypatch):
+    # 80 and 800 blocks of 5 ticks, and to_csv forks nothing more
+    config = cli.load_spec(write_spec(tmp_path, protocol="tsau", topology="grid:4x4",
+                                      max_ticks=str(ticks), seed="1", link_p="0.75")).config
+    want = io.StringIO()
+    _per_row_csv(engine.run(config), want)
+    use_cpus(monkeypatch, cpus)
+    forks = count_forks(monkeypatch)
+    with engine.CsvBlocks() as blocks:
+        trace = engine.run(config, csv_blocks=blocks)
+        assert len(forks) == cpus - 1
+        trace.to_csv(tmp_path / "trace.csv")
+        assert len(forks) == cpus - 1
+    assert (tmp_path / "trace.csv").read_bytes() == want.getvalue().encode()
 
 
 @pytest.mark.parametrize("protocol", PROTOCOLS)
 def test_streamed_frozen_column_is_final_at_block_boundaries(protocol, small_blocks, tmp_path,
                                                             capfd, monkeypatch):
-    # a writer found running is waited for, so every hook with 5 untaken
-    # ticks forks the next block; blocks that do not grow are ticks [0, 5),
-    # [5, 10), ...
+    # every call from the kernel sends each whole block of final ticks, so
+    # the kernel takes ticks [0, 5), [5, 10), ..., [390, 395)
     spec = frozen_spec(tmp_path, protocol)
     want = per_row_bytes(spec)
     use_cpus(monkeypatch, 2)
-    monkeypatch.setattr(engine, "_CSV_BLOCK_GROWTH", 10**9)
-    monkeypatch.setattr(forkmap.Child, "ended", lambda self: True)
+    every_block_to_the_first_writer(monkeypatch)
     blocks = record_blocks(monkeypatch)
     assert run_cli(["run", str(spec), "--out", str(tmp_path / "o")], capfd)[0] == 0
     assert (tmp_path / "o" / "trace.csv").read_bytes() == want
-    assert_no_child_left()
     assert blocks == [(a, a + 5) for a in range(0, 395, 5)]
     fires = engine.run(cli.load_spec(spec).config).dip_fire_tick[1:]
     assert {"first", "inside", "last"} <= {
         ["first", "inside", "inside", "inside", "last"][f % 5] for f in fires if f > 0}
 
 
-def test_streamed_blocks_grow_with_the_rows_taken(small_blocks, tmp_path, monkeypatch):
-    # with every writer waited for at the next hook, each block is the least
-    # one: 5 ticks until tick 40, then 1/8 of the ticks taken, rounded up
-    spec = write_spec(tmp_path, protocol="tsau", topology="grid:4x4", max_ticks="4000",
-                      seed="1", link_p="0.75")
-    want = per_row_bytes(spec)
-    use_cpus(monkeypatch, 2)
-    monkeypatch.setattr(engine, "_CSV_BLOCK_GROWTH", 8)
-    monkeypatch.setattr(forkmap.Child, "ended", lambda self: True)
-    blocks = record_blocks(monkeypatch)
-    assert cli.main(["run", str(spec), "--out", str(tmp_path / "o")]) == 0
-    assert (tmp_path / "o" / "trace.csv").read_bytes() == want
-    assert_no_child_left()
-    least = []
-    a = 0
-    while a + -(-least_rows(a) // 16) < 4000:
-        least.append((a, a - (-least_rows(a) // 16)))
-        a = least[-1][1]
-    assert blocks == least
-    # blocks of 5 ticks would be 799 forks
-    assert len(blocks) == 46
-
-
 def test_streamed_run_keeps_few_block_files_open(small_blocks, tmp_path, monkeypatch):
-    # 200 blocks of 5 ticks stream, each writer waited for at the next hook,
-    # while this process may open only 32 files more than it holds now: each
-    # reaped block is appended to one file
+    # 200 blocks of 5 ticks stream, 199 of them while the kernel runs, while
+    # this process may open only 32 files more than it holds now: the blocks
+    # share their writer's file
     spec = write_spec(tmp_path, protocol="baf", topology="grid:4x4", max_ticks="1000",
                       seed="1", link_p="0.75")
     want = per_row_bytes(spec)
     use_cpus(monkeypatch, 3)
-    monkeypatch.setattr(engine, "_CSV_BLOCK_GROWTH", 10**9)
-    monkeypatch.setattr(forkmap.Child, "ended", lambda self: True)
+    every_block_to_the_first_writer(monkeypatch)
     blocks = record_blocks(monkeypatch)
     soft, hard = resource.getrlimit(resource.RLIMIT_NOFILE)
     resource.setrlimit(resource.RLIMIT_NOFILE, (len(os.listdir("/proc/self/fd")) + 32, hard))
@@ -158,33 +177,60 @@ def test_streamed_run_keeps_few_block_files_open(small_blocks, tmp_path, monkeyp
     assert code == 0
     assert len(blocks) == 199
     assert (tmp_path / "o" / "trace.csv").read_bytes() == want
-    assert_no_child_left()
+
+
+def test_the_kernel_never_waits_on_a_busy_writer(small_blocks, tmp_path, monkeypatch):
+    # the writer sleeps 0.5 s per block: the kernel sends it two blocks and
+    # formats nothing more while it runs; to_csv formats the rest here
+    spec = frozen_spec(tmp_path, "baf")
+    want = per_row_bytes(spec)
+    use_cpus(monkeypatch, 2)
+    monkeypatch.setattr(engine, "_write_rows", in_writers(lambda start: time.sleep(0.5)))
+    with engine.CsvBlocks() as blocks:
+        start = time.monotonic()
+        trace = engine.run(cli.load_spec(spec).config, csv_blocks=blocks)
+        assert time.monotonic() - start < 1
+        assert blocks.taken == 10
+        trace.to_csv(tmp_path / "trace.csv")
+    assert (tmp_path / "trace.csv").read_bytes() == want
+
+
+def test_streamed_to_csv_memory_is_bounded(tmp_path, monkeypatch):
+    # the benchmark's large trace, streamed: 600 ticks x 256 nodes, a 7.7 MB
+    # file, within test_engine.test_to_csv_memory_is_bounded's bound
+    config = engine.SimConfig(topology=make_grid(16, 16), protocol=ProtocolKind.BAF,
+                              max_ticks=600, seed=1, link_p=0.75)
+    use_cpus(monkeypatch, 2)
+    with engine.CsvBlocks() as blocks:
+        trace = engine.run(config, csv_blocks=blocks)
+        assert blocks.taken > 0
+        tracemalloc.start()
+        try:
+            trace.to_csv(tmp_path / "trace.csv")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert (tmp_path / "trace.csv").stat().st_size > 7_000_000
+    assert peak < 4_000_000
 
 
 def test_streamed_trace_csv_waits_for_its_writers(small_blocks, tmp_path, monkeypatch):
-    # the two block writers, of ticks [0, 10), are still formatting when the
-    # rest of the ticks is written
+    # the two writers' first blocks, ticks [0, 5) and [5, 10), are still
+    # being formatted when this process has written the rest
     spec = frozen_spec(tmp_path, "tsau")
     want = per_row_bytes(spec)
     use_cpus(monkeypatch, 3)
-    write_rows = engine._write_rows
-
-    def slow_write_rows(fh, start, *rows):
-        if start < 10:
-            time.sleep(0.2)
-        write_rows(fh, start, *rows)
-
-    monkeypatch.setattr(engine, "_write_rows", slow_write_rows)
+    monkeypatch.setattr(engine, "_write_rows",
+                        in_writers(lambda start: time.sleep(0.2 if start < 10 else 0)))
     blocks = record_blocks(monkeypatch)
     assert cli.main(["run", str(spec), "--out", str(tmp_path / "o")]) == 0
-    assert blocks == [(0, 5), (5, 10)]
+    assert blocks[:2] == [(0, 5), (5, 10)]
     assert (tmp_path / "o" / "trace.csv").read_bytes() == want
-    assert_no_child_left()
 
 
 def test_streamed_run_that_aborts_leaves_nothing(tmp_path, capsys, monkeypatch):
     # a delta of 10 s: the gateway's 4-byte microsecond field overflows at
-    # tick 430, after 110080 rows, so writers have forked
+    # tick 430, after 110080 rows, so the writer has forked
     temp = tmp_path / "temp"
     temp.mkdir()
     monkeypatch.setattr(tempfile, "tempdir", str(temp))
@@ -195,15 +241,14 @@ def test_streamed_run_that_aborts_leaves_nothing(tmp_path, capsys, monkeypatch):
     code, out, err = run_cli(["run", str(spec), "--out", str(tmp_path / "o")], capsys)
     assert (code, out) == (2, "")
     assert err.startswith("error: episode aborted at tick 430: ")
-    assert forks
-    assert_no_child_left()
+    assert len(forks) == 1
     assert not (tmp_path / "o").exists()
     assert os.listdir(temp) == []
 
 
 def test_streamed_run_kills_its_writers_when_interrupted(small_blocks, tmp_path,
                                                         monkeypatch):
-    # the writers sleep; the kernel is interrupted once two are running
+    # the writers sleep; the kernel is interrupted once each holds a block
     spec = frozen_spec(tmp_path, "baf")
     use_cpus(monkeypatch, 3)
     monkeypatch.setattr(engine, "_write_rows", lambda *args: time.sleep(60))
@@ -211,7 +256,7 @@ def test_streamed_run_kills_its_writers_when_interrupted(small_blocks, tmp_path,
 
     def interrupting_call(self, episode, final):
         call(self, episode, final)
-        if len(self.pending) == 2:
+        if self.taken == 10:
             raise KeyboardInterrupt
 
     monkeypatch.setattr(engine.CsvBlocks, "__call__", interrupting_call)
@@ -219,14 +264,13 @@ def test_streamed_run_kills_its_writers_when_interrupted(small_blocks, tmp_path,
     with pytest.raises(KeyboardInterrupt):
         cli.main(["run", str(spec), "--out", str(tmp_path / "o")])
     assert time.monotonic() - start < 30
-    assert_no_child_left()
     assert not (tmp_path / "o").exists()
 
 
 def test_streamed_run_kills_its_writers_when_interrupted_while_waiting(
         small_blocks, tmp_path, monkeypatch):
-    # the two block writers, of ticks [0, 10), sleep; this process is
-    # interrupted while it waits for them in to_csv
+    # the two writers' first blocks, ticks [0, 5) and [5, 10), sleep; this
+    # process is interrupted while it waits for them in to_csv
     spec = frozen_spec(tmp_path, "baf")
     use_cpus(monkeypatch, 3)
     write_rows = engine._write_rows
@@ -250,7 +294,6 @@ def test_streamed_run_kills_its_writers_when_interrupted_while_waiting(
         signal.setitimer(signal.ITIMER_REAL, 0)
         signal.signal(signal.SIGALRM, handler)
     assert time.monotonic() - start < 30
-    assert_no_child_left()
     assert os.listdir(tmp_path / "o") == []
 
 
@@ -277,11 +320,22 @@ def test_streamed_run_raises_a_writer_error_with_its_traceback(small_blocks, tmp
         cli.main(["run", str(spec), "--out", str(out)])
     assert isinstance(exc.value.__cause__, WorkerTraceback)
     assert "in failing_write_rows" in str(exc.value.__cause__)
-    assert_no_child_left()
     assert os.listdir(out) == ["trace.csv"]
     assert (out / "trace.csv").read_bytes() == b"old\n"
     assert os.listdir(temp) == []
     assert capfd.readouterr() == ("", "")
+
+
+def test_to_csv_after_its_blocks_are_closed_starts_its_own_writers(small_blocks, tmp_path,
+                                                                    monkeypatch):
+    spec = frozen_spec(tmp_path, "tsau")
+    want = per_row_bytes(spec)
+    use_cpus(monkeypatch, 2)
+    with engine.CsvBlocks() as blocks:
+        trace = engine.run(cli.load_spec(spec).config, csv_blocks=blocks)
+        assert blocks.taken > 0
+    trace.to_csv(tmp_path / "trace.csv")
+    assert (tmp_path / "trace.csv").read_bytes() == want
 
 
 @pytest.mark.parametrize("args", [
@@ -295,7 +349,6 @@ def test_episode_maps_stream_no_trace_csv(args, small_blocks, capsys, monkeypatc
     forks = count_forks(monkeypatch)
     assert run_cli(args, capsys)[0] == 0
     assert len(forks) == 1
-    assert_no_child_left()
 
 
 def test_library_run_streams_nothing_and_writes_the_streamed_bytes(small_blocks, tmp_path,
@@ -310,4 +363,3 @@ def test_library_run_streams_nothing_and_writes_the_streamed_bytes(small_blocks,
     assert forks == [] and trace.csv_blocks is None
     trace.to_csv(tmp_path / "lib.csv")
     assert (tmp_path / "lib.csv").read_bytes() == (tmp_path / "o" / "trace.csv").read_bytes()
-    assert_no_child_left()
