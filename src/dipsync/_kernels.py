@@ -1,7 +1,8 @@
 """Tick-loop kernels for the four protocols.
 
-Each kernel simulates one full episode and returns the complete per-tick
-trace.  There is one kernel per protocol, resolved by name with
+Each kernel simulates one episode, or its ticks up to a settled cycle that
+it then replays (see the last shared convention), and returns the complete
+per-tick trace.  There is one kernel per protocol, resolved by name with
 `get_kernel`.  A kernel holds only its protocol's rules; `_Episode` does the
 bookkeeping they share.  tests/array_kernels.py keeps an array-form
 formulation of the same loops, and a differential test (tests/test_engine.py)
@@ -40,10 +41,28 @@ Shared conventions:
     and a tick whenever every earlier tick is final (see `_Episode.rows`);
     it reads the episode and changes none of its outputs;
   * every average adds its values in CSR neighbor order, the order the
-    oracle adds them in, so the two agree bit for bit.
+    oracle adds them in, so the two agree bit for bit;
+  * settle, cycle, replay, abort: an episode settles when the last
+    non-gateway node freezes at a tick k and every link of ticks k+1 on is
+    live.  No estimate changes after that and the inputs are constant, so
+    only a deterministic control plane is left, and where it is finite it
+    becomes periodic.  (BAF's hop counters can climb without bound around a
+    cycle of the graph; such an episode never repeats, and runs in full
+    once the search gives up, _CYCLE_SEARCH_TICKS after the settle tick.)
+    After each tick the episode compares the kernel's control state
+    (`_Episode.control`) plus the tick's transmit row with a Brent
+    checkpoint (R. P. Brent, BIT 20, 1980).  At the first repeat, with
+    period p, it copies the last p transmit rows and delivery counts over
+    the remaining ticks, leaves their activated flags 0 (so `fill` carries
+    the frozen estimates forward), raises `EpisodeAborted(t)` at the first
+    later tick t where the gateway's or the attacker's broadcast would
+    overflow the wire field (every other broadcast repeats a value already
+    sent in the cycle), and ends the tick loop.
 """
 
 from __future__ import annotations
+
+import itertools
 
 import numpy as np
 
@@ -70,7 +89,8 @@ class _Episode:
     """What every kernel shares: the node count `n`, the attacker's noise as
     a list, and per node its CSR neighbors as (neighbor id, edge slot) pairs,
     its estimate, frozen and fired flags and its dip detector; the trace
-    buffers; the per-tick delivery counts; and the writer, if any.
+    buffers; the per-tick delivery counts; the writer, if any; and the
+    replay of a settled episode (see the module docstring).
 
     The kernels record only what changes.  `est_flat` is a flat view of the
     (ticks, nodes) estimate array `est_tr`, preset with tick 0's row, and a
@@ -90,8 +110,12 @@ class _Episode:
         self.nbrs = [list(zip(ids[a:b], slots[a:b]))
                      for a, b in zip(bounds, bounds[1:])]
         self.n = n = len(self.nbrs)
-        # the attacker's noise as a list; None without an attacker
-        self.noise = noise.tolist() if mal >= 0 else None
+        self.mal = mal
+        # the attacker's noise as a list, None without an attacker; `rows`
+        # extends it a chunk of ticks ahead of the kernel, so a replayed
+        # episode never converts the noise of the ticks it does not run
+        self.noise_arr = noise
+        self.noise = [] if mal >= 0 else None
         self.est = init_est.tolist()
         # the gateway's entry stays 0.0; the kernels broadcast delta*k, and
         # `fill` writes that column
@@ -107,10 +131,23 @@ class _Episode:
         self.act = bytearray(self.est_tr.size)
         self.act_tr = np.frombuffer(self.act, dtype=np.uint8).reshape(self.est_tr.shape)
         self.tx = bytearray(self.est_tr.size)
+        self.tx_tr = np.frombuffer(self.tx, dtype=np.uint8).reshape(self.est_tr.shape)
         self.delivered = [0] * len(link_live)
         self.writer = writer
         # rows [0, filled) are complete: forward-filled, gateway column set
         self.filled = 1
+        self.link_live = link_live
+        self.unfrozen = n - 1
+        # the tick at which the episode settled, or None
+        self.settled = None
+        # the kernel's control state after tick k: what, with the transmit
+        # row, decides the next ticks once every node is frozen and every
+        # link is live.  A kernel sets its own before its loop; the
+        # baseline has none, so its period is 1
+        self.control = lambda k: ()
+        # the link rows that `rows` is yielding, from tick chunk_start on;
+        # `observe` cuts them after the settle tick
+        self.chunk, self.chunk_start = [], 1
 
     def rows(self, link_live):
         """Rows 1, 2, ... of the (ticks, edges) link matrix as lists of 0/1.
@@ -118,22 +155,113 @@ class _Episode:
         one row) at a time, which costs about half of a `tolist` per row.
         When the first row of a chunk, tick a, is asked for, every tick
         before a is final, and the writer, if any, is called with this
-        episode and a; so the tick loops themselves do no extra work."""
-        step = max(1, _ROW_CHUNK // link_live.shape[1])
-        for a in range(1, link_live.shape[0], step):
-            if self.writer is not None:
-                self.writer(self, a)
-            yield from link_live[a:a + step].tolist()
+        episode and a; so the tick loops themselves do no extra work.
+
+        Once the episode settles, `observe` cuts the chunk after the settle
+        tick, and every later row is all live: `_search` yields the rows
+        while it looks for the cycle, and ends them if it replays it."""
+        T, E = link_live.shape
+        step = max(1, _ROW_CHUNK // E)
+        a = 1
+        while a < T and self.settled is None:
+            self._chunk_at(a, step)
+            self.chunk, self.chunk_start = link_live[a:a + step].tolist(), a
+            yield from self.chunk
+            a += len(self.chunk)
+        if a < T:
+            live = [1] * E
+            a = yield from self._search(live, T, step)
+            for a in range(a, T, step):
+                self._chunk_at(a, step)
+                yield from itertools.repeat(live, min(step, T - a))
+
+    def _chunk_at(self, a, step):
+        """Start the chunk of ticks [a, a + step): call the writer, and
+        extend the attacker's noise list to the chunk's ticks."""
+        if self.writer is not None:
+            self.writer(self, a)
+        self._noise_to(a + step)
+
+    def _noise_to(self, stop):
+        """Extend the attacker's noise list to ticks [0, stop)."""
+        noise = self.noise
+        if noise is not None and len(noise) < stop:
+            noise += self.noise_arr[len(noise):stop].tolist()
+
+    def _search(self, live, T, step):
+        """Yield the all-live rows of the ticks after the settle tick, at
+        most _CYCLE_SEARCH_TICKS of them, while looking for the cycle: after
+        each tick, compare its transmit row and control state with a
+        checkpoint that moves to the current tick whenever the distance to
+        it reaches the next power of two (Brent).  At the first repeat,
+        replay the cycle and return T; else return the first tick not
+        yielded.  The control state is built only when the rows match or
+        the checkpoint moves, and the search is bounded: BAF's hop counters
+        can climb without bound around a cycle of the graph, and such an
+        episode never repeats."""
+        n, tx, control = self.n, self.tx, self.control
+        mark_k = self.settled
+        mark_row, mark, power = tx[mark_k * n:(mark_k + 1) * n], control(mark_k), 1
+        stop = min(T, mark_k + 1 + _CYCLE_SEARCH_TICKS)
+        ahead = mark_k + 1
+        for k in range(mark_k + 1, stop):
+            if k == ahead:
+                ahead += step
+                self._noise_to(ahead)
+            yield live
+            row = tx[k * n:(k + 1) * n]
+            if row == mark_row and control(k) == mark:
+                self._replay(k + 1, k - mark_k)
+                return T
+            if k - mark_k == power:
+                mark_k, mark_row, mark, power = k, row, control(k), 2 * power
+        return stop
+
+    def _replay(self, start, period):
+        """Repeat the transmit rows and delivery counts of ticks
+        [start - period, start) over ticks [start, T) in place, a chunk of
+        at most _REPLAY_CHUNK ticks at a time, and check each chunk's
+        gateway and attacker broadcasts against the wire field."""
+        T = len(self.delivered)
+        tx_tr, delivered = self.tx_tr, self.delivered
+        a = start
+        while a < T:
+            # a whole number of periods back, and at least the chunk's length
+            shift = (a - start) // period * period + period
+            b = min(a + shift, a + _REPLAY_CHUNK, T)
+            tx_tr[a:b] = tx_tr[a - shift:b - shift]
+            delivered[a:b] = delivered[a - shift:b - shift]
+            self._check_wire(a, b)
+            a = b
+
+    def _check_wire(self, a, b):
+        """Raise EpisodeAborted at the first tick in [a, b) where the gateway
+        sends delta*k, or the attacker its frozen estimate plus noise[k], and
+        the value overflows the wire field.  The products and sums are the
+        kernels' own, so the tick is theirs."""
+        over = (self.tx_tr[a:b, 0] == 1) & (self.delta * np.arange(a, b) * 1e6 > WIRE_MAX_MICROS)
+        mal = self.mal
+        if mal >= 0:
+            over |= ((self.tx_tr[a:b, mal] == 1)
+                     & ((self.est[mal] + self.noise_arr[a:b]) * 1e6 > WIRE_MAX_MICROS))
+        if over.any():
+            raise EpisodeAborted(a + int(over.argmax()))
 
     def observe(self, i, k):
         """Feed node i's new estimate, updated at tick k, to its detector; on
-        a fire, flag it and, when freezing, rewind and freeze the node."""
+        a fire, flag it and, when freezing, rewind and freeze the node.  The
+        last freeze settles the episode if every later link is live; the
+        chunk of rows that `rows` is yielding then ends after tick k."""
         det = self.detectors[i]
         if det.observe(self.est[i], k):
             self.fired[i] = 1
             if self.freeze:
                 self.frozen[i] = 1
                 self.est[i] = det.dip_value
+                self.unfrozen -= 1
+                if not self.unfrozen and self.link_live[k + 1:].all():
+                    self.settled = k
+                    del self.chunk[k + 1 - self.chunk_start:]
 
     def fill(self, stop):
         """Complete the estimate rows of the final ticks [filled, stop).  A
@@ -164,7 +292,7 @@ class _Episode:
         kernel."""
         T = len(self.est_tr)
         self.fill(T)
-        tx_tr = np.frombuffer(self.tx, dtype=np.uint8).reshape(self.est_tr.shape)
+        tx_tr = self.tx_tr
         dets = self.detectors
         return (self.est_tr, self.act_tr, self.frozen_rows(0, T), tx_tr,
                 tx_tr.sum(axis=1, dtype=np.int64),
@@ -203,6 +331,16 @@ def _forward_fill(est, act):
 
 # elements per chunk of link rows converted to lists
 _ROW_CHUNK = 1 << 12
+
+# ticks per chunk of a replay's copies and wire checks; their temporaries
+# take about 50 bytes per tick
+_REPLAY_CHUNK = 1 << 12
+
+# ticks after the settle tick that the cycle search runs for.  It finds
+# every cycle whose period and lead-in add up to well under this (the
+# malicious16 periods are 1, 14, 15 and 24 ticks); a futile search costs
+# about 0.3 us per tick on top of the tick itself
+_CYCLE_SEARCH_TICKS = 1 << 13
 
 
 def baseline_kernel(
@@ -263,6 +401,10 @@ def tsau_kernel(
     # only the gateway speaks
     sends = [(0, 0.0)]
     tx[0] = 1
+    # settled, the slot schedule is the whole control state: the accumulators
+    # feed only unfrozen nodes' averages.  Values are bound as defaults, so
+    # the loop's own variables stay plain locals
+    ep.control = lambda k, cyc=cyc: k % cyc
     for k, live in enumerate(ep.rows(link_live), 1):
         row = k * N
         for b, val in sends:
@@ -321,6 +463,11 @@ def uaf_kernel(
     sent_val = [0.0] * N
     senders = [0]
     tx[0] = 1
+    # settled, the wave phase and the status bits are the control state:
+    # `sent_val`, `heard` and the pending values and flags feed only unfrozen
+    # nodes' averages and commits, and the transmit row stands in for the
+    # sender list
+    ep.control = lambda k, cyc=cyc, s=s: (k % cyc, *s)
     for k, live in enumerate(ep.rows(link_live), 1):
         row = k * N
         if k % cyc == 0:
@@ -414,6 +561,16 @@ def baf_kernel(
     # at tick 0 the gateway starts the first forward flood
     senders = [0]
     tx[0] = 1
+
+    # settled, the status bits, hop counters and frontier windows are the
+    # control state, each in the form the frontier rule reads it: `heard`
+    # feeds only unfrozen nodes' averages, and the transmit row stands in
+    # for the sender list
+    def control(k, s=s, c=c, heard_n=heard_n, heard_max=heard_max, last_trig=last_trig):
+        return (*s, *c, *[h > 0 for h in heard_n], *heard_max,
+                *[min(k - t, 2) for t in last_trig])
+
+    ep.control = control
     for k, live in enumerate(ep.rows(link_live), 1):
         row = k * N
         # deliveries (sender view), and per receiver the count and largest

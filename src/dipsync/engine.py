@@ -442,7 +442,10 @@ _US_PER_NODE_TICK = {
 
 def episode_cost(config: SimConfig) -> float:
     """The estimated kernel time of `config`'s episode in us: max_ticks x
-    nodes x its protocol's us per node-tick with perfect links."""
+    nodes x its protocol's us per node-tick with perfect links.  It
+    estimates the full tick loop: an episode that settles (every node
+    frozen, every later link live) replays its cycle and stops sooner, at a
+    tick known only by running it."""
     return (config.max_ticks * config.topology.node_count
             * _US_PER_NODE_TICK[config.protocol])
 

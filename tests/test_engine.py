@@ -1,8 +1,10 @@
+import dataclasses
 import io
 import os
 import tempfile
 import time
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -14,6 +16,7 @@ from test_cli import assert_no_child_left, use_cpus
 import dipsync._kernels as kernels
 import dipsync.engine as engine
 from dipsync._forkmap import WorkerTraceback
+from dipsync.cli import scenario_config
 from dipsync.dip import DipDetector
 from dipsync.engine import (
     SimConfig,
@@ -651,6 +654,128 @@ def test_node_broadcast_overflow_raises_at_the_oracle_tick(proto):
     assert exc.value.tick == want[9]
 
 
+# ---------------------------------------------------------------------------
+# settled episodes: once every node is frozen and every link is live, the
+# kernels find the control plane's cycle and replay it
+# ---------------------------------------------------------------------------
+
+def spy_on_replays():
+    """Patch `_Episode._replay` to record each replay's (last simulated tick,
+    period) in the returned list; undone by leaving the patch."""
+    seen = []
+    replay = kernels._Episode._replay
+
+    def recording_replay(episode, start, period):
+        seen.append((start - 1, period))
+        return replay(episode, start, period)
+
+    return seen, mock.patch.object(kernels._Episode, "_replay", recording_replay)
+
+
+@pytest.fixture
+def replays():
+    seen, patch = spy_on_replays()
+    with patch:
+        yield seen
+
+
+def malicious16_inputs(proto, seed, ticks):
+    return engine.kernel_inputs(scenario_config("malicious16", proto, seed, ticks))
+
+
+# the tick after which each kernel replays on malicious16 seed 3 at 4000
+# ticks; its last node froze at 203 (baseline), 1744, 1372 and 1233
+MALICIOUS16_SEED3_REPLAY = {"baseline": 203, "tsau": 1774, "uaf": 1401, "baf": 1288}
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3, 4])
+@pytest.mark.parametrize("proto", list(ProtocolKind))
+def test_settled_episodes_match_the_oracle(proto, seed, replays):
+    name, args = malicious16_inputs(proto, seed, 4000)
+    _assert_same_kernel_outputs(kernels.get_kernel(name)(*args),
+                                array_kernels.KERNELS[name](*args))
+    if (name, seed) == ("uaf", 2):
+        # node 2 never fires, so the episode never settles
+        assert replays == []
+        return
+    assert len(replays) == 1
+    if seed == 3:
+        assert replays[0][0] == MALICIOUS16_SEED3_REPLAY[name]
+
+
+# Three overflows on malicious16 seed 3.  With a kernel delta of 2.0 s no
+# node fires before the gateway's time overflows, so nothing replays.  A 3 s wire field
+# (both modules read WIRE_MAX_MICROS when they check) lets the gateway's
+# time overflow near tick 3000, and a noise jump at tick 3000 the attacker's
+# broadcast: both long after the replay starts.
+@pytest.mark.parametrize("overflow, ticks, aborts", [
+    ("delta", 8000, {"tsau": 2160, "uaf": 2149, "baf": 2148}),
+    ("gateway", 4000, {"tsau": 3015, "uaf": 3003, "baf": 3001}),
+    ("attacker", 4000, {"tsau": 3000, "uaf": 3002, "baf": 3006}),
+])
+@pytest.mark.parametrize("proto", [ProtocolKind.TSAU, ProtocolKind.UAF, ProtocolKind.BAF])
+def test_overflow_of_a_settled_episode_raises_at_the_oracle_tick(proto, overflow, ticks,
+                                                                  aborts, replays, monkeypatch):
+    name, args = malicious16_inputs(proto, 3, ticks)
+    if overflow == "delta":
+        args = (*args[:5], 2.0, *args[6:])
+    elif overflow == "gateway":
+        for module in (kernels, array_kernels):
+            monkeypatch.setattr(module, "WIRE_MAX_MICROS", 3e6)
+    else:
+        noise = args[7].copy()
+        noise[3000:] += 5000.0
+        args = (*args[:7], noise, *args[8:])
+    want = array_kernels.KERNELS[name](*args)
+    assert want[9] == aborts[name]
+    with pytest.raises(EpisodeAborted) as exc:
+        kernels.get_kernel(name)(*args)
+    assert exc.value.tick == want[9]
+    if overflow == "delta":
+        assert replays == []
+    else:
+        assert replays[0][0] == MALICIOUS16_SEED3_REPLAY[name]
+
+
+@pytest.mark.parametrize("links", ["p=0.5", "one dead link"])
+@pytest.mark.parametrize("proto", list(ProtocolKind))
+def test_episodes_with_a_dead_link_after_the_last_freeze_do_not_replay(proto, links,
+                                                                       replays):
+    if links == "p=0.5":
+        c = dataclasses.replace(scenario_config("malicious16", proto, 4, 2500), link_p=0.5)
+        name, args = engine.kernel_inputs(c)
+    else:
+        name, args = malicious16_inputs(proto, 4, 2500)
+        link_live = args[3].copy()
+        link_live[2499, 5] = 0
+        args = (*args[:3], link_live, *args[4:])
+    want = array_kernels.KERNELS[name](*args)
+    _assert_same_kernel_outputs(kernels.get_kernel(name)(*args), want)
+    assert replays == []
+    if links == "one dead link":
+        # every node froze, and the dead link alone keeps the episode unsettled
+        assert np.all(want[8][1:] >= 0)
+
+
+def test_a_settled_episode_that_never_repeats_runs_in_full(replays, monkeypatch):
+    # every node froze by tick 327, but around the triangle 0-1-3 BAF's hop
+    # counters climb for good, so the control state never repeats: the
+    # search gives up 64 ticks later, and the rest runs a chunk of 585 ticks
+    # at a time, the writer called at each chunk's first tick
+    monkeypatch.setattr(kernels, "_CYCLE_SEARCH_TICKS", 64)
+    topo = Topology.from_edges(7, [(0, 1), (0, 2), (0, 3), (0, 4), (1, 3), (1, 5), (4, 6)])
+    c = SimConfig(topology=topo, protocol=ProtocolKind.BAF, max_ticks=1500, seed=0,
+                  freeze_on_dip=True)
+    name, args = engine.kernel_inputs(c)
+    finals = []
+    got = kernels.get_kernel(name)(*args, lambda ep, final: finals.append(final))
+    want = array_kernels.KERNELS[name](*args)
+    _assert_same_kernel_outputs(got, want)
+    assert want[8].max() == 327
+    assert replays == []
+    assert finals == [1, 392, 977]
+
+
 @st.composite
 def connected_topologies(draw):
     """A connected graph of 2-10 nodes, gateway 0: a random spanning tree
@@ -683,6 +808,31 @@ def test_kernels_on_random_connected_topologies(topo, proto, link_p, malicious, 
         # every broadcast reaches a neighbor on the next tick
         sent, delivered = got[4], got[5]
         assert np.array_equal(delivered[1:], sent[:-1])
+
+
+# perfect links, freezing on and 1500 ticks: long enough for many episodes to
+# settle and replay (a third of these examples do)
+@settings(derandomize=True, deadline=None, max_examples=25)
+@given(topo=connected_topologies(), proto=st.sampled_from(list(ProtocolKind)),
+       malicious=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
+def test_settled_episodes_on_random_connected_topologies(topo, proto, malicious, seed):
+    c = SimConfig(topology=topo, protocol=proto, max_ticks=1500, seed=seed,
+                  malicious=malicious, freeze_on_dip=True)
+    name, args = engine.kernel_inputs(c)
+    seen, patch = spy_on_replays()
+    with patch:
+        got = kernels.get_kernel(name)(*args)
+    _assert_same_kernel_outputs(got, array_kernels.KERNELS[name](*args))
+    assert np.all(np.abs(c.delta * np.arange(1500) - got[0][:, 0]) == 0.0)
+    if proto is not ProtocolKind.SYNC_BASELINE:
+        sent, delivered = got[4], got[5]
+        assert np.array_equal(delivered[1:], sent[:-1])
+    # an episode whose nodes all froze in its first half has replayed; not
+    # always BAF's, whose hop counters can climb without bound around a
+    # cycle of the graph
+    fires = got[8][1:]
+    if np.all(fires >= 0) and fires.max() < 750 and proto is not ProtocolKind.BAF:
+        assert len(seen) == 1
 
 
 def _assert_recorded_rows(out, delta):
@@ -733,6 +883,24 @@ def test_kernel_memory_is_outputs_plus_small_excess():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    out_bytes = sum(np.asarray(a).nbytes for a in out)
+    assert peak < out_bytes + 2_000_000
+
+
+def test_replay_memory_is_outputs_plus_small_excess(replays):
+    # 100000 ticks of malicious16 BAF settle by tick 1381: the replay tiles
+    # the transmit rows and delivery counts in place and checks the wire a
+    # chunk at a time, and the attacker's noise list covers only the ticks
+    # the kernel ran
+    name, args = malicious16_inputs(ProtocolKind.BAF, 1, 100_000)
+    kernel = kernels.get_kernel(name)
+    tracemalloc.start()
+    try:
+        out = kernel(*args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert replays and replays[0][0] < 2000
     out_bytes = sum(np.asarray(a).nbytes for a in out)
     assert peak < out_bytes + 2_000_000
 
