@@ -19,18 +19,18 @@ from __future__ import annotations
 
 import contextlib
 import dataclasses
+import functools
 import os
-import pickle
 import tempfile
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import noise as noise_mod
-from ._forkmap import Child, failure_of, reraise, usable_cpus
+from ._forkmap import Worker, usable_cpus
 from ._kernels import get_kernel
 from .errors import ConfigError
-from .protocol import ProtocolKind
+from .protocol import MAX_SENDER_ID, ProtocolKind
 from .topology import (Topology, connectivity_layers, edge_list_size, grid_size, line_size,
                        load_topology, make_grid, make_line, read_lines)
 
@@ -160,12 +160,6 @@ class Trace:
                     raise
 
 
-def _text(part):
-    """A UTF-8 text stream with "\n" line ends onto the binary file `part`,
-    which stays open when the stream is closed."""
-    return open(part.fileno(), "w", encoding="utf-8", newline="\n", closefd=False)
-
-
 def _write_rows(fh, start: int, estimates, activated, frozen, delta: float) -> None:
     """The trace CSV rows of ticks start, start + 1, ..., whose estimates,
     activated and frozen flags are the rows of these (ticks, nodes) arrays,
@@ -184,105 +178,13 @@ def _write_rows(fh, start: int, estimates, activated, frozen, delta: float) -> N
         ]))
 
 
-def _write_all(fd: int, data: bytes) -> None:
-    """Write all of `data` to the file descriptor `fd`."""
-    view = memoryview(data)
-    while view:
-        view = view[os.write(fd, view):]
-
-
-class _Writer:
-    """A forked process that formats the blocks of the trace CSV sent to it.
-
-    It reads pickled blocks (start, estimates, activated, frozen, delta)
-    from its inbox pipe, formats each with `_write_rows` into `part`, an
-    anonymous temporary file opened before the fork (so a failed or killed
-    writer leaves no file behind), and acks each with one byte on its ack
-    pipe.  At a pickled None it returns the end offsets of its blocks in
-    `part`, with its failure, if any, as (exception, traceback text).
-    The child closes `parent_fds`, the pipe ends that this process holds
-    for this writer and those forked before it, so that each writer's inbox
-    reaches end of file when this process ends."""
-
-    def __init__(self, parent_fds: list):
-        self.part = tempfile.TemporaryFile()
-        inbox, self.inbox = os.pipe()
-        self.acks, ack = os.pipe()
-        parent_fds += [self.inbox, self.acks]
-
-        def serve():
-            for fd in parent_fds:
-                os.close(fd)
-            ends = []
-
-            def format_blocks():
-                with os.fdopen(inbox, "rb") as blocks, _text(self.part) as fh:
-                    for block in iter(lambda: pickle.load(blocks), None):
-                        _write_rows(fh, *block)
-                        fh.flush()
-                        ends.append(os.lseek(fh.fileno(), 0, os.SEEK_CUR))
-                        os.write(ack, b".")
-
-            return ends, failure_of(format_blocks)
-
-        try:
-            self.child = Child(serve)
-        except BaseException:
-            self.part.close()
-            os.close(self.inbox)
-            os.close(self.acks)
-            raise
-        finally:
-            os.close(inbox)
-            os.close(ack)
-        os.set_blocking(self.acks, False)
-        self.unacked = 0
-
-    def poll(self) -> None:
-        """Count the acks that have come; never blocks.  Raise the writer's
-        failure if it has ended."""
-        if self.unacked:
-            try:
-                acks = os.read(self.acks, 64)
-            except BlockingIOError:
-                return
-            if not acks:
-                self.fail()
-            self.unacked -= len(acks)
-
-    def send(self, block) -> int:
-        """Send a block; return its bytes.  Raise the writer's failure if it
-        has ended."""
-        data = pickle.dumps(block, pickle.HIGHEST_PROTOCOL)
-        try:
-            _write_all(self.inbox, data)
-        except BrokenPipeError:
-            self.fail()
-        self.unacked += 1
-        return len(data)
-
-    def wait(self) -> list:
-        """Wait for the writer to end; return its blocks' end offsets, or
-        raise its failure."""
-        ends, failure = self.child.wait(([], (RuntimeError(
-            f"CSV writer process {self.child.pid} ended without a result"), "")))
-        if failure:
-            reraise(*failure)
-        return ends
-
-    def fail(self):
-        """Raise the failure of the writer, which has ended before its
-        last block."""
-        self.wait()
-        raise RuntimeError(f"CSV writer process {self.child.pid} ended before its last block")
-
-    def close(self) -> None:
-        """Kill the writer, unless it has been reaped, and close its pipes
-        and its file."""
-        self.child.kill()
-        os.close(self.inbox)
-        os.close(self.acks)
-        self.part.close()
+def _format(part, block) -> int:
+    """Format `block`, the arguments (start, estimates, activated, frozen,
+    delta) of `_write_rows`, at the end of the binary file `part` as UTF-8
+    with "\n" line ends; return the offset where its rows end."""
+    with open(part.fileno(), "w", encoding="utf-8", newline="\n", closefd=False) as fh:
+        _write_rows(fh, *block)
+    return os.lseek(part.fileno(), 0, os.SEEK_CUR)
 
 
 class CsvBlocks:
@@ -292,9 +194,13 @@ class CsvBlocks:
     The writers are forked at the first call from the kernel, or in
     `finish` if the kernel did not call: one per spare CPU (usable_cpus() -
     1), and at most one per _CSV_ROWS_PER_WORKER rows of the episode beyond
-    the first _CSV_ROWS_PER_WORKER (see `_Writer`).  A block holds about
-    _CSV_ROWS_PER_WORKER // 2 rows, rounded up to whole ticks; block b holds
-    ticks [b * ticks, (b + 1) * ticks), whoever formats it.
+    the first _CSV_ROWS_PER_WORKER.  Each writer is a `Worker` that formats
+    the blocks sent to it with `_format` into its own anonymous temporary
+    file, opened before the fork, so a failed or killed writer leaves no file
+    behind; this process formats its own blocks with the same `_format`.  A
+    block holds about _CSV_ROWS_PER_WORKER // 2 rows, rounded up to whole
+    ticks; block b holds ticks [b * ticks, (b + 1) * ticks), whoever formats
+    it.
 
     `run(config, csv_blocks=...)` hands the object to the kernel as its
     writer when there is more than one usable CPU, and the kernel calls it
@@ -306,8 +212,8 @@ class CsvBlocks:
     kernel never waits on a writer.  `finish` hands out the rest the same
     way, formatting a block here whenever no writer has room, so no CPU
     idles while another formats a long share; then it waits for the writers.
-    A failure in a writer is raised where this process finds it: at an ack,
-    a send or the wait.
+    A failure in a writer is raised where this process finds it: at an ack
+    or at the wait.
 
     Use it as a context manager around the run and the `to_csv` call:
     leaving it kills and reaps every writer still running and closes the
@@ -319,6 +225,7 @@ class CsvBlocks:
         self.taken = 0         # ticks [0, taken) are in blocks
         self.writers = None    # forked at the first call or in finish
         self.here = None       # this process's file of blocks
+        self.parts = {}        # each writer's file of blocks
         self.order = []        # the file of each block, in tick order
         self.ends = {}         # per file, the end offsets of its blocks
         self.fits = False      # two blocks of the last size sent fit a pipe
@@ -329,14 +236,18 @@ class CsvBlocks:
         """Fork the writers of an episode of `ticks` ticks and `nodes` nodes."""
         self.ticks = max(1, -(-(_CSV_ROWS_PER_WORKER // 2) // nodes))
         self.writers = []
+        self.here = tempfile.TemporaryFile()
+        self.ends = {self.here: []}
         parent_fds = []
         for _ in range(max(0, min(self.slots, ticks * nodes // _CSV_ROWS_PER_WORKER - 1))):
-            self.writers.append(_Writer(parent_fds))
+            part = tempfile.TemporaryFile()
+            self.ends[part] = []
+            writer = Worker(functools.partial(_format, part), parent_fds)
+            self.writers.append(writer)
+            self.parts[writer] = part
         if self.writers:
             import fcntl    # POSIX only, like os.fork
             self.capacity = fcntl.fcntl(self.writers[0].inbox, fcntl.F_GETPIPE_SZ)
-        self.here = tempfile.TemporaryFile()
-        self.ends = {self.here: []}
 
     def _room(self):
         """The writer with the fewest unacknowledged blocks, the first on a
@@ -350,9 +261,9 @@ class CsvBlocks:
             return writer
         return None
 
-    def _send(self, writer: _Writer, block) -> None:
+    def _send(self, writer: Worker, block) -> None:
         self.fits = _CSV_BLOCKS_PER_WRITER * writer.send(block) <= self.capacity
-        self.order.append(writer.part)
+        self.order.append(self.parts[writer])
         self.taken = block[0] + len(block[1])
 
     def __call__(self, episode, final: int) -> None:
@@ -376,29 +287,23 @@ class CsvBlocks:
             return self.segments
         if self.writers is None:
             self._start(trace.node_count, trace.n_ticks)
-        with _text(self.here) as fh:
-            while self.taken < trace.n_ticks:
-                start, stop = self.taken, min(self.taken + self.ticks, trace.n_ticks)
-                block = (start, trace.estimates[start:stop], trace.activated[start:stop],
-                         trace.frozen[start:stop], trace.config.delta)
-                writer = self._room()
-                # a writer takes a block only while it holds fewer ticks than
-                # are left after the block, so that it has no backlog at the end
-                if writer is not None and writer.unacked * self.ticks < trace.n_ticks - stop:
-                    self._send(writer, block)
-                    continue
-                _write_rows(fh, *block)
-                fh.flush()
-                self.ends[self.here].append(os.lseek(fh.fileno(), 0, os.SEEK_CUR))
-                self.order.append(self.here)
-                self.taken = stop
+        while self.taken < trace.n_ticks:
+            start, stop = self.taken, min(self.taken + self.ticks, trace.n_ticks)
+            block = (start, trace.estimates[start:stop], trace.activated[start:stop],
+                     trace.frozen[start:stop], trace.config.delta)
+            writer = self._room()
+            # a writer takes a block only while it holds fewer ticks than are
+            # left after the block, so that it has no backlog at the end
+            if writer is not None and writer.unacked * self.ticks < trace.n_ticks - stop:
+                self._send(writer, block)
+                continue
+            self.ends[self.here].append(_format(self.here, block))
+            self.order.append(self.here)
+            self.taken = stop
         for writer in self.writers:
-            try:
-                _write_all(writer.inbox, pickle.dumps(None))
-            except BrokenPipeError:
-                pass    # its failure is raised by its wait
+            writer.send(None)
         for writer in self.writers:
-            self.ends[writer.part] = writer.wait()
+            self.ends[self.parts[writer]] = writer.result()
         spans = {part: iter(zip([0, *ends], ends)) for part, ends in self.ends.items()}
         self.segments = [(part, *next(spans[part])) for part in self.order]
         return self.segments
@@ -409,8 +314,8 @@ class CsvBlocks:
     def __exit__(self, *exc) -> None:
         for writer in self.writers or []:
             writer.close()
-        if self.here:
-            self.here.close()
+        for part in self.ends:
+            part.close()
         self.__init__()
 
 
@@ -457,13 +362,17 @@ def physical_memory() -> int:
 
 def _check_fits(ticks: int, node_count: int, edge_count: int) -> None:
     """Raise a ConfigError naming max_ticks when an episode of `ticks` ticks
-    on a graph of these counts needs more than physical memory."""
+    on a graph of these counts needs more than physical memory, or one
+    naming the sender id when a node id does not fit its 2-byte field."""
     need = _episode_bytes(ticks, node_count, edge_count)
     memory = physical_memory()
     if need > memory:
         raise ConfigError(f"max_ticks {ticks} needs {need / 2**30:.1f} GiB for "
                           f"the link matrix and trace, more than the "
                           f"{memory / 2**30:.1f} GiB of physical memory")
+    if node_count > MAX_SENDER_ID + 1:
+        raise ConfigError(f"{node_count} nodes: node ids above {MAX_SENDER_ID} do not fit "
+                          f"the 2-byte sender id field")
 
 
 def _validate(config: SimConfig) -> int:

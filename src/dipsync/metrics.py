@@ -158,10 +158,13 @@ PROTOCOL_ENERGY_CONSTANTS = {
     "floodpisync": (145, 9),
 }
 
-# Previously reported per-message totals in microjoules.  Direct evaluation of
-# the energy formula with the constants above does not reproduce them under
-# any unit reading we could verify; they are displayed as unverified
-# reference values only.
+# Previously reported per-message totals in microjoules.  They follow from
+# the formula above when the air time is the packet's bytes / DATA_RATE,
+# without the x8 from bytes to bits: tsau 14.528, uaf 14.834, baf 16.417,
+# ftsp 130.422 and floodpisync 16.0499 uJ.  The first four round to the
+# quoted digits; floodpisync's 16.1 follows only when 16.0499 is rounded
+# through 16.05.  `total_energy` takes DATA_RATE in bit/s, so the `energy`
+# table shows these only as its quoted column.
 QUOTED_TOTALS_UJ = {
     "tsau": 14.53,
     "uaf": 14.8,

@@ -18,6 +18,7 @@ from .errors import ConfigError, MalformedMessage
 
 MICROS_PER_SECOND = 1_000_000
 WIRE_TIME_MAX_TICKS = 0xFFFFFFFF  # 4-byte unsigned microsecond counter
+MAX_SENDER_ID = 0xFFFF            # 2-byte unsigned sender id
 
 
 class ProtocolKind(enum.Enum):
@@ -65,7 +66,7 @@ def encode(msg: SyncMessage) -> bytes:
     """Serialize a message to its protocol's fixed-length payload."""
     if msg.kind not in PAYLOAD_BYTES:
         raise MalformedMessage(f"{msg.kind.value} has no wire format")
-    if not 0 <= msg.sender <= 0xFFFF:
+    if not 0 <= msg.sender <= MAX_SENDER_ID:
         raise MalformedMessage(f"sender id {msg.sender} does not fit 2 bytes")
     ticks = _seconds_to_wire(msg.time)
     if msg.kind is ProtocolKind.TSAU:

@@ -163,6 +163,21 @@ def test_run_reports_bad_spec_or_abort_as_error(overrides, message, tmp_path, ca
     assert not (tmp_path / "o").exists()
 
 
+def test_run_rejects_more_nodes_than_sender_ids_before_building_them(tmp_path, capsys,
+                                                                    monkeypatch):
+    # 90000 nodes: ids from 65536 on do not fit the 2-byte sender id
+    def make_grid(rows, cols):
+        raise AssertionError("the grid was built")
+
+    monkeypatch.setattr("dipsync.engine.make_grid", make_grid)
+    spec = write_spec(tmp_path, topology="grid:300x300", max_ticks="3")
+    code, out, err = run_cli(["run", str(spec), "--out", str(tmp_path / "o")], capsys)
+    assert (code, out) == (2, "")
+    assert err == ("error: 90000 nodes: node ids above 65535 do not fit the 2-byte "
+                   "sender id field\n")
+    assert not (tmp_path / "o").exists()
+
+
 @pytest.mark.parametrize("command,out,named,reason", [
     (["run", "{spec}"], "{tmp}/file", "{tmp}/file", "File exists"),
     (["run", "{spec}"], "{tmp}/d", "{tmp}/d/trace.csv", "Is a directory"),
@@ -372,11 +387,11 @@ def test_fork_map_runs_the_costliest_item_alone_here():
     assert shares_by_process(got) == [["baf"], ["tsau", "uaf"]]
 
 
-@pytest.mark.parametrize("cost", [None, lambda x: 0.21], ids=["none", "equal"])
+@pytest.mark.parametrize("cost", [lambda x: 1, lambda x: 0.21], ids=["one", "equal"])
 @pytest.mark.parametrize("workers", [2, 3])
 def test_fork_map_with_equal_costs_is_the_stride(cost, workers):
-    # the split that sweep-links (one protocol, one tick count) and the
-    # trace CSV writer's tick ranges rely on
+    # the split of sweep-links, whose episodes share one protocol and one
+    # tick count
     items = list(range(8))
     got = fork_map(lambda x: (x, os.getpid()), items, workers, cost=cost)
     assert_no_child_left()
@@ -396,6 +411,22 @@ def test_fork_map_runs_each_share_in_item_order():
     with pytest.raises(ValueError, match="^item 1 fails$"):
         fork_map(fn, range(4), 2, cost=[1, 1, 2, 10].__getitem__)
     assert_no_child_left()
+
+
+def test_fork_map_raises_when_a_child_ends_without_a_result():
+    # the child's share is items 1 and 3, and item 1 ends the child
+    here = os.getpid()
+
+    def fn(item):
+        if item == 1 and os.getpid() != here:
+            os._exit(1)
+        return item
+
+    fds = len(os.listdir("/proc/self/fd"))
+    with pytest.raises(RuntimeError, match=r"^worker process \d+ ended without a result$"):
+        fork_map(fn, range(4), 2, cost=lambda x: 1)
+    assert_no_child_left()
+    assert len(os.listdir("/proc/self/fd")) == fds
 
 
 def test_every_protocol_has_an_episode_cost():

@@ -4,6 +4,7 @@ import os
 import tempfile
 import time
 import tracemalloc
+import types
 from unittest import mock
 
 import numpy as np
@@ -1035,6 +1036,21 @@ def test_oversized_spec_rejected_before_its_graph_is_built(topology, tmp_path, m
     monkeypatch.setattr(Topology, "from_edges", from_edges)
     with pytest.raises(ConfigError, match="max_ticks 4000 needs"):
         config_from_mapping({"protocol": "tsau", "topology": topology.format(tmp=tmp_path)})
+
+
+def test_node_ids_must_fit_the_2_byte_sender_id(monkeypatch):
+    # 65536 nodes, ids 0-65535, fit the field; one more node does not, and
+    # is rejected before its graph is built
+    monkeypatch.setattr(engine, "make_line", lambda n: f"line of {n} nodes")
+    spec = {"protocol": "tsau", "max_ticks": "3"}
+    assert config_from_mapping({**spec, "topology": "line:65536"}).topology == (
+        "line of 65536 nodes")
+    with pytest.raises(ConfigError, match="^65537 nodes: .* 2-byte sender id field$"):
+        config_from_mapping({**spec, "topology": "line:65537"})
+    # run checks a topology built elsewhere the same way
+    huge = types.SimpleNamespace(node_count=65537, edges=())
+    with pytest.raises(ConfigError, match="^65537 nodes: .* 2-byte sender id field$"):
+        run(cfg(huge, ProtocolKind.TSAU, max_ticks=3))
 
 
 def test_spec_grid_shape_is_checked_before_its_size():

@@ -3,6 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import dipsync.metrics as metrics
 from dipsync.engine import SimConfig, Trace, run
 from dipsync.metrics import (
     dip_metrics,
@@ -204,6 +205,27 @@ def test_energy_empty_payload_pays_for_the_framing():
     assert rep.tx_energy == pytest.approx(32.6592e-6, rel=1e-12)
     assert rep.rx_energy == pytest.approx(36.23616e-6, rel=1e-12)
     assert rep.cpu_energy > 0
+
+
+def test_quoted_totals_follow_from_air_time_in_bytes():
+    # the quoted totals take the air time as the packet's bytes / DATA_RATE,
+    # without total_energy's x8 from bytes to bits
+    got = {}
+    for name, (cpu_ticks, payload) in metrics.PROTOCOL_ENERGY_CONSTANTS.items():
+        air = (payload + metrics.HEADER_FOOTER_BYTES) / metrics.DATA_RATE
+        got[name] = 1e6 * metrics.V_MIN * (cpu_ticks * metrics.MICROS_PER_TICK * metrics.I_MCU
+                                           + air * (metrics.I_TX + metrics.I_RX))
+        rep = total_energy(cpu_ticks, payload)
+        assert 1e6 * (rep.cpu_energy + (rep.tx_energy + rep.rx_energy) / 8) == pytest.approx(
+            got[name], rel=1e-12)
+    assert got == pytest.approx({"tsau": 14.52816, "uaf": 14.8338, "baf": 16.41708,
+                                 "ftsp": 130.42188, "floodpisync": 16.04988}, rel=1e-12)
+    quoted = metrics.QUOTED_TOTALS_UJ
+    for name in ("tsau", "uaf", "baf", "ftsp"):
+        assert round(got[name], len(repr(quoted[name]).split(".")[1])) == quoted[name]
+    # floodpisync's 16.1 follows only through 16.05
+    assert round(got["floodpisync"], 1) == 16.0
+    assert round(round(got["floodpisync"], 2), 1) == quoted["floodpisync"] == 16.1
 
 
 def test_energy_linear_in_packet_length():

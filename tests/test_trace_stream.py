@@ -32,7 +32,8 @@ PROTOCOLS = ["baseline", "tsau", "uaf", "baf"]
 @pytest.fixture(autouse=True)
 def no_leftovers():
     """Fail a test that leaves a child process, or more open file
-    descriptors than it started with: the writers add two pipes each."""
+    descriptors than it started with: each writer adds three pipe ends and
+    a file."""
     fds = len(os.listdir("/proc/self/fd"))
     yield
     assert_no_child_left()
@@ -322,6 +323,22 @@ def test_streamed_run_raises_a_writer_error_with_its_traceback(small_blocks, tmp
     assert "in failing_write_rows" in str(exc.value.__cause__)
     assert os.listdir(out) == ["trace.csv"]
     assert (out / "trace.csv").read_bytes() == b"old\n"
+    assert os.listdir(temp) == []
+    assert capfd.readouterr() == ("", "")
+
+
+def test_streamed_run_raises_when_a_writer_ends_without_a_result(small_blocks, tmp_path,
+                                                                  capfd, monkeypatch):
+    # the writer ends at its first block; no output file is left
+    temp = tmp_path / "temp"
+    temp.mkdir()
+    monkeypatch.setattr(tempfile, "tempdir", str(temp))
+    spec = frozen_spec(tmp_path, "baf")
+    use_cpus(monkeypatch, 2)
+    monkeypatch.setattr(engine, "_write_rows", in_writers(lambda start: os._exit(1)))
+    with pytest.raises(RuntimeError, match=r"process \d+ ended without a result$"):
+        cli.main(["run", str(spec), "--out", str(tmp_path / "o")])
+    assert list(tmp_path.glob("o/*")) == []
     assert os.listdir(temp) == []
     assert capfd.readouterr() == ("", "")
 
