@@ -36,7 +36,8 @@ Shared conventions:
     fires, and the detector records its fire; with `freeze` set the node
     also rewinds to the window's center sample and stops updating;
   * a kernel raises `EpisodeAborted(k)` when a broadcast of tick k would
-    overflow the 4-byte microsecond wire field; its tenth output is -1;
+    overflow the 4-byte microsecond wire field, or, in BAF, when a hop
+    counter it sends would overflow its 2-byte field; its tenth output is -1;
   * a kernel's optional last argument, `writer`, is called with the episode
     and a tick whenever every earlier tick is final (see `_Episode.rows`);
     it reads the episode and changes none of its outputs;
@@ -47,8 +48,9 @@ Shared conventions:
     live.  No estimate changes after that and the inputs are constant, so
     only a deterministic control plane is left, and where it is finite it
     becomes periodic.  (BAF's hop counters can climb without bound around a
-    cycle of the graph; such an episode never repeats, and runs in full
-    once the search gives up, _CYCLE_SEARCH_TICKS after the settle tick.)
+    cycle of the graph; such an episode never repeats, and runs on tick by
+    tick once the search gives up, _CYCLE_SEARCH_TICKS after the settle
+    tick, until it ends or a counter overflows.)
     After each tick the episode compares the kernel's control state
     (`_Episode.control`) plus the tick's transmit row with a Brent
     checkpoint (R. P. Brent, BIT 20, 1980).  At the first repeat, with
@@ -68,7 +70,7 @@ import numpy as np
 
 from .dip import DipDetector
 from .errors import EpisodeAborted
-from .protocol import WIRE_TIME_MAX_TICKS
+from .protocol import MAX_HOP_COUNTER, WIRE_TIME_MAX_TICKS
 
 WIRE_MAX_MICROS = float(WIRE_TIME_MAX_TICKS)
 
@@ -645,6 +647,10 @@ def baf_kernel(
             senders.append(i)
         if delta * k * 1e6 > WIRE_MAX_MICROS:
             raise EpisodeAborted(k)
+        # a counter sent at tick k is at most k, so none overflows its field
+        # before tick MAX_HOP_COUNTER + 1; the attacker sends 0
+        if k > MAX_HOP_COUNTER and max(c[b] for b in senders if b != mal) > MAX_HOP_COUNTER:
+            raise EpisodeAborted(k, "hop counter", 2)
         for b in senders:
             tx[row + b] = 1
     return ep.outputs()

@@ -39,13 +39,15 @@ RNG_LABELS = {"init-clocks": 0, "links": 1, "noise": 2}
 TRACE_CSV_HEADER = "tick,node,estimate,error,activated,frozen"
 
 # Trace CSV rows per writer process, and twice the rows of a block.  A row
-# takes about 3 us to format.  A writer is forked once per episode: forking
-# it takes about 2 ms, and with the page faults after the fork it costs the
-# kernel 3-7%.  Each block is then pickled and sent through the writer's
-# pipe, 60-80 us for a block of 2560 rows, under 1% of the 7.7 ms it takes
-# to format.  So a writer pays for itself from a few thousand rows, and a
-# block is small enough that no CPU idles long on another's last block
-# (run-large-csv's 600 ticks of BAF on grid:16x16, in a 38 MB process, on a
+# takes about 0.9 us to format where 7% of the estimates repeat the row
+# above's (run-large-csv's 600 ticks of BAF on grid:16x16), and about
+# 0.6 us where 80-89% do (the bundled grid:4x4 specs).  A writer is forked
+# once per episode: forking it takes 0.5-1.2 ms, and with the page faults
+# after the fork it costs the kernel 3-7%.  Each block is then pickled and
+# sent through the writer's pipe, about 20 us for a block of 2560 rows,
+# about 1% of the 2.3 ms it takes to format.  So a writer pays for itself
+# from a few thousand rows, and a block is small enough that no CPU idles
+# long on another's last block (run-large-csv, in a 39 MB process, on a
 # 2-vCPU x86-64 VM with Python 3.11.7).
 _CSV_ROWS_PER_WORKER = 5000
 
@@ -86,8 +88,8 @@ class Trace:
     """Per-tick, per-node record of one episode."""
 
     estimates: np.ndarray          # (ticks, nodes) float64
-    activated: np.ndarray          # (ticks, nodes) uint8
-    frozen: np.ndarray             # (ticks, nodes) uint8
+    activated: np.ndarray          # (ticks, nodes) uint8, 0 or 1
+    frozen: np.ndarray             # (ticks, nodes) uint8, 0 or 1
     transmitted: np.ndarray        # (ticks, nodes) uint8: node broadcast this tick
     messages_sent: np.ndarray      # (ticks,) broadcasts emitted per tick
     messages_delivered: np.ndarray  # (ticks,) broadcasts that reached >=1 node;
@@ -123,7 +125,9 @@ class Trace:
 
         Floats are written as the `repr` of the Python float (shortest
         round-trip digits), flags as integers; the bytes equal those of
-        formatting every (tick, node) row on its own.  Every row is
+        formatting every (tick, node) row on its own.  The text of an
+        estimate whose float64 bits are unchanged from the row above is
+        reused, not formatted again, within each block.  Every row is
         formatted by `_write_rows`, in blocks of whole ticks (see
         `CsvBlocks`): the `csv_blocks` that `run` was given, whose writers
         took the leading blocks while the kernel ran, or, if there are none
@@ -160,21 +164,45 @@ class Trace:
                     raise
 
 
+# The ",activated,frozen" end of a trace CSV row, indexed by 2*activated + frozen.
+_ROW_TAILS = np.array([",0,0\n", ",0,1\n", ",1,0\n", ",1,1\n"], dtype=object)
+
+
 def _write_rows(fh, start: int, estimates, activated, frozen, delta: float) -> None:
     """The trace CSV rows of ticks start, start + 1, ..., whose estimates,
-    activated and frozen flags are the rows of these (ticks, nodes) arrays,
-    one write call per tick.  The gateway's time at tick k is the product
-    delta*k of `Trace.gateway_times`."""
-    gw = delta * np.arange(start, start + len(estimates))
-    node_cols = [f",{i}," for i in range(estimates.shape[1])]
-    for k, g, est, act, frz in zip(range(start, start + len(estimates)), gw, estimates,
-                                   activated, frozen):
+    activated and frozen flags (0 or 1) are the rows of these (ticks, nodes)
+    arrays, one write call per tick.  The gateway's time at tick k is the
+    product delta*k of `Trace.gateway_times`.
+
+    Each float is written as its `repr`, but an estimate whose float64
+    bits equal the row above's in these arrays reuses that row's text:
+    `repr` runs once per run of equal bits down a column, starting afresh
+    on the first row.  The bits, unlike the activated flags, tell -0.0 from
+    0.0 and catch a value that changes on a row not flagged active, as a
+    trace built by hand can have.  The error moves with the gateway's time,
+    so it is formatted on every row."""
+    ticks, n = estimates.shape
+    new = np.empty((ticks, n), dtype=bool)
+    new[:1] = True
+    bits = estimates.view(np.uint64)
+    np.not_equal(bits[1:], bits[:-1], out=new[1:])
+    texts = np.array(list(map(repr, estimates[new].tolist())), dtype=object)
+    # each entry's index into texts: its own where new, else the row above's.
+    # The indices grow in row-major order, so a running maximum down each
+    # column of the new ones, 0 elsewhere, carries them
+    idx = np.cumsum(new).reshape(ticks, n)
+    idx -= 1
+    idx *= new
+    np.maximum.accumulate(idx, axis=0, out=idx)
+    errors = np.abs(delta * np.arange(start, start + ticks)[:, None] - estimates)
+    node_cols = [f",{i}," for i in range(n)]
+    for k, est, err, tails in zip(range(start, start + ticks), texts[idx].tolist(),
+                                  errors.tolist(),
+                                  _ROW_TAILS[2 * activated + frozen].tolist()):
         tick = str(k)
         fh.write("".join([
-            f"{tick}{node}{e!r},{x!r},{a},{f}\n"
-            for node, e, x, a, f in zip(
-                node_cols, est.tolist(), np.abs(g - est).tolist(), act.tolist(),
-                frz.tolist())
+            f"{tick}{node}{e},{x!r}{tail}"
+            for node, e, x, tail in zip(node_cols, est, err, tails)
         ]))
 
 

@@ -28,13 +28,16 @@ class ConfigError(ValueError):
 
 
 class EpisodeAborted(RuntimeError):
-    """A broadcast at `tick` overflows the 4-byte microsecond wire field; the
-    kernel raises this, so no trace of the episode is built."""
+    """A broadcast at `tick` overflows one of its wire fields: by default
+    the 4-byte microsecond time, or BAF's 2-byte hop counter; the kernel
+    raises this, so no trace of the episode is built."""
 
-    def __init__(self, tick: int):
+    def __init__(self, tick: int, field: str = "time", nbytes: int = 4):
         self.tick = tick
-        super().__init__(f"episode aborted at tick {tick}: broadcast time overflows "
-                         "the 4-byte wire field")
+        self.field = field
+        self.nbytes = nbytes
+        super().__init__(f"episode aborted at tick {tick}: broadcast {field} overflows "
+                         f"the {nbytes}-byte wire field")
 
     def __reduce__(self):
-        return type(self), (self.tick,), self.__dict__
+        return type(self), (self.tick, self.field, self.nbytes), self.__dict__

@@ -19,6 +19,7 @@ from .errors import ConfigError, MalformedMessage
 MICROS_PER_SECOND = 1_000_000
 WIRE_TIME_MAX_TICKS = 0xFFFFFFFF  # 4-byte unsigned microsecond counter
 MAX_SENDER_ID = 0xFFFF            # 2-byte unsigned sender id
+MAX_HOP_COUNTER = 0xFFFF          # 2-byte unsigned BAF hop counter
 
 
 class ProtocolKind(enum.Enum):
@@ -74,7 +75,7 @@ def encode(msg: SyncMessage) -> bytes:
     if msg.kind is ProtocolKind.UAF:
         return struct.pack("<HIB", msg.sender, ticks, _checked_status(msg.s))
     c = msg.c if msg.c is not None else 0
-    if not 0 <= c <= 0xFFFF:
+    if not 0 <= c <= MAX_HOP_COUNTER:
         raise MalformedMessage(f"counter {c} does not fit 2 bytes")
     return struct.pack("<HIBH", msg.sender, ticks, _checked_status(msg.s), c)
 

@@ -15,6 +15,7 @@ import numpy as np
 
 from dipsync._kernels import WIRE_MAX_MICROS
 from dipsync.dip import WARMUP_OUTPUTS
+from dipsync.protocol import MAX_HOP_COUNTER
 
 
 def _observe_dip(
@@ -474,6 +475,10 @@ def baf_kernel(
                                      dip_val, fire_tick, est, freeze)
                 s[i] = 1 - s[i]
                 c[i] = max_opp_c + 1
+                # the attacker sends 0, never its counter
+                if c[i] > MAX_HOP_COUNTER and i != mal:
+                    abort = k
+                    break
                 # the wake-up messages open this node's new cycle window
                 heard_n[i] = opp_cnt
                 heard_max[i] = max_opp_c

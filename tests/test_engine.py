@@ -9,7 +9,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import array_kernels
@@ -386,20 +386,70 @@ def test_to_csv_matches_per_row_writer_on_frozen_baf_run(tmp_path):
     _assert_csv_matches_per_row_writer(trace, tmp_path)
 
 
-def test_to_csv_matches_per_row_writer_on_edge_floats(tmp_path):
-    est = np.array([[0.0, -0.0, 1e-05, 1e16, 5e-324, 0.1 + 0.2],
-                    [0.001, 5e-324, -0.0, 0.1 + 0.2, 1e-05, -1e16]])
-    flags = np.array([[0, 1, 0, 1, 0, 1], [1, 0, 1, 0, 1, 0]], dtype=np.uint8)
+def hand_built_trace(est, activated, frozen):
+    """A Trace of these (ticks, nodes) estimates and flags on a line graph,
+    built without a kernel."""
+    est = np.array(est, dtype=np.float64)
     ticks, n = est.shape
-    trace = engine.Trace(
+    return engine.Trace(
         estimates=est,
-        activated=flags, frozen=1 - flags, transmitted=flags,
+        activated=np.array(activated, dtype=np.uint8), frozen=np.array(frozen, dtype=np.uint8),
+        transmitted=np.array(activated, dtype=np.uint8),
         messages_sent=np.zeros(ticks, dtype=np.int64),
         messages_delivered=np.zeros(ticks, dtype=np.int64),
         dip_tick=np.full(n, -1), dip_value=np.zeros(n), dip_fire_tick=np.full(n, -1),
         config=cfg(make_line(n), ProtocolKind.BAF, max_ticks=ticks),
     )
-    _assert_csv_matches_per_row_writer(trace, tmp_path)
+
+
+def test_to_csv_matches_per_row_writer_on_edge_floats(tmp_path):
+    est = np.array([[0.0, -0.0, 1e-05, 1e16, 5e-324, 0.1 + 0.2],
+                    [0.001, 5e-324, -0.0, 0.1 + 0.2, 1e-05, -1e16]])
+    flags = np.array([[0, 1, 0, 1, 0, 1], [1, 0, 1, 0, 1, 0]], dtype=np.uint8)
+    _assert_csv_matches_per_row_writer(hand_built_trace(est, flags, 1 - flags), tmp_path)
+
+
+EDGE_FLOATS = [0.0, -0.0, 5e-324, 1e-05, 1e16, np.nan, np.inf, -np.inf, 0.1 + 0.2]
+
+
+@st.composite
+def repeating_rows(draw):
+    """(estimates, activated, frozen) of 1-8 ticks and 2-6 nodes.  Each
+    estimate is an edge float or, about half the time, the row above's
+    value, whatever the node's flags say."""
+    ticks, n = draw(st.integers(1, 8)), draw(st.integers(2, 6))
+    cells = st.lists(st.sampled_from(EDGE_FLOATS), min_size=n, max_size=n)
+    flags = st.lists(st.lists(st.integers(0, 1), min_size=n, max_size=n),
+                     min_size=ticks, max_size=ticks)
+    est = [draw(cells)]
+    for _ in range(1, ticks):
+        fresh, repeat = draw(cells), draw(st.lists(st.booleans(), min_size=n, max_size=n))
+        est.append([a if r else b for a, b, r in zip(est[-1], fresh, repeat)])
+    return est, draw(flags), draw(flags)
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(rows=repeating_rows(), rows_per_worker=st.integers(2, 16))
+# one tick
+@example(rows=([[np.nan, -0.0, 0.1 + 0.2]], [[1, 0, 1]], [[0, 1, 1]]), rows_per_worker=2)
+# blocks of 2 ticks, a writer on 2 CPUs, a value repeated across each block
+# cut, -0.0 below 0.0, and values that change on rows flagged 0
+@example(rows=([[0.0, 1e16]] * 3 + [[-0.0, 1e16]] + [[-0.0, 5e-324]] * 3 + [[0.0, np.nan]],
+               [[0, 0]] * 8, [[0, 1]] * 8), rows_per_worker=8)
+def test_to_csv_matches_per_row_writer_on_repeated_edge_floats(cpus, rows, rows_per_worker):
+    # `_write_rows` formats an estimate once per run of equal bits down its
+    # column, starting afresh at each block
+    trace = hand_built_trace(*rows)
+    want = io.StringIO()
+    _per_row_csv(trace, want)
+    with tempfile.TemporaryDirectory() as tmp, \
+            mock.patch.object(engine, "_CSV_ROWS_PER_WORKER", rows_per_worker), \
+            mock.patch.object(os, "sched_getaffinity", lambda pid: set(range(cpus))):
+        trace.to_csv(os.path.join(tmp, "trace.csv"))
+        with open(os.path.join(tmp, "trace.csv"), "rb") as fh:
+            assert fh.read() == want.getvalue().encode()
+    assert_no_child_left()
 
 
 def test_to_csv_memory_is_bounded(tmp_path):
@@ -775,6 +825,22 @@ def test_a_settled_episode_that_never_repeats_runs_in_full(replays, monkeypatch)
     assert want[8].max() == 327
     assert replays == []
     assert finals == [1, 392, 977]
+
+
+def test_a_baf_hop_counter_past_its_2_byte_field_aborts_at_the_oracle_tick():
+    # around the triangle 0-1-3 the hop counters climb for good, by at most
+    # one a tick: one would be sent above 0xFFFF at tick 65540.  Every node
+    # freezes by tick 327, so the kernel runs its futile cycle search and
+    # then the remaining ticks one by one
+    topo = Topology.from_edges(7, [(0, 1), (0, 2), (0, 3), (0, 4), (1, 3), (1, 5), (4, 6)])
+    c = SimConfig(topology=topo, protocol=ProtocolKind.BAF, max_ticks=70000, seed=0,
+                  freeze_on_dip=True)
+    name, args = engine.kernel_inputs(c)
+    want = array_kernels.KERNELS[name](*args)
+    assert want[9] == 65540
+    with pytest.raises(EpisodeAborted, match="hop counter overflows the 2-byte") as exc:
+        kernels.get_kernel(name)(*args)
+    assert exc.value.tick == want[9]
 
 
 @st.composite

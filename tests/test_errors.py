@@ -19,8 +19,11 @@ from dipsync.errors import (
     (EpisodeAborted(5),
      "episode aborted at tick 5: broadcast time overflows the 4-byte wire field",
      {"tick": 5}),
+    (EpisodeAborted(70000, "hop counter", 2),
+     "episode aborted at tick 70000: broadcast hop counter overflows the 2-byte wire field",
+     {"tick": 70000, "field": "hop counter", "nbytes": 2}),
 ], ids=["ProtocolViolation", "MalformedMessage", "UnreachableNodeError", "ConfigError",
-        "EpisodeAborted"])
+        "EpisodeAborted", "EpisodeAborted-counter"])
 def test_errors_survive_a_pickle_round_trip(exc, message, attrs):
     # an error raised in a worker process is raised again in its parent
     back = pickle.loads(pickle.dumps(exc))

@@ -98,11 +98,17 @@ def per_row_bytes(spec):
 
 
 @pytest.mark.parametrize("cpus", [1, 2, 3])
-@pytest.mark.parametrize("protocol", PROTOCOLS)
-def test_streamed_trace_csv_matches_per_row_writer(protocol, cpus, small_blocks, tmp_path,
+@pytest.mark.parametrize("run_of", [*PROTOCOLS, "malicious16-baf"])
+def test_streamed_trace_csv_matches_per_row_writer(run_of, cpus, small_blocks, tmp_path,
                                                    capfd, monkeypatch):
-    # the writers' writes to file descriptors 1 and 2 would show in capfd
-    spec = frozen_spec(tmp_path, protocol)
+    # a frozen_spec run of each protocol, and the bundled malicious16-baf
+    # spec (the attacker, freezing on, 4000 ticks), where most text is
+    # reused: 89% of its estimates repeat the row above's bits.  The
+    # writers' writes to file descriptors 1 and 2 would show in capfd
+    if run_of in PROTOCOLS:
+        spec = frozen_spec(tmp_path, run_of)
+    else:
+        spec = cli.resolve_spec_path(run_of)
     want = per_row_bytes(spec)
     use_cpus(monkeypatch, cpus)
     blocks = record_blocks(monkeypatch)
