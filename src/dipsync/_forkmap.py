@@ -1,9 +1,11 @@
-"""One fork primitive, `Worker`, and `fork_map` on top of it.
+"""One fork primitive, `Worker`, its task pipes, and `fork_map` on top of it.
 
-A Worker is a forked process that serves the tasks sent to it through a
-pipe.  Each child of `fork_map` (the episodes of `sweep-links` and
-`compare`) is sent the indices of its share of the items; each trace CSV
-writer (`engine.CsvBlocks`) is sent blocks of ticks.
+A Worker is a forked process that serves the task numbers it reads from a
+pipe until EOF.  Each child of `fork_map` (the episodes of `sweep-links` and
+`compare`) reads the indices of its share of the items from a pipe of its
+own; the trace CSV writers (`engine.CsvBlocks`) and this process read block
+numbers from one shared pipe, a queue from which whoever is free takes the
+next block.
 
 `fork_map`'s shares are fixed before any worker starts, from the items'
 costs alone, so which process runs which item never depends on timing.  A
@@ -15,8 +17,11 @@ change from call to call.
 from __future__ import annotations
 
 import contextlib
+import functools
+import itertools
 import os
 import pickle
+import select
 import signal
 import traceback
 
@@ -47,83 +52,72 @@ def serve_all(serve, tasks) -> tuple:
     return results, None
 
 
-class Worker:
-    """`serve_all(serve, tasks)` in a child made by `os.fork`, for the tasks
-    sent to it.
+def put(feed: int, tasks) -> int:
+    """Write the task numbers `tasks` (ints in [0, 2**64)) in order to the
+    pipe write end `feed`, 8 bytes each; return how many were written.
 
-    The child reads pickled tasks from its inbox pipe and acks each one
-    served with one byte on a non-blocking ack pipe (an ack that finds the
-    pipe full is dropped, so unread acks never block it).  At a pickled
-    None, or at the first Exception, it closes its inbox, so that a send
-    blocked on a full inbox ends rather than waits for it, and sends back
-    one pickle of (results, failure).  It leaves through `os._exit`, so it
-    never flushes this process's buffers.  It first closes `parent_fds`, the
-    pipe ends this process holds for the workers made before it, to which
-    this worker's are then added, so each inbox ends when this process does.
+    Each write holds whole tasks and at most PIPE_BUF bytes, so the pipe
+    never splits it: a reader never sees part of a task.  A non-blocking
+    `feed` stops at the first write that finds the pipe full, and any feed
+    stops when the pipe has no reader left (a child that has ended)."""
+    tasks = iter(tasks)
+    done = 0
+    with contextlib.suppress(BlockingIOError, BrokenPipeError):
+        while batch := list(itertools.islice(tasks, select.PIPE_BUF // 8)):
+            done += os.write(feed, b"".join(task.to_bytes(8, "little") for task in batch)) // 8
+    return done
+
+
+def get(tasks: int):
+    """The next task number from the pipe read end `tasks`, or None at EOF.
+    It takes one task with one raw 8-byte read, so the readers sharing a
+    pipe each take only the task they serve next; a buffered read could
+    take tasks that another reader is waiting for."""
+    data = os.read(tasks, 8)
+    return int.from_bytes(data, "little") if data else None
+
+
+class Worker:
+    """`serve_all(serve, tasks)` in a child made by `os.fork`, for the task
+    numbers it reads (`get`) from the pipe read end `tasks`, until EOF.
+
+    Other readers may share the pipe: each task goes to whoever reads it
+    first.  At EOF, or at the first Exception, the child closes its read
+    end, so that a `put` to a pipe that only it reads ends rather than
+    waits, and sends back one pickle of (results, failure).  It leaves
+    through `os._exit`, so it never flushes this process's buffers.  It
+    first closes `parent_fds`, the pipe ends this process holds: the write
+    ends of the task pipes, without which no EOF would come, and the reply
+    ends of the workers made before it, to which this worker's is then
+    added.
 
     Whoever makes a Worker closes it on every path: `close` kills and reaps
-    it unless `wait` has reaped it, and closes its pipes."""
+    it unless `wait` has reaped it, and closes its reply pipe."""
 
-    def __init__(self, serve, parent_fds: list):
-        inbox, self.inbox = os.pipe()
-        self.acks, ack = os.pipe2(os.O_NONBLOCK)
+    def __init__(self, serve, tasks: int, parent_fds: list):
         replies, reply = os.pipe()
         try:
             self.pid = os.fork()
         except BaseException:
-            for fd in (inbox, self.inbox, self.acks, ack, replies, reply):
-                os.close(fd)
+            os.close(replies)
+            os.close(reply)
             raise
         if self.pid == 0:
             status = 1
             try:
-                for fd in (*parent_fds, self.inbox, self.acks, replies):
+                for fd in (*parent_fds, replies):
                     os.close(fd)
-
-                def acked(task):
-                    result = serve(task)
-                    with contextlib.suppress(BlockingIOError):
-                        os.write(ack, b".")
-                    return result
-
-                with os.fdopen(inbox, "rb") as tasks:
-                    done = serve_all(acked, iter(lambda: pickle.load(tasks), None))
+                done = serve_all(serve, iter(functools.partial(get, tasks), None))
+                os.close(tasks)
                 with os.fdopen(reply, "wb") as fh:
                     pickle.dump(done, fh)
                 status = 0
             finally:
                 os._exit(status)
-        for fd in (inbox, ack, reply):
-            os.close(fd)
-        parent_fds += [self.inbox, self.acks, replies]
+        os.close(reply)
+        parent_fds.append(replies)
         self.replies = os.fdopen(replies, "rb")
-        self.unacked = 0       # tasks sent and not yet acked
         self.reaped = False
-
-    def send(self, task) -> int:
-        """Send a task, or None to end the tasks; return its bytes.  A worker
-        that has ended gets nothing: its failure shows at `poll` or `wait`."""
-        data = pickle.dumps(task, pickle.HIGHEST_PROTOCOL)
-        view = memoryview(data)
-        with contextlib.suppress(BrokenPipeError):
-            while view:
-                view = view[os.write(self.inbox, view):]
-        if task is not None:
-            self.unacked += 1
-        return len(data)
-
-    def poll(self) -> None:
-        """Count the acks that have come; never blocks.  Raise the worker's
-        failure if it has ended before acking every task."""
-        if self.unacked:
-            try:
-                acks = os.read(self.acks, 64)
-            except BlockingIOError:
-                return
-            if not acks:
-                self.result()
-                raise RuntimeError(f"worker process {self.pid} ended before its last task")
-            self.unacked -= len(acks)
 
     def wait(self) -> tuple:
         """Wait for the worker to end and reap it; return its (results,
@@ -146,15 +140,13 @@ class Worker:
 
     def close(self) -> None:
         """Kill the worker, unless it has been reaped, and reap it; close its
-        pipes."""
+        reply pipe."""
         self.replies.close()
         if not self.reaped:
             with contextlib.suppress(ProcessLookupError):
                 os.kill(self.pid, signal.SIGKILL)
             os.waitpid(self.pid, 0)
             self.reaped = True
-        os.close(self.inbox)
-        os.close(self.acks)
 
 
 def usable_cpus() -> int:
@@ -175,10 +167,10 @@ def fork_map(fn, items, workers: int, cost) -> list:
     equal costs, worker w runs items[w::workers].
 
     This process is worker 0 and runs its share through `serve_all`; each
-    other worker is a `Worker`, sent the indices of its share and then None
-    as soon as it is forked.  With one worker there are no children and the
-    items run here in order.  A caller passes at most `usable_cpus()` workers
-    and at most one per item.
+    other worker is a `Worker`, and as soon as it is forked this process
+    `put`s the indices of its share into its task pipe and closes it.  With
+    one worker there are no children and the items run here in order.  A
+    caller passes at most `usable_cpus()` workers and at most one per item.
 
     The episode map (`cli._map_episodes`) relies on this contract:
     - the results come back in item order, whatever worker computed them;
@@ -205,9 +197,19 @@ def fork_map(fn, items, workers: int, cost) -> list:
     parent_fds = []
     try:
         for indices in plan[1:]:
-            children.append(Worker(serve, parent_fds))
-            for i in [*indices, None]:
-                children[-1].send(i)
+            # each child has a task pipe of its own, whose read end this
+            # process closes, so that a put to a child that has ended stops
+            tasks, feed = os.pipe()
+            parent_fds.append(feed)
+            try:
+                try:
+                    children.append(Worker(serve, tasks, parent_fds))
+                finally:
+                    os.close(tasks)
+                put(feed, indices)
+            finally:
+                parent_fds.remove(feed)
+                os.close(feed)
         shares = [serve_all(serve, plan[0]), *(child.wait() for child in children)]
     finally:
         for child in children:

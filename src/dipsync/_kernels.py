@@ -13,7 +13,7 @@ estimate in place into the (ticks, nodes) estimate array, and its activated
 and transmitted flags into flat bytearrays; no row is stored per tick.  The
 rows between a node's updates are filled from the activated flags, and the
 gateway column is written as delta*k, a block of final rows at a time: the
-blocks a trace CSV writer takes while the kernel runs (`_Episode.rows`),
+blocks a trace CSV writer queues while the kernel runs (`_Episode.rows`),
 then the rest at the end of the episode.
 
 Shared conventions:
@@ -65,6 +65,7 @@ Shared conventions:
 from __future__ import annotations
 
 import itertools
+import mmap
 
 import numpy as np
 
@@ -100,9 +101,11 @@ class _Episode:
     any freeze rewind) at k*N + i, on the ticks that update it.  `act` and
     `tx` are flat `bytearray` flags set at k*N + i (a bytearray item store
     costs about a third of a numpy one); `act_tr` is the (ticks, nodes)
-    view of `act`.  `fill` completes the rows of finished ticks: those the
-    writer takes while the kernel runs, and at episode end, in `outputs`,
-    the rest."""
+    view of `act`.  `fill` completes the estimate rows and the frozen flags
+    `frozen_tr` of finished ticks: those the writer queues while the kernel
+    runs, and at episode end, in `outputs`, the rest.  With a writer,
+    `est_tr`, `act` and `frozen_tr` live in shared memory, which the
+    writer's forked processes read (`engine.CsvBlocks`)."""
 
     def __init__(self, indptr, indices, edge_slot, link_live, init_est, delta,
                  mal, noise, freeze, writer):
@@ -127,16 +130,28 @@ class _Episode:
         self.detectors = [DipDetector() for _ in range(n)]
         self.freeze = freeze
         self.delta = delta
-        self.est_tr = np.zeros((len(link_live), n))
+        T = len(link_live)
+        if writer is None:
+            self.est_tr = np.zeros((T, n))
+            self.act = bytearray(T * n)
+            self.frozen_tr = np.zeros((T, n), dtype=np.uint8)
+        else:
+            # the writer's forked processes read these rows: anonymous
+            # shared mappings, which a fork shares rather than copies.  An
+            # mmap item store costs about a third more than a bytearray's,
+            # so only a run with a writer pays it
+            self.est_tr = np.frombuffer(mmap.mmap(-1, 8 * T * n)).reshape(T, n)
+            self.act = mmap.mmap(-1, T * n)
+            self.frozen_tr = np.frombuffer(mmap.mmap(-1, T * n), dtype=np.uint8).reshape(T, n)
         self.est_tr[0] = self.est
         self.est_flat = memoryview(self.est_tr.reshape(-1))
-        self.act = bytearray(self.est_tr.size)
-        self.act_tr = np.frombuffer(self.act, dtype=np.uint8).reshape(self.est_tr.shape)
+        self.act_tr = np.frombuffer(self.act, dtype=np.uint8).reshape(T, n)
         self.tx = bytearray(self.est_tr.size)
         self.tx_tr = np.frombuffer(self.tx, dtype=np.uint8).reshape(self.est_tr.shape)
         self.delivered = [0] * len(link_live)
         self.writer = writer
-        # rows [0, filled) are complete: forward-filled, gateway column set
+        # rows [0, filled) are complete: forward-filled, gateway column and
+        # frozen flags set
         self.filled = 1
         self.link_live = link_live
         self.unfrozen = n - 1
@@ -266,26 +281,23 @@ class _Episode:
                     del self.chunk[k + 1 - self.chunk_start:]
 
     def fill(self, stop):
-        """Complete the estimate rows of the final ticks [filled, stop).  A
-        non-gateway estimate changes only on a tick that activates the node,
-        so each of its rows is carried forward from the node's last
-        activation, or from tick 0: from row filled - 1, which is complete;
-        the gateway column is delta*k, the product the kernels broadcast."""
+        """Complete the estimate and frozen rows of the final ticks
+        [filled, stop).  A non-gateway estimate changes only on a tick that
+        activates the node, so each of its rows is carried forward from the
+        node's last activation, or from tick 0: from row filled - 1, which
+        is complete; the gateway column is delta*k, the product the kernels
+        broadcast.  With freezing on, a node is frozen from the tick its
+        detector fired on; a fire at tick k sets only rows k and later, so
+        the rows of the final ticks are final."""
         a = self.filled
         if stop > a:
             _forward_fill(self.est_tr[a - 1:stop, 1:], self.act_tr[a - 1:stop, 1:])
             self.est_tr[a:stop, 0] = self.delta * np.arange(a, stop)
+            if self.freeze:
+                fires = np.array([d.fire_tick if d.fired else stop for d in self.detectors])
+                np.greater_equal(np.arange(a, stop)[:, None], fires,
+                                 out=self.frozen_tr[a:stop].view(bool))
             self.filled = stop
-
-    def frozen_rows(self, start, stop):
-        """The (stop - start, nodes) frozen flags of ticks [start, stop),
-        from the fires the detectors have recorded: with freezing on, a node
-        is frozen from its fire tick on.  A fire at tick k sets only rows k
-        and later, so the rows of the final ticks are final."""
-        if not self.freeze:
-            return np.zeros((stop - start, self.n), dtype=np.uint8)
-        fires = np.array([d.fire_tick if d.fired else stop for d in self.detectors])
-        return (np.arange(start, stop)[:, None] >= fires).view(np.uint8)
 
     def outputs(self):
         """The kernel's 10-tuple of a finished episode: its estimate rows
@@ -296,7 +308,7 @@ class _Episode:
         self.fill(T)
         tx_tr = self.tx_tr
         dets = self.detectors
-        return (self.est_tr, self.act_tr, self.frozen_rows(0, T), tx_tr,
+        return (self.est_tr, self.act_tr, self.frozen_tr, tx_tr,
                 tx_tr.sum(axis=1, dtype=np.int64),
                 np.array(self.delivered, dtype=np.int64),
                 np.array([d.dip_tick for d in dets], dtype=np.int64),

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import noise as noise_mod
-from ._forkmap import Worker, usable_cpus
+from ._forkmap import Worker, get, put, usable_cpus
 from ._kernels import get_kernel
 from .errors import ConfigError
 from .protocol import MAX_SENDER_ID, ProtocolKind
@@ -43,17 +43,14 @@ TRACE_CSV_HEADER = "tick,node,estimate,error,activated,frozen"
 # above's (run-large-csv's 600 ticks of BAF on grid:16x16), and about
 # 0.6 us where 80-89% do (the bundled grid:4x4 specs).  A writer is forked
 # once per episode: forking it takes 0.5-1.2 ms, and with the page faults
-# after the fork it costs the kernel 3-7%.  Each block is then pickled and
-# sent through the writer's pipe, about 20 us for a block of 2560 rows,
-# about 1% of the 2.3 ms it takes to format.  So a writer pays for itself
-# from a few thousand rows, and a block is small enough that no CPU idles
-# long on another's last block (run-large-csv, in a 39 MB process, on a
-# 2-vCPU x86-64 VM with Python 3.11.7).
+# after the fork it costs the kernel 3-7%.  Each block is then queued as
+# its 8-byte number, about 2 us to put and take, and its rows are read
+# where they lie, in shared memory, against the 2.3 ms it takes to format
+# a block of 2560 rows.  So a writer pays for itself from a few thousand
+# rows, and a block is small enough that no CPU idles long on another's
+# last block (run-large-csv, in a 39 MB process, on a 2-vCPU x86-64 VM with
+# Python 3.11.7).
 _CSV_ROWS_PER_WORKER = 5000
-
-# Blocks a writer may hold unacknowledged: the one it formats, and the next,
-# so it never waits for this process between two blocks.
-_CSV_BLOCKS_PER_WRITER = 2
 
 
 @contextlib.contextmanager
@@ -130,17 +127,18 @@ class Trace:
         reused, not formatted again, within each block.  Every row is
         formatted by `_write_rows`, in blocks of whole ticks (see
         `CsvBlocks`): the `csv_blocks` that `run` was given, whose writers
-        took the leading blocks while the kernel ran, or, if there are none
-        or they have been closed, new ones.
+        took the leading blocks from their queue while the kernel ran, or,
+        if there are none or they have been closed, new ones.
 
-        `CsvBlocks.finish` hands out the ticks no writer has taken and waits
-        for the writers, raising the first failure among them; a failure in
-        a writer keeps its type and message, with its traceback text as the
-        `WorkerTraceback` cause.  This process then writes the header and
-        the blocks in tick order into a new file beside the path (mode as
-        umask gives) and renames it onto the path, unlinking it on any
-        failure or interrupt; an OSError of this last stage is a ConfigError
-        naming the path (`writing_output`).  Each process's extra memory is
+        `CsvBlocks.finish` queues the blocks the kernel did not, formats here
+        those no writer takes, and waits for the writers, raising the first
+        failure among them; a failure in a writer keeps its type and
+        message, with its traceback text as the `WorkerTraceback` cause.
+        This process then writes the header and the blocks in tick order
+        into a new file beside the path (mode as umask gives) and renames it
+        onto the path, unlinking it on any failure or interrupt; an OSError
+        of this last stage is a ConfigError naming the path
+        (`writing_output`).  Each process's extra memory is
         O(block + nodes) whatever the number of ticks.
         """
         head, name = os.path.split(os.fsdecode(path))
@@ -206,134 +204,117 @@ def _write_rows(fh, start: int, estimates, activated, frozen, delta: float) -> N
         ]))
 
 
-def _format(part, block) -> int:
-    """Format `block`, the arguments (start, estimates, activated, frozen,
-    delta) of `_write_rows`, at the end of the binary file `part` as UTF-8
-    with "\n" line ends; return the offset where its rows end."""
-    with open(part.fileno(), "w", encoding="utf-8", newline="\n", closefd=False) as fh:
-        _write_rows(fh, *block)
-    return os.lseek(part.fileno(), 0, os.SEEK_CUR)
-
-
 class CsvBlocks:
     """The trace CSV of one episode, formatted in blocks of whole ticks by
-    long-lived forked writers and by this process.
+    long-lived forked writers and by this process, which all take block
+    numbers from one queue.
 
     The writers are forked at the first call from the kernel, or in
     `finish` if the kernel did not call: one per spare CPU (usable_cpus() -
     1), and at most one per _CSV_ROWS_PER_WORKER rows of the episode beyond
-    the first _CSV_ROWS_PER_WORKER.  Each writer is a `Worker` that formats
-    the blocks sent to it with `_format` into its own anonymous temporary
-    file, opened before the fork, so a failed or killed writer leaves no file
-    behind; this process formats its own blocks with the same `_format`.  A
-    block holds about _CSV_ROWS_PER_WORKER // 2 rows, rounded up to whole
-    ticks; block b holds ticks [b * ticks, (b + 1) * ticks), whoever formats
-    it.
+    the first _CSV_ROWS_PER_WORKER.  A block holds about
+    _CSV_ROWS_PER_WORKER // 2 rows, rounded up to whole ticks: block b holds
+    ticks [b * ticks, (b + 1) * ticks).  The queue is a pipe of block
+    numbers (`_forkmap.put`, `_forkmap.get`) that the writers and this
+    process read; whoever takes block b formats it with `_format`, reading
+    its rows straight from the trace's arrays, into a file of its own (a
+    writer's is an anonymous temporary file opened before the fork, so a
+    failed or killed writer leaves none behind).  A kernel given a writer
+    keeps those arrays in shared memory (`_Episode`), so the writers see
+    the rows it completes after the fork.  Without a writer there is no
+    queue, and `finish` formats every block here.
 
     `run(config, csv_blocks=...)` hands the object to the kernel as its
     writer when there is more than one usable CPU, and the kernel calls it
     whenever every tick before some tick `final` is final.  The call
-    completes each next block of final ticks (`_Episode.fill`,
-    `_Episode.frozen_rows`) and sends it to the writer with the fewest
-    unacknowledged blocks, while that writer has room: no block, or fewer
-    than _CSV_BLOCKS_PER_WRITER whose bytes fit its pipe's buffer.  So the
-    kernel never waits on a writer.  `finish` hands out the rest the same
-    way, formatting a block here whenever no writer has room, so no CPU
-    idles while another formats a long share; then it waits for the writers.
-    A failure in a writer is raised where this process finds it: at an ack
-    or at the wait.
+    completes the rows of every whole block of final ticks (`_Episode.fill`)
+    and queues those blocks through the queue's non-blocking write end,
+    taking only what the queue accepts, so the kernel never waits on a
+    writer.  `finish` queues the rest the same way, formatting the next
+    block here whenever the queue is full; then it closes the write end,
+    formats what is left in the queue here, and waits for the writers.  A writer's
+    failure is raised at that wait.
 
     Use it as a context manager around the run and the `to_csv` call:
     leaving it kills and reaps every writer still running and closes the
-    pipes and files, on success, abort and interrupt alike."""
+    pipe and files, on success, abort and interrupt alike."""
 
     def __init__(self):
         self.slots = usable_cpus() - 1
         self.ticks = 1         # ticks per block
-        self.taken = 0         # ticks [0, taken) are in blocks
+        self.queued = 0        # blocks [0, queued) are queued
         self.writers = None    # forked at the first call or in finish
-        self.here = None       # this process's file of blocks
-        self.parts = {}        # each writer's file of blocks
-        self.order = []        # the file of each block, in tick order
-        self.ends = {}         # per file, the end offsets of its blocks
-        self.fits = False      # two blocks of the last size sent fit a pipe
-        self.capacity = 0      # bytes of a writer's pipe buffer
+        self.rows = None       # the (estimates, activated, frozen, delta) of the trace
+        self.files = []        # this process's file of blocks, then each writer's
+        self.tasks = self.feed = None   # the queue's read and write ends
         self.segments = None   # set by finish
 
-    def _start(self, nodes: int, ticks: int) -> None:
-        """Fork the writers of an episode of `ticks` ticks and `nodes` nodes."""
+    def _start(self, rows) -> None:
+        """Fork the writers of the trace whose (estimates, activated,
+        frozen, delta) are `rows`."""
+        self.rows = rows
+        ticks, nodes = rows[0].shape
         self.ticks = max(1, -(-(_CSV_ROWS_PER_WORKER // 2) // nodes))
         self.writers = []
-        self.here = tempfile.TemporaryFile()
-        self.ends = {self.here: []}
-        parent_fds = []
-        for _ in range(max(0, min(self.slots, ticks * nodes // _CSV_ROWS_PER_WORKER - 1))):
-            part = tempfile.TemporaryFile()
-            self.ends[part] = []
-            writer = Worker(functools.partial(_format, part), parent_fds)
-            self.writers.append(writer)
-            self.parts[writer] = part
-        if self.writers:
-            import fcntl    # POSIX only, like os.fork
-            self.capacity = fcntl.fcntl(self.writers[0].inbox, fcntl.F_GETPIPE_SZ)
+        self.files.append(tempfile.TemporaryFile())
+        writers = max(0, min(self.slots, ticks * nodes // _CSV_ROWS_PER_WORKER - 1))
+        if writers:     # POSIX only, like os.fork
+            self.tasks, self.feed = os.pipe()
+            os.set_blocking(self.feed, False)
+        parent_fds = [self.feed]
+        for _ in range(writers):
+            self.files.append(tempfile.TemporaryFile())
+            self.writers.append(Worker(functools.partial(self._format, self.files[-1]),
+                                       self.tasks, parent_fds))
 
-    def _room(self):
-        """The writer with the fewest unacknowledged blocks, the first on a
-        tie, if it has room for one more; or None."""
-        if not self.writers:
-            return None
-        for writer in self.writers:
-            writer.poll()
-        writer = min(self.writers, key=lambda writer: writer.unacked)
-        if writer.unacked == 0 or writer.unacked < _CSV_BLOCKS_PER_WRITER and self.fits:
-            return writer
-        return None
-
-    def _send(self, writer: Worker, block) -> None:
-        self.fits = _CSV_BLOCKS_PER_WRITER * writer.send(block) <= self.capacity
-        self.order.append(self.parts[writer])
-        self.taken = block[0] + len(block[1])
+    def _format(self, part, b) -> tuple:
+        """Format block b at the end of the binary file `part` as UTF-8
+        with "\n" line ends; return (b, the offset where its rows end)."""
+        estimates, activated, frozen, delta = self.rows
+        a, z = b * self.ticks, (b + 1) * self.ticks
+        with open(part.fileno(), "w", encoding="utf-8", newline="\n", closefd=False) as fh:
+            _write_rows(fh, a, estimates[a:z], activated[a:z], frozen[a:z], delta)
+        return b, os.lseek(part.fileno(), 0, os.SEEK_CUR)
 
     def __call__(self, episode, final: int) -> None:
         if self.writers is None:
-            self._start(episode.n, len(episode.est_tr))
-        while final - self.taken >= self.ticks:
-            writer = self._room()
-            if writer is None:
-                return
-            start, stop = self.taken, self.taken + self.ticks
-            episode.fill(stop)
-            self._send(writer, (start, episode.est_tr[start:stop], episode.act_tr[start:stop],
-                                episode.frozen_rows(start, stop), episode.delta))
+            self._start((episode.est_tr, episode.act_tr, episode.frozen_tr, episode.delta))
+        whole = final // self.ticks
+        if self.writers and whole > self.queued:
+            episode.fill(whole * self.ticks)
+            self.queued += put(self.feed, range(self.queued, whole))
 
     def finish(self, trace: Trace) -> list:
-        """Hand out the ticks of `trace` from `taken` on, block by block in
-        tick order: to a writer with room, or else formatted here.  Wait for
-        every writer; raise the first failure.  Return (file, start, stop)
-        of every block's bytes, in tick order."""
+        """Queue the blocks of `trace` from `queued` on, formatting the next
+        one here whenever the queue is full; close the queue's write end and
+        format the blocks left in it here.  Wait for every writer; raise the
+        first failure among them.  Return (file, start, stop) of every
+        block's bytes, in tick order."""
         if self.segments is not None:
             return self.segments
         if self.writers is None:
-            self._start(trace.node_count, trace.n_ticks)
-        while self.taken < trace.n_ticks:
-            start, stop = self.taken, min(self.taken + self.ticks, trace.n_ticks)
-            block = (start, trace.estimates[start:stop], trace.activated[start:stop],
-                     trace.frozen[start:stop], trace.config.delta)
-            writer = self._room()
-            # a writer takes a block only while it holds fewer ticks than are
-            # left after the block, so that it has no backlog at the end
-            if writer is not None and writer.unacked * self.ticks < trace.n_ticks - stop:
-                self._send(writer, block)
-                continue
-            self.ends[self.here].append(_format(self.here, block))
-            self.order.append(self.here)
-            self.taken = stop
-        for writer in self.writers:
-            writer.send(None)
-        for writer in self.writers:
-            self.ends[self.parts[writer]] = writer.result()
-        spans = {part: iter(zip([0, *ends], ends)) for part, ends in self.ends.items()}
-        self.segments = [(part, *next(spans[part])) for part in self.order]
+            self._start((trace.estimates, trace.activated, trace.frozen, trace.config.delta))
+        here = functools.partial(self._format, self.files[0])
+        done = []
+        blocks = -(-trace.n_ticks // self.ticks)
+        while self.queued < blocks:
+            queued = put(self.feed, range(self.queued, blocks)) if self.writers else 0
+            if not queued:
+                done.append(here(self.queued))
+                queued = 1
+            self.queued += queued
+        if self.writers:
+            feed, self.feed = self.feed, None
+            os.close(feed)
+            done += map(here, iter(functools.partial(get, self.tasks), None))
+        spans = []
+        for part, ends in zip(self.files, [done, *(w.result() for w in self.writers)]):
+            start = 0
+            for b, stop in ends:
+                spans.append((b, part, start, stop))
+                start = stop
+        spans.sort(key=lambda span: span[0])
+        self.segments = [span[1:] for span in spans]
         return self.segments
 
     def __enter__(self):
@@ -342,8 +323,11 @@ class CsvBlocks:
     def __exit__(self, *exc) -> None:
         for writer in self.writers or []:
             writer.close()
-        for part in self.ends:
+        for part in self.files:
             part.close()
+        for fd in (self.tasks, self.feed):
+            if fd is not None:
+                os.close(fd)
         self.__init__()
 
 

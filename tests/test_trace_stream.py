@@ -1,9 +1,10 @@
-"""`dipsync run` streams its trace CSV: long-lived forked writers format
-blocks of final ticks while the kernel runs (`engine.CsvBlocks`), and
-`Trace.to_csv` hands out the rest.  These tests hold the streamed file to
-the per-row oracle, bound its forks, its open files and the kernel's wait
-on the writers, and check that no writer and no file outlives a run that
-ends in success, an abort, an interrupt or a writer's failure.
+"""`dipsync run` streams its trace CSV: long-lived forked writers take
+blocks of final ticks from one queue and format them while the kernel runs
+(`engine.CsvBlocks`), and `Trace.to_csv` queues the rest and formats here
+what no writer takes.  These tests hold the streamed file to the per-row
+oracle, bound its forks, its open files and the kernel's wait on the
+writers, and check that no writer and no file outlives a run that ends in
+success, an abort, an interrupt or a writer's failure.
 `sweep-links`, `compare` and library calls of `engine.run` stream nothing.
 """
 
@@ -32,8 +33,8 @@ PROTOCOLS = ["baseline", "tsau", "uaf", "baf"]
 @pytest.fixture(autouse=True)
 def no_leftovers():
     """Fail a test that leaves a child process, or more open file
-    descriptors than it started with: each writer adds three pipe ends and
-    a file."""
+    descriptors than it started with: the queue adds two pipe ends, and
+    each writer a pipe end and a file."""
     fds = len(os.listdir("/proc/self/fd"))
     yield
     assert_no_child_left()
@@ -49,26 +50,19 @@ def small_blocks(monkeypatch):
 
 
 def record_blocks(monkeypatch):
-    """The tick ranges that each call from the kernel hands to the writers,
-    in order."""
+    """The tick ranges that each call from the kernel queues for the
+    writers, in order."""
     blocks = []
     call = engine.CsvBlocks.__call__
 
     def recording_call(self, episode, final):
-        start = self.taken
+        start = self.queued
         call(self, episode, final)
-        if self.taken > start:
-            blocks.append((start, self.taken))
+        if self.queued > start:
+            blocks.append((start * self.ticks, self.queued * self.ticks))
 
     monkeypatch.setattr(engine.CsvBlocks, "__call__", recording_call)
     return blocks
-
-
-def every_block_to_the_first_writer(monkeypatch):
-    """Give every block to writer 0, however many it holds, so each call
-    from the kernel sends every whole block of final ticks."""
-    monkeypatch.setattr(engine.CsvBlocks, "_room",
-                        lambda self: self.writers[0] if self.writers else None)
 
 
 def in_writers(fn):
@@ -117,7 +111,7 @@ def test_streamed_trace_csv_matches_per_row_writer(run_of, cpus, small_blocks, t
         0, f"wrote {tmp_path / 'o'}/trace*.csv, metrics.csv, manifest.txt\n")
     assert (tmp_path / "o" / "trace.csv").read_bytes() == want
     assert capfd.readouterr() == ("", "")
-    # one writer per spare CPU; the kernel hands out whole 5-tick blocks in
+    # one writer per spare CPU; the kernel queues whole 5-tick blocks in
     # tick order from tick 0
     assert len(forks) == cpus - 1
     if cpus == 1:
@@ -150,12 +144,11 @@ def test_streamed_run_forks_one_writer_per_spare_cpu(ticks, cpus, small_blocks, 
 @pytest.mark.parametrize("protocol", PROTOCOLS)
 def test_streamed_frozen_column_is_final_at_block_boundaries(protocol, small_blocks, tmp_path,
                                                             capfd, monkeypatch):
-    # every call from the kernel sends each whole block of final ticks, so
-    # the kernel takes ticks [0, 5), [5, 10), ..., [390, 395)
+    # every call from the kernel queues each whole block of final ticks, so
+    # the kernel queues ticks [0, 5), [5, 10), ..., [390, 395)
     spec = frozen_spec(tmp_path, protocol)
     want = per_row_bytes(spec)
     use_cpus(monkeypatch, 2)
-    every_block_to_the_first_writer(monkeypatch)
     blocks = record_blocks(monkeypatch)
     assert run_cli(["run", str(spec), "--out", str(tmp_path / "o")], capfd)[0] == 0
     assert (tmp_path / "o" / "trace.csv").read_bytes() == want
@@ -173,7 +166,6 @@ def test_streamed_run_keeps_few_block_files_open(small_blocks, tmp_path, monkeyp
                       seed="1", link_p="0.75")
     want = per_row_bytes(spec)
     use_cpus(monkeypatch, 3)
-    every_block_to_the_first_writer(monkeypatch)
     blocks = record_blocks(monkeypatch)
     soft, hard = resource.getrlimit(resource.RLIMIT_NOFILE)
     resource.setrlimit(resource.RLIMIT_NOFILE, (len(os.listdir("/proc/self/fd")) + 32, hard))
@@ -187,8 +179,9 @@ def test_streamed_run_keeps_few_block_files_open(small_blocks, tmp_path, monkeyp
 
 
 def test_the_kernel_never_waits_on_a_busy_writer(small_blocks, tmp_path, monkeypatch):
-    # the writer sleeps 0.5 s per block: the kernel sends it two blocks and
-    # formats nothing more while it runs; to_csv formats the rest here
+    # the writer sleeps 0.5 s per block: the kernel queues every whole
+    # block of final ticks while it runs, and waits for none; to_csv
+    # formats here the blocks the writer has not taken
     spec = frozen_spec(tmp_path, "baf")
     want = per_row_bytes(spec)
     use_cpus(monkeypatch, 2)
@@ -197,7 +190,7 @@ def test_the_kernel_never_waits_on_a_busy_writer(small_blocks, tmp_path, monkeyp
         start = time.monotonic()
         trace = engine.run(cli.load_spec(spec).config, csv_blocks=blocks)
         assert time.monotonic() - start < 1
-        assert blocks.taken == 10
+        assert blocks.queued * blocks.ticks == 395
         trace.to_csv(tmp_path / "trace.csv")
     assert (tmp_path / "trace.csv").read_bytes() == want
 
@@ -210,7 +203,7 @@ def test_streamed_to_csv_memory_is_bounded(tmp_path, monkeypatch):
     use_cpus(monkeypatch, 2)
     with engine.CsvBlocks() as blocks:
         trace = engine.run(config, csv_blocks=blocks)
-        assert blocks.taken > 0
+        assert blocks.queued > 0
         tracemalloc.start()
         try:
             trace.to_csv(tmp_path / "trace.csv")
@@ -255,7 +248,8 @@ def test_streamed_run_that_aborts_leaves_nothing(tmp_path, capsys, monkeypatch):
 
 def test_streamed_run_kills_its_writers_when_interrupted(small_blocks, tmp_path,
                                                         monkeypatch):
-    # the writers sleep; the kernel is interrupted once each holds a block
+    # the writers sleep; the kernel is interrupted once it has queued a
+    # block for each
     spec = frozen_spec(tmp_path, "baf")
     use_cpus(monkeypatch, 3)
     monkeypatch.setattr(engine, "_write_rows", lambda *args: time.sleep(60))
@@ -263,7 +257,7 @@ def test_streamed_run_kills_its_writers_when_interrupted(small_blocks, tmp_path,
 
     def interrupting_call(self, episode, final):
         call(self, episode, final)
-        if self.taken == 10:
+        if self.queued * self.ticks == 10:
             raise KeyboardInterrupt
 
     monkeypatch.setattr(engine.CsvBlocks, "__call__", interrupting_call)
@@ -356,7 +350,7 @@ def test_to_csv_after_its_blocks_are_closed_starts_its_own_writers(small_blocks,
     use_cpus(monkeypatch, 2)
     with engine.CsvBlocks() as blocks:
         trace = engine.run(cli.load_spec(spec).config, csv_blocks=blocks)
-        assert blocks.taken > 0
+        assert blocks.queued > 0
     trace.to_csv(tmp_path / "trace.csv")
     assert (tmp_path / "trace.csv").read_bytes() == want
 
