@@ -1,23 +1,21 @@
-"""One fork primitive, `Worker`, its task pipes, and `fork_map` on top of it.
+"""One fork primitive, `Worker`, a task pipe, and `fork_map` on top of it.
 
-A Worker is a forked process that serves the task numbers it reads from a
-pipe until EOF.  Each child of `fork_map` (the episodes of `sweep-links` and
-`compare`) reads the indices of its share of the items from a pipe of its
-own; the trace CSV writers (`engine.CsvBlocks`) and this process read block
-numbers from one shared pipe, a queue from which whoever is free takes the
-next block.
+A Worker is a forked process that serves an iterable of tasks that it takes
+at the fork.  Each child of `fork_map` (the episodes of `sweep-links` and
+`compare`) gets its share of the items by stride; the trace CSV writers
+(`engine.CsvBlocks`) and this process read block numbers from one shared
+pipe (`put`, `get`), a queue from which whoever is free takes the next
+block.
 
-`fork_map`'s shares are fixed before any worker starts, from the items'
-costs alone, so which process runs which item never depends on timing.  A
-work queue could balance better when the costs are off, but the set of items
-this process runs, and so what a profile of this process sees, would then
-change from call to call.
+`fork_map`'s shares are fixed by the items' positions alone, so which process
+runs which item never depends on timing.  A work queue could balance better
+when the items' costs differ, but the set of items this process runs, and so
+what a profile of this process sees, would then change from call to call.
 """
 
 from __future__ import annotations
 
 import contextlib
-import functools
 import itertools
 import os
 import pickle
@@ -78,23 +76,23 @@ def get(tasks: int):
 
 
 class Worker:
-    """`serve_all(serve, tasks)` in a child made by `os.fork`, for the task
-    numbers it reads (`get`) from the pipe read end `tasks`, until EOF.
+    """`serve_all(serve, tasks)` in a child made by `os.fork`, for the
+    iterable `tasks`, which the child takes as it is at the fork.
 
-    Other readers may share the pipe: each task goes to whoever reads it
-    first.  At EOF, or at the first Exception, the child closes its read
-    end, so that a `put` to a pipe that only it reads ends rather than
-    waits, and sends back one pickle of (results, failure).  It leaves
-    through `os._exit`, so it never flushes this process's buffers.  It
-    first closes `parent_fds`, the pipe ends this process holds: the write
-    ends of the task pipes, without which no EOF would come, and the reply
-    ends of the workers made before it, to which this worker's is then
-    added.
+    `fork_map` gives each child a fixed share of its items; the trace CSV
+    writers (`engine.CsvBlocks`) give each the same lazy reader of one
+    shared pipe of task numbers (`get` until EOF), so that each task goes to
+    whoever reads it first.  The child sends back one pickle of (results,
+    failure) and leaves through `os._exit`, so it never flushes this
+    process's buffers.  It first closes `parent_fds`, the pipe ends this
+    process holds: the write end of a shared task pipe, without which no EOF
+    would come, and the reply ends of the workers made before it, to which
+    this worker's is then added.
 
     Whoever makes a Worker closes it on every path: `close` kills and reaps
     it unless `wait` has reaped it, and closes its reply pipe."""
 
-    def __init__(self, serve, tasks: int, parent_fds: list):
+    def __init__(self, serve, tasks, parent_fds: list):
         replies, reply = os.pipe()
         try:
             self.pid = os.fork()
@@ -107,8 +105,7 @@ class Worker:
             try:
                 for fd in (*parent_fds, replies):
                     os.close(fd)
-                done = serve_all(serve, iter(functools.partial(get, tasks), None))
-                os.close(tasks)
+                done = serve_all(serve, tasks)
                 with os.fdopen(reply, "wb") as fh:
                     pickle.dump(done, fh)
                 status = 0
@@ -157,20 +154,17 @@ def usable_cpus() -> int:
     return len(os.sched_getaffinity(0))
 
 
-def fork_map(fn, items, workers: int, cost) -> list:
+def fork_map(fn, items, workers: int) -> list:
     """`[fn(item) for item in items]`, computed by `workers` processes.
 
-    The items are shared out by Graham's longest-processing-time rule: in
-    order of descending `cost(item)`, ties in item order, each item goes to
-    the worker with the least cost so far, the lowest worker on a tie.  Each
-    worker then runs its share in item order.  Costs must be positive; with
-    equal costs, worker w runs items[w::workers].
+    Worker w runs the share `items[w::workers]`, in item order.  The shares
+    are fixed by position alone, so the same call always runs the same items
+    in the same process, whatever they cost and however long they take.
 
     This process is worker 0 and runs its share through `serve_all`; each
-    other worker is a `Worker`, and as soon as it is forked this process
-    `put`s the indices of its share into its task pipe and closes it.  With
-    one worker there are no children and the items run here in order.  A
-    caller passes at most `usable_cpus()` workers and at most one per item.
+    other worker is a `Worker` forked with its share.  With one worker there
+    are no children and the items run here in order.  A caller passes at
+    most `usable_cpus()` workers and at most one per item.
 
     The episode map (`cli._map_episodes`) relies on this contract:
     - the results come back in item order, whatever worker computed them;
@@ -180,49 +174,24 @@ def fork_map(fn, items, workers: int, cost) -> list:
     - every child is reaped on every path (success, failure, interruption),
       and killed first when this process is interrupted.
     """
-    costs = [cost(item) for item in items]
-    loads = [0] * workers
-    plan = [[] for _ in range(workers)]
-    for i in sorted(range(len(items)), key=costs.__getitem__, reverse=True):
-        w = loads.index(min(loads))
-        plan[w].append(i)
-        loads[w] += costs[i]
-    for indices in plan:
-        indices.sort()
-
-    def serve(i):
-        return fn(items[i])
-
+    shares = [items[w::workers] for w in range(workers)]
     children = []
     parent_fds = []
     try:
-        for indices in plan[1:]:
-            # each child has a task pipe of its own, whose read end this
-            # process closes, so that a put to a child that has ended stops
-            tasks, feed = os.pipe()
-            parent_fds.append(feed)
-            try:
-                try:
-                    children.append(Worker(serve, tasks, parent_fds))
-                finally:
-                    os.close(tasks)
-                put(feed, indices)
-            finally:
-                parent_fds.remove(feed)
-                os.close(feed)
-        shares = [serve_all(serve, plan[0]), *(child.wait() for child in children)]
+        for share in shares[1:]:
+            children.append(Worker(fn, share, parent_fds))
+        done = [serve_all(fn, shares[0]), *(child.wait() for child in children)]
     finally:
         for child in children:
             child.close()
 
     # a share's failure is at the item after its results
-    failures = [(indices[len(results)], *failure)
-                for indices, (results, failure) in zip(plan, shares) if failure]
+    failures = [(w + len(results) * workers, *failure)
+                for w, (results, failure) in enumerate(done) if failure]
     if failures:
         _, exc, tb = min(failures, key=lambda f: f[0])
         reraise(exc, tb)
     out = [None] * len(items)
-    for indices, (results, _) in zip(plan, shares):
-        for i, result in zip(indices, results):
-            out[i] = result
+    for w, (results, _) in enumerate(done):
+        out[w::workers] = results
     return out

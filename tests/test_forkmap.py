@@ -1,11 +1,14 @@
-"""The task pipes of `_forkmap`: `put` writes task numbers 8 bytes each, in
-writes the pipe never splits, and `get` takes one task per raw read, so
-forked `Worker`s and this process can share one pipe as a queue, each task
-served exactly once (the trace CSV writers' queue, `engine.CsvBlocks`)."""
+"""The `Worker`s and task pipes of `_forkmap`: a Worker serves the iterable of
+tasks it is forked with; `put` writes task numbers 8 bytes each, in writes
+the pipe never splits, and `get` takes one task per raw read, so forked
+Workers and this process can share one pipe as a queue, each task served
+exactly once (the trace CSV writers' queue, `engine.CsvBlocks`)."""
 
 import functools
+import io
 import itertools
 import os
+import pickle
 import select
 import signal
 
@@ -35,8 +38,41 @@ def bounded():
     assert len(os.listdir("/proc/self/fd")) == fds
 
 
+def queue(tasks):
+    """The task numbers read from the pipe read end `tasks` until EOF, one
+    `get` at a time, as a Worker of `engine.CsvBlocks` serves them."""
+    return iter(functools.partial(get, tasks), None)
+
+
 def drain(tasks):
-    return list(iter(functools.partial(get, tasks), None))
+    return list(queue(tasks))
+
+
+def test_a_worker_serves_the_tasks_it_is_forked_with_and_replies_once():
+    worker = Worker(lambda task: task * 10, [3, 1, 2], [])
+    try:
+        data = io.BytesIO(worker.replies.read())
+    finally:
+        worker.close()
+    assert pickle.load(data) == ([30, 10, 20], None)
+    assert data.read() == b""
+
+
+def test_a_failing_task_ends_the_share_with_its_traceback():
+    def serve(task):
+        if task == 2:
+            raise ValueError(f"task {task} fails")
+        return task
+
+    worker = Worker(serve, range(5), [])
+    try:
+        results, (exc, tb) = worker.wait()
+    finally:
+        worker.close()
+    assert results == [0, 1]
+    assert isinstance(exc, ValueError) and str(exc) == "task 2 fails"
+    assert "Traceback (most recent call last)" in tb
+    assert 'raise ValueError(f"task {task} fails")' in tb
 
 
 def test_put_writes_whole_tasks_of_at_most_pipe_buf_bytes(monkeypatch):
@@ -90,7 +126,7 @@ def test_a_reader_takes_one_task_per_read():
     parent_fds = [feed]
     worker = None
     try:
-        worker = Worker(serve, tasks, parent_fds)
+        worker = Worker(serve, queue(tasks), parent_fds)
         assert put(feed, range(10)) == 10
         parent_fds.remove(feed)
         os.close(feed)
@@ -131,7 +167,7 @@ def test_workers_and_this_process_serve_each_task_once(count):
     here = []
     try:
         for _ in range(2):
-            workers.append(Worker(serve, tasks, parent_fds))
+            workers.append(Worker(serve, queue(tasks), parent_fds))
         queued = 0
         while queued < count:
             n = put(feed, range(queued, count))
