@@ -389,6 +389,18 @@ def test_fork_map_shares_are_the_stride(workers, count):
     assert shares_by_process(got) == [items[w::workers] for w in range(workers)]
 
 
+@pytest.mark.parametrize("item", [1, 0.21], ids=["one", "equal"])
+@pytest.mark.parametrize("workers", [2, 3])
+def test_fork_map_with_equal_costs_is_the_stride(item, workers):
+    # the split of sweep-links, whose episodes share one protocol and one
+    # tick count: eight equal items still go out by stride, none merged
+    items = [item] * 8
+    got = fork_map(lambda x: (x, os.getpid()), items, workers)
+    assert_no_child_left()
+    assert [x for x, _ in got] == items
+    assert shares_by_process(got) == [items[w::workers] for w in range(workers)]
+
+
 def test_fork_map_runs_each_share_in_item_order():
     # this process runs items 0 and 2, the child items 1 and 3; items 1 and
     # 2 fail, and item 1, the first failure in item order, is raised
