@@ -2,15 +2,16 @@
 
 A Worker is a forked process that serves an iterable of tasks that it takes
 at the fork.  Each child of `fork_map` (the episodes of `sweep-links` and
-`compare`) gets its share of the items by stride; the trace CSV writers
-(`engine.CsvBlocks`) and this process read block numbers from one shared
-pipe (`put`, `get`), a queue from which whoever is free takes the next
-block.
+`compare`) is forked with the indices of its share of the items; the trace
+CSV writers (`engine.CsvBlocks`) and this process read block numbers from
+one shared pipe (`put`, `get`), a queue from which whoever is free takes
+the next block.
 
-`fork_map`'s shares are fixed by the items' positions alone, so which process
-runs which item never depends on timing.  A work queue could balance better
-when the items' costs differ, but the set of items this process runs, and so
-what a profile of this process sees, would then change from call to call.
+`fork_map`'s shares are fixed before any worker starts, from the items'
+costs alone, so which process runs which item never depends on timing.  A
+work queue could balance better when the costs are off, but the set of items
+this process runs, and so what a profile of this process sees, would then
+change from call to call.
 """
 
 from __future__ import annotations
@@ -154,17 +155,19 @@ def usable_cpus() -> int:
     return len(os.sched_getaffinity(0))
 
 
-def fork_map(fn, items, workers: int) -> list:
+def fork_map(fn, items, workers: int, cost) -> list:
     """`[fn(item) for item in items]`, computed by `workers` processes.
 
-    Worker w runs the share `items[w::workers]`, in item order.  The shares
-    are fixed by position alone, so the same call always runs the same items
-    in the same process, whatever they cost and however long they take.
+    The items are shared out by Graham's longest-processing-time rule: in
+    order of descending `cost(item)`, ties in item order, each item goes to
+    the worker with the least cost so far, the lowest worker on a tie.  Each
+    worker then runs its share in item order.  Costs must be positive; with
+    equal costs, worker w runs items[w::workers].
 
     This process is worker 0 and runs its share through `serve_all`; each
-    other worker is a `Worker` forked with its share.  With one worker there
-    are no children and the items run here in order.  A caller passes at
-    most `usable_cpus()` workers and at most one per item.
+    other worker is a `Worker` forked with the indices of its share.  With
+    one worker there are no children and the items run here in order.  A
+    caller passes at most `usable_cpus()` workers and at most one per item.
 
     The episode map (`cli._map_episodes`) relies on this contract:
     - the results come back in item order, whatever worker computed them;
@@ -174,24 +177,37 @@ def fork_map(fn, items, workers: int) -> list:
     - every child is reaped on every path (success, failure, interruption),
       and killed first when this process is interrupted.
     """
-    shares = [items[w::workers] for w in range(workers)]
+    costs = [cost(item) for item in items]
+    loads = [0] * workers
+    plan = [[] for _ in range(workers)]
+    for i in sorted(range(len(items)), key=costs.__getitem__, reverse=True):
+        w = loads.index(min(loads))
+        plan[w].append(i)
+        loads[w] += costs[i]
+    for indices in plan:
+        indices.sort()
+
+    def serve(i):
+        return fn(items[i])
+
     children = []
     parent_fds = []
     try:
-        for share in shares[1:]:
-            children.append(Worker(fn, share, parent_fds))
-        done = [serve_all(fn, shares[0]), *(child.wait() for child in children)]
+        for indices in plan[1:]:
+            children.append(Worker(serve, indices, parent_fds))
+        shares = [serve_all(serve, plan[0]), *(child.wait() for child in children)]
     finally:
         for child in children:
             child.close()
 
     # a share's failure is at the item after its results
-    failures = [(w + len(results) * workers, *failure)
-                for w, (results, failure) in enumerate(done) if failure]
+    failures = [(indices[len(results)], *failure)
+                for indices, (results, failure) in zip(plan, shares) if failure]
     if failures:
         _, exc, tb = min(failures, key=lambda f: f[0])
         reraise(exc, tb)
     out = [None] * len(items)
-    for w, (results, _) in enumerate(done):
-        out[w::workers] = results
+    for indices, (results, _) in zip(plan, shares):
+        for i, result in zip(indices, results):
+            out[i] = result
     return out

@@ -28,6 +28,7 @@ from .engine import (
     config_from_mapping,
     current_backend,
     episode_bytes,
+    episode_cost,
     parse_int,
     parse_keyvalue_file,
     physical_memory,
@@ -150,10 +151,11 @@ def _metrics_csv(path, results: list[tuple[int, DipMetrics]]) -> None:
 def _map_episodes(fn, configs: list[SimConfig]) -> list:
     """`[fn(c) for c in configs]` through `fork_map`, with one worker per
     usable CPU, at most one per config, and no more workers than the largest
-    episode's `episode_bytes` fit in physical memory.  Worker w runs the
-    configs w, w + workers, ... (`fork_map`'s stride)."""
+    episode's `episode_bytes` fit in physical memory.  The episodes are
+    shared out longest first by their `episode_cost`."""
     fits = physical_memory() // max([1, *map(episode_bytes, configs)])
-    return fork_map(fn, configs, max(1, min(len(configs), usable_cpus(), fits)))
+    return fork_map(fn, configs, max(1, min(len(configs), usable_cpus(), fits)),
+                    cost=episode_cost)
 
 
 def cmd_run(args) -> int:

@@ -345,6 +345,29 @@ def episode_bytes(config: SimConfig) -> int:
     return _episode_bytes(config.max_ticks, topo.node_count, len(topo.edges))
 
 
+# Kernel time in us per node-tick with perfect links, interpreted path: the
+# whole kernel call on grid16, 16000 ticks, seed 1, best of 3, on a 2-vCPU
+# x86-64 VM with Python 3.11.7 and numpy 2.4.6 (the p = 1 column of the
+# kernel table in ROADMAP.md).  Only the ratios matter: `episode_cost` orders
+# episodes for `fork_map`'s longest-first plan.
+_US_PER_NODE_TICK = {
+    ProtocolKind.SYNC_BASELINE: 0.51,
+    ProtocolKind.TSAU: 0.10,
+    ProtocolKind.UAF: 0.21,
+    ProtocolKind.BAF: 0.32,
+}
+
+
+def episode_cost(config: SimConfig) -> float:
+    """The estimated kernel time of `config`'s episode in us: max_ticks x
+    nodes x its protocol's us per node-tick with perfect links.  It
+    estimates the full tick loop: an episode that settles (every node
+    frozen, every later link live) replays its cycle and stops sooner, at a
+    tick known only by running it."""
+    return (config.max_ticks * config.topology.node_count
+            * _US_PER_NODE_TICK[config.protocol])
+
+
 def physical_memory() -> int:
     """Bytes of physical memory, as `os.sysconf` reports them."""
     return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")

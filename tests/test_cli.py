@@ -376,41 +376,58 @@ def shares_by_process(results):
     return list(shares.values())
 
 
-@pytest.mark.parametrize("count", [3, 4, 8, 11])
-@pytest.mark.parametrize("workers", [1, 2, 3])
-def test_fork_map_shares_are_the_stride(workers, count):
-    # worker w runs items w, w + workers, ...: the split of every episode map
-    items = [f"item{i}" for i in range(count)]
-    fds = len(os.listdir("/proc/self/fd"))
-    got = fork_map(lambda x: (x, os.getpid()), items, workers)
+def test_fork_map_runs_the_costliest_item_alone_here():
+    # tsau, uaf and baf at costs 1, 2 and 3: baf goes to this process, and
+    # the lighter two, 1 + 2 = 3, to one child
+    items = ["tsau", "uaf", "baf"]
+    cost = {"tsau": 1, "uaf": 2, "baf": 3}
+    got = fork_map(lambda x: (x, os.getpid()), items, 2, cost=cost.__getitem__)
     assert_no_child_left()
-    assert len(os.listdir("/proc/self/fd")) == fds
     assert [item for item, _ in got] == items
-    assert shares_by_process(got) == [items[w::workers] for w in range(workers)]
+    assert shares_by_process(got) == [["baf"], ["tsau", "uaf"]]
 
 
-@pytest.mark.parametrize("item", [1, 0.21], ids=["one", "equal"])
-@pytest.mark.parametrize("workers", [2, 3])
-def test_fork_map_with_equal_costs_is_the_stride(item, workers):
+@pytest.mark.parametrize("cost", [lambda x: 1, lambda x: 0.21], ids=["one", "equal"])
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_fork_map_with_equal_costs_is_the_stride(cost, workers):
     # the split of sweep-links, whose episodes share one protocol and one
-    # tick count: eight equal items still go out by stride, none merged
-    items = [item] * 8
-    got = fork_map(lambda x: (x, os.getpid()), items, workers)
-    assert_no_child_left()
-    assert [x for x, _ in got] == items
-    assert shares_by_process(got) == [items[w::workers] for w in range(workers)]
+    # tick count: worker w runs items w, w + workers, ...
+    for count in (3, 4, 8, 11):
+        items = [f"item{i}" for i in range(count)]
+        fds = len(os.listdir("/proc/self/fd"))
+        got = fork_map(lambda x: (x, os.getpid()), items, workers, cost=cost)
+        assert_no_child_left()
+        assert len(os.listdir("/proc/self/fd")) == fds
+        assert [item for item, _ in got] == items
+        assert shares_by_process(got) == [items[w::workers] for w in range(workers)]
 
 
 def test_fork_map_runs_each_share_in_item_order():
-    # this process runs items 0 and 2, the child items 1 and 3; items 1 and
-    # 2 fail, and item 1, the first failure in item order, is raised
+    # item 3 runs here alone and a child runs items 0, 1 and 2, in item
+    # order although item 2 costs more; items 1 and 2 fail, and the child
+    # stops at item 1, the first failure in item order
     def fn(item):
         if item in (1, 2):
             raise ValueError(f"item {item} fails")
         return item
 
     with pytest.raises(ValueError, match="^item 1 fails$") as exc:
-        fork_map(fn, range(4), 2)
+        fork_map(fn, range(4), 2, cost=[1, 1, 2, 10].__getitem__)
+    assert isinstance(exc.value.__cause__, WorkerTraceback)
+    assert_no_child_left()
+
+
+def test_fork_map_raises_the_first_failure_of_all_shares():
+    # this process runs items 0 and 2, the child items 1 and 3; items 1 and
+    # 2 fail, and item 1 is raised, although this process's share starts
+    # at an earlier item
+    def fn(item):
+        if item in (1, 2):
+            raise ValueError(f"item {item} fails")
+        return item
+
+    with pytest.raises(ValueError, match="^item 1 fails$") as exc:
+        fork_map(fn, range(4), 2, cost=lambda x: 1)
     assert isinstance(exc.value.__cause__, WorkerTraceback)
     assert_no_child_left()
 
@@ -426,9 +443,16 @@ def test_fork_map_raises_when_a_child_ends_without_a_result():
 
     fds = len(os.listdir("/proc/self/fd"))
     with pytest.raises(RuntimeError, match=r"^worker process \d+ ended without a result$"):
-        fork_map(fn, range(4), 2)
+        fork_map(fn, range(4), 2, cost=lambda x: 1)
     assert_no_child_left()
     assert len(os.listdir("/proc/self/fd")) == fds
+
+
+def test_every_protocol_has_an_episode_cost():
+    costs = {kind.value: cli.episode_cost(cli.scenario_config("grid16", kind, 1, 300))
+             for kind in dipsync.ProtocolKind}
+    assert costs["tsau"] < costs["uaf"] < costs["baf"] < costs["baseline"]
+    assert costs["tsau"] > 0
 
 
 EPISODE_MAPS = {
@@ -455,7 +479,7 @@ def test_episodes_on_more_cpus_give_identical_output(args, capfd, monkeypatch):
 @pytest.mark.parametrize("cpus", [1, 2, 3])
 def test_episode_map_reports_the_first_failure_in_item_order(cpus, capsys, monkeypatch):
     # items 0, 1 and 2 are tsau, uaf and baf; with 2 CPUs this process runs
-    # tsau and baf, and a child runs uaf
+    # baf, the costliest, and a child runs tsau and uaf
     run = cli.run
 
     def failing_run(cfg):
@@ -509,8 +533,8 @@ def test_episode_map_kills_its_children_when_interrupted(capsys, monkeypatch):
 
 
 def test_episode_map_runs_here_without_fork_or_memory(capsys, monkeypatch):
-    # two episodes, two CPUs: a child would run item 1, uaf, unless os.fork
-    # is missing or physical memory holds only one episode
+    # two episodes, two CPUs: a child would run item 0, tsau, the cheaper,
+    # unless os.fork is missing or physical memory holds only one episode
     args = ["compare", "--scenario", "grid16", "--protocols", "tsau", "uaf", "--ticks", "300"]
     use_cpus(monkeypatch, 1)
     want = run_cli(args, capsys)

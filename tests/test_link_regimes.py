@@ -96,5 +96,5 @@ def regime(topology, proto, link_p, seed):
 def test_regime_per_seed(topology, proto, link_p, regimes):
     # one letter per seed 1-11; the seeds run on every usable CPU
     got = fork_map(functools.partial(regime, topology, proto, link_p), SEEDS,
-                   min(usable_cpus(), len(SEEDS)))
+                   min(usable_cpus(), len(SEEDS)), cost=lambda seed: 1)
     assert "".join(got) == regimes
