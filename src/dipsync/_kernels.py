@@ -51,20 +51,22 @@ Shared conventions:
     cycle of the graph; such an episode never repeats, and runs on tick by
     tick once the search gives up, _CYCLE_SEARCH_TICKS after the settle
     tick, until it ends or a counter overflows.)
-    After each tick the episode compares the kernel's control state
-    (`_Episode.control`) plus the tick's transmit row with a Brent
-    checkpoint (R. P. Brent, BIT 20, 1980).  At the first repeat, with
-    period p, it copies the last p transmit rows and delivery counts over
-    the remaining ticks, leaves their activated flags 0 (so `fill` carries
-    the frozen estimates forward), raises `EpisodeAborted(t)` at the first
-    later tick t where the gateway's or the attacker's broadcast would
-    overflow the wire field (every other broadcast repeats a value already
-    sent in the cycle), and ends the tick loop.
+    The settled ticks run on the same chunk clock as the others, so a
+    writer keeps being called while the episode searches.  After each tick
+    the episode compares the kernel's control state (`_Episode.control`)
+    plus the tick's transmit row with a Brent checkpoint (R. P. Brent, BIT
+    20, 1980); TSAU's row names its slot owner, so TSAU keeps no control
+    state.  At the first repeat, with period p, it copies the last p
+    transmit rows and delivery counts over the remaining ticks, leaves
+    their activated flags 0 (so `fill` carries the frozen estimates
+    forward), raises `EpisodeAborted(t)` at the first later tick t where
+    the gateway's or the attacker's broadcast would overflow the wire field
+    (every other broadcast repeats a value already sent in the cycle), and
+    ends the tick loop.
 """
 
 from __future__ import annotations
 
-import itertools
 import mmap
 
 import numpy as np
@@ -159,8 +161,9 @@ class _Episode:
         self.settled = None
         # the kernel's control state after tick k: what, with the transmit
         # row, decides the next ticks once every node is frozen and every
-        # link is live.  A kernel sets its own before its loop; the
-        # baseline has none, so its period is 1
+        # link is live.  UAF and BAF set their own before their loops.  The
+        # baseline has none, so its period is 1, and TSAU needs none: its
+        # transmit row names its slot owner ((k-1) % (N-1)) + 1
         self.control = lambda k: ()
         # the link rows that `rows` is yielding, from tick chunk_start on;
         # `observe` cuts them after the settle tick
@@ -171,12 +174,13 @@ class _Episode:
         They are converted a chunk of at most _ROW_CHUNK elements (at least
         one row) at a time, which costs about half of a `tolist` per row.
         When the first row of a chunk, tick a, is asked for, every tick
-        before a is final, and the writer, if any, is called with this
-        episode and a; so the tick loops themselves do no extra work.
+        before a is final, and `_chunk_at` calls the writer, if any; so the
+        tick loops themselves do no extra work.
 
         Once the episode settles, `observe` cuts the chunk after the settle
-        tick, and every later row is all live: `_search` yields the rows
-        while it looks for the cycle, and ends them if it replays it."""
+        tick, and every later row is all live: `_search` yields them on the
+        same chunk clock, so the writer keeps being called while it looks
+        for the cycle, and ends them if it replays it."""
         T, E = link_live.shape
         step = max(1, _ROW_CHUNK // E)
         a = 1
@@ -186,53 +190,46 @@ class _Episode:
             yield from self.chunk
             a += len(self.chunk)
         if a < T:
-            live = [1] * E
-            a = yield from self._search(live, T, step)
-            for a in range(a, T, step):
-                self._chunk_at(a, step)
-                yield from itertools.repeat(live, min(step, T - a))
+            yield from self._search([1] * E, T, step)
 
     def _chunk_at(self, a, step):
-        """Start the chunk of ticks [a, a + step): call the writer, and
-        extend the attacker's noise list to the chunk's ticks."""
+        """Start the chunk of ticks [a, a + step): call the writer with this
+        episode and a, and extend the attacker's noise list to the chunk's
+        ticks."""
         if self.writer is not None:
             self.writer(self, a)
-        self._noise_to(a + step)
-
-    def _noise_to(self, stop):
-        """Extend the attacker's noise list to ticks [0, stop)."""
         noise = self.noise
-        if noise is not None and len(noise) < stop:
-            noise += self.noise_arr[len(noise):stop].tolist()
+        if noise is not None and len(noise) < a + step:
+            noise += self.noise_arr[len(noise):a + step].tolist()
 
     def _search(self, live, T, step):
-        """Yield the all-live rows of the ticks after the settle tick, at
-        most _CYCLE_SEARCH_TICKS of them, while looking for the cycle: after
-        each tick, compare its transmit row and control state with a
-        checkpoint that moves to the current tick whenever the distance to
-        it reaches the next power of two (Brent).  At the first repeat,
-        replay the cycle and return T; else return the first tick not
-        yielded.  The control state is built only when the rows match or
-        the checkpoint moves, and the search is bounded: BAF's hop counters
-        can climb without bound around a cycle of the graph, and such an
-        episode never repeats."""
+        """Yield the all-live rows of the ticks after the settle tick, a
+        chunk of `step` ticks at a time (`_chunk_at`), while looking for the
+        cycle: for _CYCLE_SEARCH_TICKS ticks, compare each tick's transmit
+        row and control state with a checkpoint that moves to the current
+        tick whenever the distance to it reaches the next power of two
+        (Brent).  At the first repeat, replay the cycle and end the rows.
+        The control state is built only when the rows match or the
+        checkpoint moves, and the search is bounded: BAF's hop counters can
+        climb without bound around a cycle of the graph, and such an episode
+        never repeats, so it runs on to T."""
         n, tx, control = self.n, self.tx, self.control
         mark_k = self.settled
         mark_row, mark, power = tx[mark_k * n:(mark_k + 1) * n], control(mark_k), 1
-        stop = min(T, mark_k + 1 + _CYCLE_SEARCH_TICKS)
         ahead = mark_k + 1
-        for k in range(mark_k + 1, stop):
+        stop = ahead + _CYCLE_SEARCH_TICKS
+        for k in range(ahead, T):
             if k == ahead:
                 ahead += step
-                self._noise_to(ahead)
+                self._chunk_at(k, step)
             yield live
-            row = tx[k * n:(k + 1) * n]
-            if row == mark_row and control(k) == mark:
-                self._replay(k + 1, k - mark_k)
-                return T
-            if k - mark_k == power:
-                mark_k, mark_row, mark, power = k, row, control(k), 2 * power
-        return stop
+            if k < stop:
+                row = tx[k * n:(k + 1) * n]
+                if row == mark_row and control(k) == mark:
+                    self._replay(k + 1, k - mark_k)
+                    return
+                if k - mark_k == power:
+                    mark_k, mark_row, mark, power = k, row, control(k), 2 * power
 
     def _replay(self, start, period):
         """Repeat the transmit rows and delivery counts of ticks
@@ -415,10 +412,6 @@ def tsau_kernel(
     # only the gateway speaks
     sends = [(0, 0.0)]
     tx[0] = 1
-    # settled, the slot schedule is the whole control state: the accumulators
-    # feed only unfrozen nodes' averages.  Values are bound as defaults, so
-    # the loop's own variables stay plain locals
-    ep.control = lambda k, cyc=cyc: k % cyc
     for k, live in enumerate(ep.rows(link_live), 1):
         row = k * N
         for b, val in sends:
@@ -480,7 +473,8 @@ def uaf_kernel(
     # settled, the wave phase and the status bits are the control state:
     # `sent_val`, `heard` and the pending values and flags feed only unfrozen
     # nodes' averages and commits, and the transmit row stands in for the
-    # sender list
+    # sender list.  Values are bound as defaults, so the loop's own variables
+    # stay plain locals
     ep.control = lambda k, cyc=cyc, s=s: (k % cyc, *s)
     for k, live in enumerate(ep.rows(link_live), 1):
         row = k * N

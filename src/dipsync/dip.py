@@ -7,7 +7,8 @@ starts tracking the gateway from below it turns positive.  The detector finds
 that sign change of the filtered slope, which is not the tick of least error
 against the gateway (the argmin that `metrics.dip_metrics` reads): over
 seeds 1-11 and 4000 ticks, freezing off, it lies a median of 0-4 ticks from
-the argmin on grid16 and falls a median of 71-134 ticks before it on line16.
+the argmin on grid16 and falls a median of 71.5-134 ticks before it on
+line16 (tests/test_dip_crossing.py pins these).
 The causal realization delays the noncausal kernel by 3 samples, so on a fire
 the dip is attributed to the window's center sample and the frozen clock
 takes that sample's value.

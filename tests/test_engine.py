@@ -745,9 +745,18 @@ def malicious16_inputs(proto, seed, ticks):
     return engine.kernel_inputs(scenario_config("malicious16", proto, seed, ticks))
 
 
-# the tick after which each kernel replays on malicious16 seed 3 at 4000
-# ticks; its last node froze at 203 (baseline), 1744, 1372 and 1233
-MALICIOUS16_SEED3_REPLAY = {"baseline": 203, "tsau": 1774, "uaf": 1401, "baf": 1288}
+# each replay's (last simulated tick, period) on malicious16 at 4000 ticks,
+# by seed; None where the episode never settles (uaf seed 2: node 2 never
+# fires).  The periods are the baseline's 1, TSAU's N - 1 = 15 slots, UAF's
+# two 7-tick waves and BAF's 24.  On seed 3 the last node froze at tick 203
+# (baseline), 1744, 1372 and 1233
+MALICIOUS16_REPLAYS = {
+    1: {"baseline": (278, 1), "tsau": (2136, 15), "uaf": (1541, 14), "baf": (1371, 24)},
+    2: {"baseline": (196, 1), "tsau": (1827, 15), "uaf": None, "baf": (740, 24)},
+    3: {"baseline": (203, 1), "tsau": (1774, 15), "uaf": (1401, 14), "baf": (1288, 24)},
+    4: {"baseline": (305, 1), "tsau": (1923, 15), "uaf": (1478, 14), "baf": (1316, 24)},
+}
+MALICIOUS16_SEED3_REPLAY = {name: tick for name, (tick, _) in MALICIOUS16_REPLAYS[3].items()}
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3, 4])
@@ -756,13 +765,8 @@ def test_settled_episodes_match_the_oracle(proto, seed, replays):
     name, args = malicious16_inputs(proto, seed, 4000)
     _assert_same_kernel_outputs(kernels.get_kernel(name)(*args),
                                 array_kernels.KERNELS[name](*args))
-    if (name, seed) == ("uaf", 2):
-        # node 2 never fires, so the episode never settles
-        assert replays == []
-        return
-    assert len(replays) == 1
-    if seed == 3:
-        assert replays[0][0] == MALICIOUS16_SEED3_REPLAY[name]
+    want = MALICIOUS16_REPLAYS[seed][name]
+    assert replays == ([] if want is None else [want])
 
 
 # Three overflows on malicious16 seed 3.  With a kernel delta of 2.0 s no
@@ -822,8 +826,9 @@ def test_episodes_with_a_dead_link_after_the_last_freeze_do_not_replay(proto, li
 def test_a_settled_episode_that_never_repeats_runs_in_full(replays, monkeypatch):
     # every node froze by tick 327, but around the triangle 0-1-3 BAF's hop
     # counters climb for good, so the control state never repeats: the
-    # search gives up 64 ticks later, and the rest runs a chunk of 585 ticks
-    # at a time, the writer called at each chunk's first tick
+    # search gives up 64 ticks later and the rest runs on.  From tick 328 on
+    # the rows come a chunk of 585 ticks at a time, the search's and the
+    # rest alike, and the writer is called at each chunk's first tick
     monkeypatch.setattr(kernels, "_CYCLE_SEARCH_TICKS", 64)
     topo = Topology.from_edges(7, [(0, 1), (0, 2), (0, 3), (0, 4), (1, 3), (1, 5), (4, 6)])
     c = SimConfig(topology=topo, protocol=ProtocolKind.BAF, max_ticks=1500, seed=0,
@@ -835,7 +840,7 @@ def test_a_settled_episode_that_never_repeats_runs_in_full(replays, monkeypatch)
     _assert_same_kernel_outputs(got, want)
     assert want[8].max() == 327
     assert replays == []
-    assert finals == [1, 392, 977]
+    assert finals == [1, 328, 913, 1498]
 
 
 def test_a_baf_hop_counter_past_its_2_byte_field_aborts_at_the_oracle_tick():

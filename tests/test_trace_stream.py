@@ -25,7 +25,7 @@ from dipsync._forkmap import WorkerTraceback
 from dipsync.protocol import ProtocolKind
 from dipsync.topology import make_grid
 from test_cli import assert_no_child_left, run_cli, use_cpus, write_spec
-from test_engine import _per_row_csv, count_forks
+from test_engine import _per_row_csv, count_forks, spy_on_replays
 
 PROTOCOLS = ["baseline", "tsau", "uaf", "baf"]
 
@@ -91,35 +91,56 @@ def per_row_bytes(spec):
     return want.getvalue().encode()
 
 
+def futile_spec(tmp_path):
+    """BAF on a 7-node graph, seed 0, freezing on, 1500 ticks: every node
+    froze by tick 327, but around the triangle 0-1-3 the hop counters climb
+    for good, so the cycle search after it is futile and the rest runs on."""
+    edges = tmp_path / "futile.edges"
+    edges.write_text("7 0\n0 1\n0 2\n0 3\n0 4\n1 3\n1 5\n4 6\n", encoding="utf-8")
+    return write_spec(tmp_path, protocol="baf", topology=f"edgelist:{edges}",
+                      max_ticks="1500", seed="0", freeze_on_dip="true")
+
+
 @pytest.mark.parametrize("cpus", [1, 2, 3])
-@pytest.mark.parametrize("run_of", [*PROTOCOLS, "malicious16-baf"])
+@pytest.mark.parametrize("run_of", [*PROTOCOLS, "malicious16-baf", "futile-baf"])
 def test_streamed_trace_csv_matches_per_row_writer(run_of, cpus, small_blocks, tmp_path,
                                                    capfd, monkeypatch):
-    # a frozen_spec run of each protocol, and the bundled malicious16-baf
-    # spec (the attacker, freezing on, 4000 ticks), where most text is
-    # reused: 89% of its estimates repeat the row above's bits.  The
-    # writers' writes to file descriptors 1 and 2 would show in capfd
+    # a frozen_spec run of each protocol; the bundled malicious16-baf spec
+    # (the attacker, freezing on, 4000 ticks), where most text is reused:
+    # 89% of its estimates repeat the row above's bits; and futile_spec's
+    # run with a 64-tick cycle search.  The writers' writes to file
+    # descriptors 1 and 2 would show in capfd
     if run_of in PROTOCOLS:
-        spec = frozen_spec(tmp_path, run_of)
+        spec, block = frozen_spec(tmp_path, run_of), 5
+    elif run_of == "futile-baf":
+        monkeypatch.setattr(kernels, "_CYCLE_SEARCH_TICKS", 64)
+        spec, block = futile_spec(tmp_path), 12
     else:
-        spec = cli.resolve_spec_path(run_of)
+        spec, block = cli.resolve_spec_path(run_of), 5
     want = per_row_bytes(spec)
     use_cpus(monkeypatch, cpus)
     blocks = record_blocks(monkeypatch)
     forks = count_forks(monkeypatch)
-    assert run_cli(["run", str(spec), "--out", str(tmp_path / "o")], capfd)[:2] == (
-        0, f"wrote {tmp_path / 'o'}/trace*.csv, metrics.csv, manifest.txt\n")
+    replays, patch = spy_on_replays()
+    with patch:
+        assert run_cli(["run", str(spec), "--out", str(tmp_path / "o")], capfd)[:2] == (
+            0, f"wrote {tmp_path / 'o'}/trace*.csv, metrics.csv, manifest.txt\n")
     assert (tmp_path / "o" / "trace.csv").read_bytes() == want
     assert capfd.readouterr() == ("", "")
-    # one writer per spare CPU; the kernel queues whole 5-tick blocks in
-    # tick order from tick 0
+    # one writer per spare CPU; the kernel queues whole blocks (80 rows
+    # rounded up to whole ticks) in tick order from tick 0
     assert len(forks) == cpus - 1
     if cpus == 1:
         assert blocks == []
     else:
         assert blocks[0][0] == 0
-        assert all((b - a) % 5 == 0 for a, b in blocks)
+        assert all((b - a) % block == 0 for a, b in blocks)
         assert all(b == c for (_, b), (c, _) in zip(blocks, blocks[1:]))
+    if run_of == "futile-baf":
+        # the search, ticks 328-391, queues the blocks that end at 336-372
+        # while it runs, each at the first call after its last tick
+        assert replays == []
+        assert cpus == 1 or {336, 348, 360, 372} <= {b for _, b in blocks}
 
 
 @pytest.mark.parametrize("cpus", [1, 2, 3])
