@@ -38,9 +38,14 @@ Shared conventions:
   * a kernel raises `EpisodeAborted(k)` when a broadcast of tick k would
     overflow the 4-byte microsecond wire field, or, in BAF, when a hop
     counter it sends would overflow its 2-byte field; its tenth output is -1;
-  * a kernel's optional last argument, `writer`, is called with the episode
-    and a tick whenever every earlier tick is final (see `_Episode.rows`);
-    it reads the episode and changes none of its outputs;
+  * a kernel's optional argument `writer` is called with the episode and a
+    tick whenever every earlier tick is final (see `_Episode.rows`); it
+    reads the episode and changes none of its outputs;
+  * a kernel's optional last argument, `decide`, ends a TSAU, UAF or BAF
+    episode early, at the first link-row chunk start where its dip metrics
+    are decided (`_Episode._decided`), and each output is cut there.  It
+    applies only with freezing off, no attacker and no writer; the baseline
+    never stops;
   * every average adds its values in CSR neighbor order, the order the
     oracle adds them in, so the two agree bit for bit;
   * settle, cycle, replay, abort: an episode settles when the last
@@ -110,7 +115,7 @@ class _Episode:
     writer's forked processes read (`engine.CsvBlocks`)."""
 
     def __init__(self, indptr, indices, edge_slot, link_live, init_est, delta,
-                 mal, noise, freeze, writer):
+                 mal, noise, freeze, writer, decide=False):
         ids = indices.tolist()
         slots = edge_slot.tolist()
         bounds = indptr.tolist()
@@ -168,6 +173,25 @@ class _Episode:
         # the link rows that `rows` is yielding, from tick chunk_start on;
         # `observe` cuts them after the settle tick
         self.chunk, self.chunk_start = [], 1
+        # the values besides the estimates that an average from tick k on
+        # can read, given tick k (see `_decided`).  TSAU and UAF set their
+        # own; BAF's averages read only estimates and the gateway's time
+        self.held = lambda k: []
+        # whether `rows` checks for decided dip metrics at each chunk start:
+        # only without an attacker, freezing or a writer, with clocks that
+        # start non-negative, where no later tick can overflow the wire
+        # field, and where the rounding r = T*(D+6)*2**-53 stays under half
+        # the margin (see `_decided`)
+        self.deciding = (decide and mal < 0 and not freeze and writer is None
+                         and bool(init_est.min() >= 0)
+                         and delta * (T - 1) * 1e6 <= WIRE_MAX_MICROS
+                         and T * (max(map(len, self.nbrs)) + 6) * 2.0 ** -53
+                         < _DECIDED_MARGIN / 2)
+        # None until `_decided` sees the bound hold; then the per-node
+        # minimum error over rows [0, min_rows)
+        self.min_err, self.min_rows = None, 0
+        # the tick the episode stopped at, its dip metrics decided, or None
+        self.stop = None
 
     def rows(self, link_live):
         """Rows 1, 2, ... of the (ticks, edges) link matrix as lists of 0/1.
@@ -180,17 +204,73 @@ class _Episode:
         Once the episode settles, `observe` cuts the chunk after the settle
         tick, and every later row is all live: `_search` yields them on the
         same chunk clock, so the writer keeps being called while it looks
-        for the cycle, and ends them if it replays it."""
+        for the cycle, and ends them if it replays it.
+
+        When the episode is `deciding`, the rows end at the first chunk
+        start a where its dip metrics are decided, and `stop` is set to a."""
         T, E = link_live.shape
         step = max(1, _ROW_CHUNK // E)
         a = 1
         while a < T and self.settled is None:
+            if self.deciding and self._decided(a):
+                self.stop = a
+                return
             self._chunk_at(a, step)
             self.chunk, self.chunk_start = link_live[a:a + step].tolist(), a
             yield from self.chunk
             a += len(self.chunk)
         if a < T:
             yield from self._search([1] * E, T, step)
+
+    def _decided(self, a):
+        """Whether the dip metrics are decided once ticks [0, a) are final:
+        whether `dip_metrics` of the trace cut at a equals that of the full
+        trace.  Called only without an attacker, with freezing off, and with
+        every value non-negative.
+
+        The bound.  Let H be the largest value held at the end of tick a-1
+        that a later average can read: every estimate and each of
+        `held(a)`.  When H <= delta*(a-1), every estimate at every tick k >= a
+        is at most delta*(k-1)*(1+rho), rho = (1+u)**(D+4) - 1 with
+        u = 2**-53 and D the largest degree.  Let Y_k = delta*(k-1)*(1+u)**3
+        bound the values an average of tick k reads.  At k = a the held
+        values are <= H <= fl(delta*(a-1)) <= delta*(a-1)*(1+u), and a TSAU
+        sum s of n terms with fl(s/n) <= H has s/n <= H/(1-u) <=
+        H*(1+u)**2; the gateway's broadcast heard at tick k is
+        fl(delta*(k-1)).  An average reads at most D+1 non-negative terms,
+        each <= Y, and rounds at most D+1 times (its additions and the
+        division), so it is <= Y*(1+u)**(D+1) = delta*(k-1)*(1+u)**(D+4).
+        That is <= Y_(k+1) while (k-1)*((1+u)**(D+1) - 1) <= 1, which holds
+        for T*(D+2)*u <= 1.  So from tick a on the bound holds for good: the
+        line climbs by delta a tick, faster than rounding can.  This is
+        tested only until it first holds (`min_err` is set then).
+
+        The margin.  The error at tick k >= a, fl(|fl(delta*k) - e|) with
+        e <= delta*(k-1)*(1+rho), is then at least delta*(1 - r) with
+        r = (T-1)*(u + rho) + u <= T*(D+6)*u.  A node whose minimum error
+        over rows [0, a) is at most delta*(1 - _DECIDED_MARGIN) has every
+        later error strictly larger, since `deciding` requires
+        r < _DECIDED_MARGIN / 2, and the threshold's own rounding, under
+        3*u relative, fits the other half: its e_dip, its first argmin and
+        the transmissions up to it, so its k_dip, are fixed.  The metrics
+        are decided when every non-gateway node is.
+
+        `deciding` also requires fl(delta*(T-1))*1e6 to fit the wire field:
+        with no attacker nothing sent exceeds the gateway's time, so no
+        later tick can abort.  BAF also requires T-1 <= MAX_HOP_COUNTER."""
+        if self.min_err is None:
+            if max(self.est + self.held(a)) > self.delta * (a - 1):
+                return False
+            self.min_err = np.full(self.n - 1, np.inf)
+        self.fill(a)
+        est, delta = self.est_tr, self.delta
+        step = max(1, _FILL_CHUNK // self.n)
+        for lo in range(self.min_rows, a, step):
+            hi = min(lo + step, a)
+            err = np.abs(delta * np.arange(lo, hi)[:, None] - est[lo:hi, 1:])
+            np.minimum(self.min_err, err.min(axis=0), out=self.min_err)
+        self.min_rows = a
+        return bool((self.min_err <= delta * (1 - _DECIDED_MARGIN)).all())
 
     def _chunk_at(self, a, step):
         """Start the chunk of ticks [a, a + step): call the writer with this
@@ -299,15 +379,16 @@ class _Episode:
     def outputs(self):
         """The kernel's 10-tuple of a finished episode: its estimate rows
         completed by `fill`, and each tick's broadcasts counted from the
-        transmit trace.  The tenth output is -1: an overflow raises in the
-        kernel."""
-        T = len(self.est_tr)
+        transmit trace.  An episode that stopped at tick `stop` returns its
+        rows [0, stop), and its detectors' outputs cover those ticks.  The
+        tenth output is -1: an overflow raises in the kernel."""
+        T = len(self.est_tr) if self.stop is None else self.stop
         self.fill(T)
-        tx_tr = self.tx_tr
+        tx_tr = self.tx_tr[:T]
         dets = self.detectors
-        return (self.est_tr, self.act_tr, self.frozen_tr, tx_tr,
+        return (self.est_tr[:T], self.act_tr[:T], self.frozen_tr[:T], tx_tr,
                 tx_tr.sum(axis=1, dtype=np.int64),
-                np.array(self.delivered, dtype=np.int64),
+                np.array(self.delivered[:T], dtype=np.int64),
                 np.array([d.dip_tick for d in dets], dtype=np.int64),
                 np.array([d.dip_value for d in dets], dtype=np.float64),
                 np.array([d.fire_tick for d in dets], dtype=np.int64),
@@ -343,6 +424,10 @@ def _forward_fill(est, act):
 # elements per chunk of link rows converted to lists
 _ROW_CHUNK = 1 << 12
 
+# a node's dip metrics are decided once its minimum error is at most
+# delta*(1 - _DECIDED_MARGIN); see `_Episode._decided`
+_DECIDED_MARGIN = 1e-9
+
 # ticks per chunk of a replay's copies and wire checks; their temporaries
 # take about 50 bytes per tick
 _REPLAY_CHUNK = 1 << 12
@@ -356,12 +441,13 @@ _CYCLE_SEARCH_TICKS = 1 << 13
 
 def baseline_kernel(
     indptr, indices, edge_slot, link_live, init_est,
-    delta, mal, noise, freeze, writer=None,
+    delta, mal, noise, freeze, writer=None, decide=False,
 ):
     """Synchronous reference system: every non-gateway node averages its full
     live neighborhood each tick, the gateway contributing its current time.
     Each update counts as one broadcast in `sent`; `delivered` stays 0, as the
-    baseline has no delivery model."""
+    baseline has no delivery model.  It never stops early (`decide` is
+    ignored): its nodes hear delta*k at tick k, above the line's last value."""
     ep = _Episode(indptr, indices, edge_slot, link_live, init_est, delta, mal, noise, freeze,
                   writer)
     N, noise = ep.n, ep.noise
@@ -395,19 +481,22 @@ def baseline_kernel(
 
 def tsau_kernel(
     indptr, indices, edge_slot, link_live, init_est,
-    delta, mal, noise, freeze, writer=None,
+    delta, mal, noise, freeze, writer=None, decide=False,
 ):
     """Timed sequential update: one slot owner per tick averages what it heard
     since its last slot (if more than one value) and broadcasts; the gateway
     broadcasts its time once per slot cycle."""
     ep = _Episode(indptr, indices, edge_slot, link_live, init_est, delta, mal, noise, freeze,
-                  writer)
+                  writer, decide)
     N, noise = ep.n, ep.noise
     nbrs, est, frozen, fired = ep.nbrs, ep.est, ep.frozen, ep.fired
     est_flat, act, tx, delivered = ep.est_flat, ep.act, ep.tx, ep.delivered
     cyc = N - 1
     acc_sum = [0.0] * N
     acc_n = [0] * N
+    # a slot owner's average reads what it has heard so far
+    ep.held = lambda k, acc_sum=acc_sum, acc_n=acc_n: [
+        s / n for s, n in zip(acc_sum, acc_n) if n]
     # last tick's broadcasts as (sender, value), ascending sender; at tick 0
     # only the gateway speaks
     sends = [(0, 0.0)]
@@ -448,7 +537,7 @@ def tsau_kernel(
 
 def uaf_kernel(
     indptr, indices, edge_slot, link_live, init_est,
-    delta, mal, noise, freeze, max_layer, writer=None,
+    delta, mal, noise, freeze, max_layer, writer=None, decide=False,
 ):
     """Gateway-timed flooding waves.  The gateway re-seeds a wave every
     max_layer+1 ticks with an alternating status bit; an opposite-status
@@ -456,7 +545,7 @@ def uaf_kernel(
     neighborhood and rebroadcasts.  Computed values commit simultaneously at
     the next cycle boundary, so all estimates step in lockstep."""
     ep = _Episode(indptr, indices, edge_slot, link_live, init_est, delta, mal, noise, freeze,
-                  writer)
+                  writer, decide)
     N, noise = ep.n, ep.noise
     nbrs, est, frozen, fired = ep.nbrs, ep.est, ep.frozen, ep.fired
     est_flat, act, tx, delivered = ep.est_flat, ep.act, ep.tx, ep.delivered
@@ -476,6 +565,11 @@ def uaf_kernel(
     # sender list.  Values are bound as defaults, so the loop's own variables
     # stay plain locals
     ep.control = lambda k, cyc=cyc, s=s: (k % cyc, *s)
+    # an average of tick k on reads the pending values yet to commit and
+    # the values the non-gateway nodes sent at tick k - 1
+    ep.held = lambda k, pend=pend, has_pend=has_pend, sent_val=sent_val, tx=tx, N=N: [
+        *(v for v, h in zip(pend, has_pend) if h),
+        *(sent_val[b] for b in range(1, N) if tx[(k - 1) * N + b])]
     for k, live in enumerate(ep.rows(link_live), 1):
         row = k * N
         if k % cyc == 0:
@@ -511,14 +605,14 @@ def uaf_kernel(
         # this tick's senders: the woken nodes, then the gateway at a cycle start
         senders = []
         for i in sorted(woken):
-            ssum = 0.0
-            cnt = 0
-            for j, slot in nbrs[i]:
-                if live[slot]:
-                    ssum += heard[j]
-                    cnt += 1
             s[i] = 1 - s[i]
             if not frozen[i]:
+                ssum = 0.0
+                cnt = 0
+                for j, slot in nbrs[i]:
+                    if live[slot]:
+                        ssum += heard[j]
+                        cnt += 1
                 # the node's own estimate joins the average
                 pend[i] = (ssum + est[i]) / (cnt + 1)
                 has_pend[i] = 1
@@ -546,7 +640,7 @@ def uaf_kernel(
 
 def baf_kernel(
     indptr, indices, edge_slot, link_live, init_est,
-    delta, mal, noise, freeze, writer=None,
+    delta, mal, noise, freeze, writer=None, decide=False,
 ):
     """Self-regulating bidirectional flooding.  The gateway advertises its
     clock every tick with status 1.  Triggered nodes update immediately,
@@ -554,8 +648,10 @@ def baf_kernel(
     own wake-up, has heard only same-status counters smaller than its own
     concludes it is the flood frontier, zeroes its counter, negates its
     status and turns the flood around."""
+    # a hop counter sent at tick k is at most k, so none can overflow
+    # before tick MAX_HOP_COUNTER + 1
     ep = _Episode(indptr, indices, edge_slot, link_live, init_est, delta, mal, noise, freeze,
-                  writer)
+                  writer, decide and len(link_live) - 1 <= MAX_HOP_COUNTER)
     N, noise = ep.n, ep.noise
     nbrs, est, frozen, fired = ep.nbrs, ep.est, ep.frozen, ep.fired
     est_flat, act, tx, delivered = ep.est_flat, ep.act, ep.tx, ep.delivered

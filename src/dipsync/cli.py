@@ -158,6 +158,12 @@ def _map_episodes(fn, configs: list[SimConfig]) -> list:
                     cost=episode_cost)
 
 
+def _episode_metrics(config: SimConfig) -> DipMetrics:
+    """The dip metrics of `config`'s episode, which ends once they are
+    decided (`run`'s `until_decided`)."""
+    return dip_metrics(run(config, until_decided=True))
+
+
 def cmd_run(args) -> int:
     spec = load_spec(resolve_spec_path(args.spec))
     out_dir = Path(args.out)
@@ -195,7 +201,7 @@ def cmd_sweep_links(args) -> int:
                          seed=repeat_seed(args.seed, r), max_ticks=args.ticks,
                          freeze_on_dip=False)
                for p in args.p for r in range(args.repeats)]
-    metrics = _map_episodes(lambda cfg: dip_metrics(run(cfg)), configs)
+    metrics = _map_episodes(_episode_metrics, configs)
     lines = ["p,median_E_dip_min,min_E_dip_min,max_E_dip_min,median_k_dip_min,dip_persists"]
     for n, p in enumerate(args.p):
         dms = metrics[n * args.repeats:(n + 1) * args.repeats]
@@ -233,7 +239,7 @@ def cmd_compare(args) -> int:
     protocols = list(dict.fromkeys(ProtocolKind.parse(p) for p in args.protocols))
     configs = [scenario_config(args.scenario, proto, args.seed, args.ticks)
                for proto in protocols]
-    metrics = _map_episodes(lambda cfg: dip_metrics(run(cfg)), configs)
+    metrics = _map_episodes(_episode_metrics, configs)
     results = dict(zip((proto.value for proto in protocols), metrics))
     sys.stdout.write(summary_table(list(results.items())))
     # the order checks rank tsau, uaf and baf against each other only

@@ -82,7 +82,10 @@ class SimConfig:
 
 @dataclass
 class Trace:
-    """Per-tick, per-node record of one episode."""
+    """Per-tick, per-node record of one episode: of its `max_ticks` ticks,
+    or of fewer when `run(..., until_decided=True)` ended it once its dip
+    metrics were decided.  The detector outputs (dip_tick, dip_value,
+    dip_fire_tick) cover the `n_ticks` ticks simulated."""
 
     estimates: np.ndarray          # (ticks, nodes) float64
     activated: np.ndarray          # (ticks, nodes) uint8, 0 or 1
@@ -361,9 +364,11 @@ _US_PER_NODE_TICK = {
 def episode_cost(config: SimConfig) -> float:
     """The estimated kernel time of `config`'s episode in us: max_ticks x
     nodes x its protocol's us per node-tick with perfect links.  It
-    estimates the full tick loop: an episode that settles (every node
-    frozen, every later link live) replays its cycle and stops sooner, at a
-    tick known only by running it."""
+    estimates the full tick loop, so it overestimates an episode that
+    settles (every node frozen, every later link live), which replays its
+    cycle, and one that `run(..., until_decided=True)` ends once its dip
+    metrics are decided: both stop sooner, at a tick known only by running
+    them."""
     return (config.max_ticks * config.topology.node_count
             * _US_PER_NODE_TICK[config.protocol])
 
@@ -474,14 +479,25 @@ def kernel_inputs(config: SimConfig) -> tuple[str, tuple]:
     return config.protocol.value, args
 
 
-def run(config: SimConfig, csv_blocks: CsvBlocks | None = None) -> Trace:
+def run(config: SimConfig, csv_blocks: CsvBlocks | None = None,
+        until_decided: bool = False) -> Trace:
     """Simulate one episode; deterministic in (config, seed).  With
     `csv_blocks` and more than one usable CPU, forked writers format the
     leading blocks of the trace CSV while the kernel runs, and the trace
-    keeps them for `Trace.to_csv`; see `CsvBlocks`."""
+    keeps them for `Trace.to_csv`; see `CsvBlocks`.
+
+    By default the trace has `max_ticks` rows.  With `until_decided`, a
+    TSAU, UAF or BAF episode with freezing off and no attacker ends at the
+    first link-row chunk start where its dip metrics are decided (see
+    `_kernels._Episode._decided`), and the trace holds the ticks before it:
+    `n_ticks` can then be less than `max_ticks`, the detector outputs
+    cover only those ticks, and `dip_metrics` equals the full trace's bit
+    for bit.  An episode with a CSV writer never stops."""
     name, args = kernel_inputs(config)
     if csv_blocks is not None and csv_blocks.slots > 0:
         args += (csv_blocks,)
+    elif until_decided:
+        args += (None, True)
     # the kernel's first nine outputs come in Trace's field order
     return Trace(*get_kernel(name)(*args)[:9], config=config, csv_blocks=csv_blocks)
 

@@ -169,7 +169,7 @@ def test_criterion_5_lossy_link_dip_persistence(report):
     # no time bound: the seed panels run on every usable CPU
     panels = [(p, proto) for p in (0.75, 0.5, 0.25) for proto in PROTOCOLS]
     mins = _map_episodes(
-        lambda cfg: run(cfg).errors[:, 1:].min(axis=0),
+        lambda cfg: run(cfg, until_decided=True).errors[:, 1:].min(axis=0),
         [grid16_config(proto, s, freeze=False, link_p=p, ticks=16000)
          for p, proto in panels for s in SEEDS])
     ok = True

@@ -344,9 +344,9 @@ def test_compare_runs_each_distinct_protocol_once(capsys, monkeypatch):
     run = cli.run
     calls = []
 
-    def counting_run(cfg):
+    def counting_run(cfg, **kwargs):
         calls.append(cfg.protocol.value)
-        return run(cfg)
+        return run(cfg, **kwargs)
 
     use_cpus(monkeypatch, 1)
     monkeypatch.setattr(cli, "run", counting_run)
@@ -482,10 +482,10 @@ def test_episode_map_reports_the_first_failure_in_item_order(cpus, capsys, monke
     # baf, the costliest, and a child runs tsau and uaf
     run = cli.run
 
-    def failing_run(cfg):
+    def failing_run(cfg, **kwargs):
         if cfg.protocol.value in ("uaf", "baf"):
             raise ConfigError(f"{cfg.protocol.value} fails")
-        return run(cfg)
+        return run(cfg, **kwargs)
 
     use_cpus(monkeypatch, cpus)
     monkeypatch.setattr(cli, "run", failing_run)
@@ -499,10 +499,10 @@ def test_episode_map_raises_a_child_error_with_its_traceback(capfd, monkeypatch)
     # with the same type and message, caused by the child's traceback
     run = cli.run
 
-    def failing_run(cfg):
+    def failing_run(cfg, **kwargs):
         if cfg.protocol.value == "tsau":
             raise ValueError("tsau fails")
-        return run(cfg)
+        return run(cfg, **kwargs)
 
     use_cpus(monkeypatch, 2)
     monkeypatch.setattr(cli, "run", failing_run)
@@ -517,7 +517,7 @@ def test_episode_map_raises_a_child_error_with_its_traceback(capfd, monkeypatch)
 def test_episode_map_kills_its_children_when_interrupted(capsys, monkeypatch):
     # item 0 interrupts this process while a child sleeps in item 1; the
     # child is killed and reaped, not waited for
-    def interrupted_run(cfg):
+    def interrupted_run(cfg, **kwargs):
         if cfg.protocol.value == "uaf":
             raise KeyboardInterrupt
         time.sleep(60)
