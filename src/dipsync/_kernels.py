@@ -56,12 +56,12 @@ Shared conventions:
     cycle of the graph; such an episode never repeats, and runs on tick by
     tick once the search gives up, _CYCLE_SEARCH_TICKS after the settle
     tick, until it ends or a counter overflows.)
-    The settled ticks run on the same chunk clock as the others, so a
-    writer keeps being called while the episode searches.  After each tick
-    the episode compares the kernel's control state (`_Episode.control`)
-    plus the tick's transmit row with a Brent checkpoint (R. P. Brent, BIT
-    20, 1980); TSAU's row names its slot owner, so TSAU keeps no control
-    state.  At the first repeat, with period p, it copies the last p
+    The settled ticks run in the same loop and on the same chunk clock as
+    the others (`_Episode.rows`), so a writer keeps being called while the
+    episode searches.  After each settled tick the loop compares the
+    kernel's control state (`_Episode.control`) plus the tick's transmit
+    row with a Brent checkpoint (R. P. Brent, BIT 20, 1980); TSAU's row
+    names its slot owner, so TSAU keeps no control state.  At the first repeat, with period p, it copies the last p
     transmit rows and delivery counts over the remaining ticks, leaves
     their activated flags 0 (so `fill` carries the frozen estimates
     forward), raises `EpisodeAborted(t)` at the first later tick t where
@@ -162,7 +162,8 @@ class _Episode:
         self.filled = 1
         self.link_live = link_live
         self.unfrozen = n - 1
-        # the tick at which the episode settled, or None
+        # the tick at which the episode settled, while `rows` searches for
+        # its cycle; None before and once the search gives up
         self.settled = None
         # the kernel's control state after tick k: what, with the transmit
         # row, decides the next ticks once every node is frozen and every
@@ -170,9 +171,6 @@ class _Episode:
         # baseline has none, so its period is 1, and TSAU needs none: its
         # transmit row names its slot owner ((k-1) % (N-1)) + 1
         self.control = lambda k: ()
-        # the link rows that `rows` is yielding, from tick chunk_start on;
-        # `observe` cuts them after the settle tick
-        self.chunk, self.chunk_start = [], 1
         # the values besides the estimates that an average from tick k on
         # can read, given tick k (see `_decided`).  TSAU and UAF set their
         # own; BAF's averages read only estimates and the gateway's time
@@ -195,32 +193,54 @@ class _Episode:
 
     def rows(self, link_live):
         """Rows 1, 2, ... of the (ticks, edges) link matrix as lists of 0/1.
-        They are converted a chunk of at most _ROW_CHUNK elements (at least
-        one row) at a time, which costs about half of a `tolist` per row.
-        When the first row of a chunk, tick a, is asked for, every tick
-        before a is final, and `_chunk_at` calls the writer, if any; so the
-        tick loops themselves do no extra work.
-
-        Once the episode settles, `observe` cuts the chunk after the settle
-        tick, and every later row is all live: `_search` yields them on the
-        same chunk clock, so the writer keeps being called while it looks
-        for the cycle, and ends them if it replays it.
+        They are converted a chunk of `step` ticks, at most _ROW_CHUNK
+        elements (at least one row), at a time, which costs about half of a
+        `tolist` per row.  At a chunk's first tick a every tick before a is
+        final: the writer, if any, is called with the episode and a, and the
+        attacker's noise list is extended to the chunk's ticks.  So the tick
+        loops themselves do no extra work.
 
         When the episode is `deciding`, the rows end at the first chunk
-        start a where its dip metrics are decided, and `stop` is set to a."""
+        start a where its dip metrics are decided, and `stop` is set to a.
+
+        Once `observe` settles the episode at tick s, every later row is all
+        live, and each tick k in (s, s + _CYCLE_SEARCH_TICKS], when the
+        kernel has run it, takes one step of Brent's cycle search: compare
+        k's transmit row and control state with a checkpoint, taken at s and
+        moved to k whenever the distance to it reaches the next power of
+        two.  At the first repeat the episode replays the cycle and the rows
+        end.  The control state is built only when the rows match or the
+        checkpoint moves.  The search is bounded: BAF's hop counters can
+        climb without bound around a cycle of the graph, and such an episode
+        never repeats.  When it gives up, `settled` is cleared, and the rows
+        run on to T."""
         T, E = link_live.shape
         step = max(1, _ROW_CHUNK // E)
-        a = 1
-        while a < T and self.settled is None:
+        n, tx, control, noise = self.n, self.tx, self.control, self.noise
+        for a in range(1, T, step):
             if self.deciding and self._decided(a):
                 self.stop = a
                 return
-            self._chunk_at(a, step)
-            self.chunk, self.chunk_start = link_live[a:a + step].tolist(), a
-            yield from self.chunk
-            a += len(self.chunk)
-        if a < T:
-            yield from self._search([1] * E, T, step)
+            if self.writer is not None:
+                self.writer(self, a)
+            if noise is not None:
+                noise += self.noise_arr[len(noise):a + step].tolist()
+            for k, live in enumerate(link_live[a:a + step].tolist(), a):
+                yield live
+                if self.settled is None:
+                    continue
+                # the checkpoint is taken at the settle tick, the first
+                # tick seen here
+                row = tx[k * n:(k + 1) * n]
+                if k == self.settled:
+                    mark_k, mark_row, mark, power = k, row, control(k), 1
+                elif row == mark_row and control(k) == mark:
+                    self._replay(k + 1, k - mark_k)
+                    return
+                elif k - mark_k == power:
+                    mark_k, mark_row, mark, power = k, row, control(k), 2 * power
+                if k - self.settled == _CYCLE_SEARCH_TICKS:
+                    self.settled = None
 
     def _decided(self, a):
         """Whether the dip metrics are decided once ticks [0, a) are final:
@@ -272,45 +292,6 @@ class _Episode:
         self.min_rows = a
         return bool((self.min_err <= delta * (1 - _DECIDED_MARGIN)).all())
 
-    def _chunk_at(self, a, step):
-        """Start the chunk of ticks [a, a + step): call the writer with this
-        episode and a, and extend the attacker's noise list to the chunk's
-        ticks."""
-        if self.writer is not None:
-            self.writer(self, a)
-        noise = self.noise
-        if noise is not None and len(noise) < a + step:
-            noise += self.noise_arr[len(noise):a + step].tolist()
-
-    def _search(self, live, T, step):
-        """Yield the all-live rows of the ticks after the settle tick, a
-        chunk of `step` ticks at a time (`_chunk_at`), while looking for the
-        cycle: for _CYCLE_SEARCH_TICKS ticks, compare each tick's transmit
-        row and control state with a checkpoint that moves to the current
-        tick whenever the distance to it reaches the next power of two
-        (Brent).  At the first repeat, replay the cycle and end the rows.
-        The control state is built only when the rows match or the
-        checkpoint moves, and the search is bounded: BAF's hop counters can
-        climb without bound around a cycle of the graph, and such an episode
-        never repeats, so it runs on to T."""
-        n, tx, control = self.n, self.tx, self.control
-        mark_k = self.settled
-        mark_row, mark, power = tx[mark_k * n:(mark_k + 1) * n], control(mark_k), 1
-        ahead = mark_k + 1
-        stop = ahead + _CYCLE_SEARCH_TICKS
-        for k in range(ahead, T):
-            if k == ahead:
-                ahead += step
-                self._chunk_at(k, step)
-            yield live
-            if k < stop:
-                row = tx[k * n:(k + 1) * n]
-                if row == mark_row and control(k) == mark:
-                    self._replay(k + 1, k - mark_k)
-                    return
-                if k - mark_k == power:
-                    mark_k, mark_row, mark, power = k, row, control(k), 2 * power
-
     def _replay(self, start, period):
         """Repeat the transmit rows and delivery counts of ticks
         [start - period, start) over ticks [start, T) in place, a chunk of
@@ -344,8 +325,8 @@ class _Episode:
     def observe(self, i, k):
         """Feed node i's new estimate, updated at tick k, to its detector; on
         a fire, flag it and, when freezing, rewind and freeze the node.  The
-        last freeze settles the episode if every later link is live; the
-        chunk of rows that `rows` is yielding then ends after tick k."""
+        last freeze settles the episode if every later link is live, and
+        `rows` then searches for its cycle."""
         det = self.detectors[i]
         if det.observe(self.est[i], k):
             self.fired[i] = 1
@@ -355,7 +336,6 @@ class _Episode:
                 self.unfrozen -= 1
                 if not self.unfrozen and self.link_live[k + 1:].all():
                     self.settled = k
-                    del self.chunk[k + 1 - self.chunk_start:]
 
     def fill(self, stop):
         """Complete the estimate and frozen rows of the final ticks

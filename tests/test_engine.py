@@ -769,6 +769,26 @@ def test_settled_episodes_match_the_oracle(proto, seed, replays):
     assert replays == ([] if want is None else [want])
 
 
+@pytest.mark.parametrize("seed", [1, 2, 3, 4])
+@pytest.mark.parametrize("proto", list(ProtocolKind))
+def test_settled_episodes_do_not_depend_on_the_row_chunk(proto, seed, monkeypatch):
+    # the cycle search starts at the tick after the settle tick, wherever
+    # that falls in its chunk of link rows.  Of malicious16's 24 link
+    # columns, 1 and 7 elements make chunks of one row, 100 of 4 rows and
+    # the default 4096 of 170
+    name, args = malicious16_inputs(proto, seed, 4000)
+    want = MALICIOUS16_REPLAYS[seed][name]
+    outputs = []
+    for chunk in (1, 7, 100, 4096):
+        monkeypatch.setattr(kernels, "_ROW_CHUNK", chunk)
+        seen, patch = spy_on_replays()
+        with patch:
+            outputs.append(kernels.get_kernel(name)(*args))
+        assert seen == ([] if want is None else [want]), chunk
+    for got in outputs[1:]:
+        _assert_same_kernel_outputs(got, outputs[0])
+
+
 # Three overflows on malicious16 seed 3.  With a kernel delta of 2.0 s no
 # node fires before the gateway's time overflows, so nothing replays.  A 3 s wire field
 # (both modules read WIRE_MAX_MICROS when they check) lets the gateway's
@@ -826,9 +846,10 @@ def test_episodes_with_a_dead_link_after_the_last_freeze_do_not_replay(proto, li
 def test_a_settled_episode_that_never_repeats_runs_in_full(replays, monkeypatch):
     # every node froze by tick 327, but around the triangle 0-1-3 BAF's hop
     # counters climb for good, so the control state never repeats: the
-    # search gives up 64 ticks later and the rest runs on.  From tick 328 on
-    # the rows come a chunk of 585 ticks at a time, the search's and the
-    # rest alike, and the writer is called at each chunk's first tick
+    # search gives up 64 ticks later and the rest runs on.  The rows come a
+    # chunk of 585 ticks at a time from tick 1 on, before the settle tick,
+    # during the search and after it alike, and the writer is called at each
+    # chunk's first tick; the clock no longer restarts at the settle tick
     monkeypatch.setattr(kernels, "_CYCLE_SEARCH_TICKS", 64)
     topo = Topology.from_edges(7, [(0, 1), (0, 2), (0, 3), (0, 4), (1, 3), (1, 5), (4, 6)])
     c = SimConfig(topology=topo, protocol=ProtocolKind.BAF, max_ticks=1500, seed=0,
@@ -840,7 +861,7 @@ def test_a_settled_episode_that_never_repeats_runs_in_full(replays, monkeypatch)
     _assert_same_kernel_outputs(got, want)
     assert want[8].max() == 327
     assert replays == []
-    assert finals == [1, 328, 913, 1498]
+    assert finals == [1, 586, 1171]
 
 
 def test_a_baf_hop_counter_past_its_2_byte_field_aborts_at_the_oracle_tick():
@@ -897,13 +918,15 @@ def test_kernels_on_random_connected_topologies(topo, proto, link_p, malicious, 
 # settle and replay (a third of these examples do)
 @settings(derandomize=True, deadline=None, max_examples=25)
 @given(topo=connected_topologies(), proto=st.sampled_from(list(ProtocolKind)),
-       malicious=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
-def test_settled_episodes_on_random_connected_topologies(topo, proto, malicious, seed):
+       malicious=st.booleans(), seed=st.integers(0, 2 ** 32 - 1),
+       chunk=st.sampled_from([1, 50, 1 << 12]))
+def test_settled_episodes_on_random_connected_topologies(topo, proto, malicious, seed, chunk):
+    # chunks of `chunk` link elements: the settle tick falls anywhere in one
     c = SimConfig(topology=topo, protocol=proto, max_ticks=1500, seed=seed,
                   malicious=malicious, freeze_on_dip=True)
     name, args = engine.kernel_inputs(c)
     seen, patch = spy_on_replays()
-    with patch:
+    with patch, mock.patch.object(kernels, "_ROW_CHUNK", chunk):
         got = kernels.get_kernel(name)(*args)
     _assert_same_kernel_outputs(got, array_kernels.KERNELS[name](*args))
     assert np.all(np.abs(c.delta * np.arange(1500) - got[0][:, 0]) == 0.0)
