@@ -21,7 +21,9 @@ Shared conventions:
   * adjacency is CSR (indptr/indices) with neighbor ids ascending, and
     edge_slot maps each CSR slot to its canonical edge index for link lookup;
   * a broadcast sent at tick k-1 is delivered at tick k over the edges that
-    tick k's link realization keeps alive;
+    tick k's link realization keeps alive, and counts once in tick k's
+    deliveries if any is; `_Episode.outputs` counts them from the transmit
+    rows and the link matrix, and the baseline counts none;
   * a broadcast is its sender's state: a message carries only the sender's
     time, status bit and (BAF) hop counter, and none of these changes between
     the send and the next tick's deliveries, so the flooding kernels keep
@@ -61,13 +63,13 @@ Shared conventions:
     episode searches.  After each settled tick the loop compares the
     kernel's control state (`_Episode.control`) plus the tick's transmit
     row with a Brent checkpoint (R. P. Brent, BIT 20, 1980); TSAU's row
-    names its slot owner, so TSAU keeps no control state.  At the first repeat, with period p, it copies the last p
-    transmit rows and delivery counts over the remaining ticks, leaves
-    their activated flags 0 (so `fill` carries the frozen estimates
-    forward), raises `EpisodeAborted(t)` at the first later tick t where
-    the gateway's or the attacker's broadcast would overflow the wire field
-    (every other broadcast repeats a value already sent in the cycle), and
-    ends the tick loop.
+    names its slot owner, so TSAU keeps no control state.  At the first
+    repeat, with period p, it copies the last p transmit rows over the
+    remaining ticks, leaves their activated flags 0 (so `fill` carries the
+    frozen estimates forward), raises `EpisodeAborted(t)` at the first
+    later tick t where the gateway's or the attacker's broadcast would
+    overflow the wire field (every other broadcast repeats a value already
+    sent in the cycle), and ends the tick loop.
 """
 
 from __future__ import annotations
@@ -99,8 +101,8 @@ class _Episode:
     """What every kernel shares: the node count `n`, the attacker's noise as
     a list, and per node its CSR neighbors as (neighbor id, edge slot) pairs,
     its estimate, frozen and fired flags and its dip detector; the trace
-    buffers; the per-tick delivery counts; the writer, if any; and the
-    replay of a settled episode (see the module docstring).
+    buffers and the link matrix; the writer, if any; and the replay of a
+    settled episode (see the module docstring).
 
     The kernels record only what changes.  `est_flat` is a flat view of the
     (ticks, nodes) estimate array `est_tr`, preset with tick 0's row, and a
@@ -155,7 +157,6 @@ class _Episode:
         self.act_tr = np.frombuffer(self.act, dtype=np.uint8).reshape(T, n)
         self.tx = bytearray(self.est_tr.size)
         self.tx_tr = np.frombuffer(self.tx, dtype=np.uint8).reshape(self.est_tr.shape)
-        self.delivered = [0] * len(link_live)
         self.writer = writer
         # rows [0, filled) are complete: forward-filled, gateway column and
         # frozen flags set
@@ -293,19 +294,17 @@ class _Episode:
         return bool((self.min_err <= delta * (1 - _DECIDED_MARGIN)).all())
 
     def _replay(self, start, period):
-        """Repeat the transmit rows and delivery counts of ticks
-        [start - period, start) over ticks [start, T) in place, a chunk of
-        at most _REPLAY_CHUNK ticks at a time, and check each chunk's
-        gateway and attacker broadcasts against the wire field."""
-        T = len(self.delivered)
-        tx_tr, delivered = self.tx_tr, self.delivered
+        """Repeat the transmit rows of ticks [start - period, start) over
+        ticks [start, T) in place, a chunk of at most _REPLAY_CHUNK ticks at
+        a time, and check each chunk's gateway and attacker broadcasts
+        against the wire field."""
+        T = len(self.tx_tr)
         a = start
         while a < T:
             # a whole number of periods back, and at least the chunk's length
             shift = (a - start) // period * period + period
             b = min(a + shift, a + _REPLAY_CHUNK, T)
-            tx_tr[a:b] = tx_tr[a - shift:b - shift]
-            delivered[a:b] = delivered[a - shift:b - shift]
+            self.tx_tr[a:b] = self.tx_tr[a - shift:b - shift]
             self._check_wire(a, b)
             a = b
 
@@ -356,19 +355,26 @@ class _Episode:
                                  out=self.frozen_tr[a:stop].view(bool))
             self.filled = stop
 
-    def outputs(self):
+    def outputs(self, deliveries=True):
         """The kernel's 10-tuple of a finished episode: its estimate rows
-        completed by `fill`, and each tick's broadcasts counted from the
-        transmit trace.  An episode that stopped at tick `stop` returns its
-        rows [0, stop), and its detectors' outputs cover those ticks.  The
-        tenth output is -1: an overflow raises in the kernel."""
+        completed by `fill`, and each tick's broadcasts and deliveries
+        counted from the transmit rows and the link matrix (see the module
+        docstring); with `deliveries` False, as the baseline asks, every
+        delivery count is 0.  An episode that stopped at tick `stop` returns
+        its rows [0, stop), and its detectors' outputs cover those ticks.
+        The tenth output is -1: an overflow raises in the kernel."""
         T = len(self.est_tr) if self.stop is None else self.stop
         self.fill(T)
         tx_tr = self.tx_tr[:T]
+        delivered = np.zeros(T, dtype=np.int64)
+        if deliveries:
+            live = self.link_live[1:T]
+            for i, nbrs in enumerate(self.nbrs):
+                reach = np.logical_or.reduce(live[:, [slot for _, slot in nbrs]], axis=1)
+                delivered[1:] += tx_tr[:-1, i] & reach
         dets = self.detectors
         return (self.est_tr[:T], self.act_tr[:T], self.frozen_tr[:T], tx_tr,
-                tx_tr.sum(axis=1, dtype=np.int64),
-                np.array(self.delivered[:T], dtype=np.int64),
+                tx_tr.sum(axis=1, dtype=np.int64), delivered,
                 np.array([d.dip_tick for d in dets], dtype=np.int64),
                 np.array([d.dip_value for d in dets], dtype=np.float64),
                 np.array([d.fire_tick for d in dets], dtype=np.int64),
@@ -425,9 +431,10 @@ def baseline_kernel(
 ):
     """Synchronous reference system: every non-gateway node averages its full
     live neighborhood each tick, the gateway contributing its current time.
-    Each update counts as one broadcast in `sent`; `delivered` stays 0, as the
-    baseline has no delivery model.  It never stops early (`decide` is
-    ignored): its nodes hear delta*k at tick k, above the line's last value."""
+    Each update counts as one broadcast in `sent`; with no delivery model it
+    asks `outputs` for no count, so `delivered` stays 0.  It never stops
+    early (`decide` is ignored): its nodes hear delta*k at tick k, above the
+    line's last value."""
     ep = _Episode(indptr, indices, edge_slot, link_live, init_est, delta, mal, noise, freeze,
                   writer)
     N, noise = ep.n, ep.noise
@@ -456,7 +463,7 @@ def baseline_kernel(
                 if not fired[i]:
                     ep.observe(i, k)
                 est_flat[row + i] = est[i]
-    return ep.outputs()
+    return ep.outputs(deliveries=False)
 
 
 def tsau_kernel(
@@ -470,7 +477,7 @@ def tsau_kernel(
                   writer, decide)
     N, noise = ep.n, ep.noise
     nbrs, est, frozen, fired = ep.nbrs, ep.est, ep.frozen, ep.fired
-    est_flat, act, tx, delivered = ep.est_flat, ep.act, ep.tx, ep.delivered
+    est_flat, act, tx = ep.est_flat, ep.act, ep.tx
     cyc = N - 1
     acc_sum = [0.0] * N
     acc_n = [0] * N
@@ -484,14 +491,10 @@ def tsau_kernel(
     for k, live in enumerate(ep.rows(link_live), 1):
         row = k * N
         for b, val in sends:
-            reached = 0
             for j, slot in nbrs[b]:
-                if live[slot]:
-                    reached = 1
-                    if j != 0:
-                        acc_sum[j] += val
-                        acc_n[j] += 1
-            delivered[k] += reached
+                if live[slot] and j != 0:
+                    acc_sum[j] += val
+                    acc_n[j] += 1
         i = ((k - 1) % cyc) + 1
         if acc_n[i] > 1 and not frozen[i]:
             est[i] = acc_sum[i] / acc_n[i]
@@ -528,7 +531,7 @@ def uaf_kernel(
                   writer, decide)
     N, noise = ep.n, ep.noise
     nbrs, est, frozen, fired = ep.nbrs, ep.est, ep.frozen, ep.fired
-    est_flat, act, tx, delivered = ep.est_flat, ep.act, ep.tx, ep.delivered
+    est_flat, act, tx = ep.est_flat, ep.act, ep.tx
     cyc = max_layer + 1
     pend = [0.0] * N
     has_pend = [0] * N
@@ -562,18 +565,13 @@ def uaf_kernel(
                             ep.observe(i, k)
                         est_flat[row + i] = est[i]
                     has_pend[i] = 0
-        # deliveries (sender view) and wake-ups: a node wakes when an
-        # opposite-status message reaches it
+        # wake-ups: a node wakes when an opposite-status message reaches it
         woken = set()
         for b in senders:
             st = s[b]
-            reached = 0
             for j, slot in nbrs[b]:
-                if live[slot]:
-                    reached = 1
-                    if j != 0 and s[j] != st:
-                        woken.add(j)
-            delivered[k] += reached
+                if live[slot] and j != 0 and s[j] != st:
+                    woken.add(j)
         # what a woken node hears from j: j's broadcast, else its standing
         # value; the gateway's standing value is its last broadcast
         heard = est[:]
@@ -634,7 +632,7 @@ def baf_kernel(
                   writer, decide and len(link_live) - 1 <= MAX_HOP_COUNTER)
     N, noise = ep.n, ep.noise
     nbrs, est, frozen, fired = ep.nbrs, ep.est, ep.frozen, ep.fired
-    est_flat, act, tx, delivered = ep.est_flat, ep.act, ep.tx, ep.delivered
+    est_flat, act, tx = ep.est_flat, ep.act, ep.tx
     # per node its status bit and hop counter; the gateway's stay 1 and 0
     s = [0] * N
     s[0] = 1
@@ -657,8 +655,8 @@ def baf_kernel(
     ep.control = control
     for k, live in enumerate(ep.rows(link_live), 1):
         row = k * N
-        # deliveries (sender view), and per receiver the count and largest
-        # counter of the opposite- and same-status messages it hears
+        # per receiver the count and largest counter of the opposite- and
+        # same-status messages it hears
         opp_cnt = [0] * N
         opp_max = [-1] * N
         same_cnt = [0] * N
@@ -667,10 +665,8 @@ def baf_kernel(
             st = s[b]
             # a protocol-ignorant attacker never maintains the hop counter
             cb = 0 if b == mal else c[b]
-            reached = 0
             for j, slot in nbrs[b]:
                 if live[slot]:
-                    reached = 1
                     if s[j] != st:
                         opp_cnt[j] += 1
                         if cb > opp_max[j]:
@@ -679,7 +675,6 @@ def baf_kernel(
                         same_cnt[j] += 1
                         if cb > same_max[j]:
                             same_max[j] = cb
-            delivered[k] += reached
         # what a triggered node hears from j: j's tick-start value, which is
         # what j sent if it sent last tick
         heard = est[:]
