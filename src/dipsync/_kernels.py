@@ -4,9 +4,12 @@ Each kernel simulates one episode, or its ticks up to a settled cycle that
 it then replays (see the last shared convention), and returns the complete
 per-tick trace.  There is one kernel per protocol, resolved by name with
 `get_kernel`.  A kernel holds only its protocol's rules; `_Episode` does the
-bookkeeping they share.  tests/array_kernels.py keeps an array-form
-formulation of the same loops, and a differential test (tests/test_engine.py)
-holds these kernels to it bit for bit.
+bookkeeping they share and takes their arguments, which every kernel passes
+it whole: the tuple that `engine.kernel_inputs` returns (indptr, indices,
+edge_slot, link_live, init_est, delta, mal, noise, freeze, layers), then
+the optional `writer`, then the optional `decide`.  tests/array_kernels.py
+keeps an array-form formulation of the same loops, and a differential test
+(tests/test_engine.py) holds these kernels to it bit for bit.
 
 The kernels record only what changes.  An update writes the node's new
 estimate in place into the (ticks, nodes) estimate array, and its activated
@@ -20,6 +23,8 @@ Shared conventions:
   * node 0 is the gateway; its estimate column is delta*k exactly;
   * adjacency is CSR (indptr/indices) with neighbor ids ascending, and
     edge_slot maps each CSR slot to its canonical edge index for link lookup;
+  * `layers` holds each node's hop distance from the gateway
+    (`topology.connectivity_layers`); UAF's cycle is the largest plus one;
   * a broadcast sent at tick k-1 is delivered at tick k over the edges that
     tick k's link realization keeps alive, and counts once in tick k's
     deliveries if any is; `_Episode.outputs` counts them from the transmit
@@ -40,14 +45,13 @@ Shared conventions:
   * a kernel raises `EpisodeAborted(k)` when a broadcast of tick k would
     overflow the 4-byte microsecond wire field, or, in BAF, when a hop
     counter it sends would overflow its 2-byte field; its tenth output is -1;
-  * a kernel's optional argument `writer` is called with the episode and a
-    tick whenever every earlier tick is final (see `_Episode.rows`); it
-    reads the episode and changes none of its outputs;
-  * a kernel's optional last argument, `decide`, ends a TSAU, UAF or BAF
-    episode early, at the first link-row chunk start where its dip metrics
-    are decided (`_Episode._decided`), and each output is cut there.  It
-    applies only with freezing off, no attacker and no writer; the baseline
-    never stops;
+  * `writer`, if not None, is called with the episode and a tick whenever
+    every earlier tick is final (see `_Episode.rows`); it reads the episode
+    and changes none of its outputs;
+  * `decide`, if true, ends a TSAU, UAF or BAF episode early, at the first
+    link-row chunk start where its dip metrics are decided
+    (`_Episode._decided`), and each output is cut there.  It applies only
+    with freezing off, no attacker and no writer; the baseline never stops;
   * every average adds its values in CSR neighbor order, the order the
     oracle adds them in, so the two agree bit for bit;
   * settle, cycle, replay, abort: an episode settles when the last
@@ -86,7 +90,10 @@ WIRE_MAX_MICROS = float(WIRE_TIME_MAX_TICKS)
 
 
 def get_kernel(name: str):
-    """The kernel of protocol `name` ("baseline", "tsau", "uaf" or "baf")."""
+    """The kernel of protocol `name` ("baseline", "tsau", "uaf" or "baf").
+    A kernel takes the arguments of `_Episode`, positionally: the tuple of
+    `engine.kernel_inputs`, then optionally `writer`, then `decide`.  It
+    returns the 10-tuple of `_Episode.outputs`."""
     return _KERNELS[name]
 
 
@@ -98,11 +105,21 @@ def get_kernel(name: str):
 # ---------------------------------------------------------------------------
 
 class _Episode:
-    """What every kernel shares: the node count `n`, the attacker's noise as
-    a list, and per node its CSR neighbors as (neighbor id, edge slot) pairs,
-    its estimate, frozen and fired flags and its dip detector; the trace
-    buffers and the link matrix; the writer, if any; and the replay of a
-    settled episode (see the module docstring).
+    """What every kernel shares, built from the kernel's arguments: the node
+    count `n`, the attacker's noise as a list, and per node its CSR
+    neighbors as (neighbor id, edge slot) pairs, its estimate, frozen and
+    fired flags and its dip detector; the trace buffers and the link
+    matrix; the writer, if any; and the replay of a settled episode (see
+    the module docstring).
+
+    The arguments, the same for every kernel: the CSR adjacency `indptr`,
+    `indices` and `edge_slot`; the (ticks, edges) uint8 link matrix
+    `link_live`; the initial clocks `init_est` (the gateway's entry is not
+    read); the tick length `delta`; the attacker's id `mal` (-1 for none)
+    and its pre-scaled noise stream `noise` (None for none); `freeze`,
+    whether a node freezes at its dip; each node's hop layer `layers`;
+    the optional `writer`; and `decide`, which sets `deciding` where it
+    applies.  A kernel may narrow `deciding` once the episode is built.
 
     The kernels record only what changes.  `est_flat` is a flat view of the
     (ticks, nodes) estimate array `est_tr`, preset with tick 0's row, and a
@@ -117,7 +134,7 @@ class _Episode:
     writer's forked processes read (`engine.CsvBlocks`)."""
 
     def __init__(self, indptr, indices, edge_slot, link_live, init_est, delta,
-                 mal, noise, freeze, writer, decide=False):
+                 mal, noise, freeze, layers, writer=None, decide=False):
         ids = indices.tolist()
         slots = edge_slot.tolist()
         bounds = indptr.tolist()
@@ -139,6 +156,7 @@ class _Episode:
         self.detectors = [DipDetector() for _ in range(n)]
         self.freeze = freeze
         self.delta = delta
+        self.layers = layers
         T = len(link_live)
         if writer is None:
             self.est_tr = np.zeros((T, n))
@@ -192,7 +210,7 @@ class _Episode:
         # the tick the episode stopped at, its dip metrics decided, or None
         self.stop = None
 
-    def rows(self, link_live):
+    def rows(self):
         """Rows 1, 2, ... of the (ticks, edges) link matrix as lists of 0/1.
         They are converted a chunk of `step` ticks, at most _ROW_CHUNK
         elements (at least one row), at a time, which costs about half of a
@@ -215,6 +233,7 @@ class _Episode:
         climb without bound around a cycle of the graph, and such an episode
         never repeats.  When it gives up, `settled` is cleared, and the rows
         run on to T."""
+        link_live = self.link_live
         T, E = link_live.shape
         step = max(1, _ROW_CHUNK // E)
         n, tx, control, noise = self.n, self.tx, self.control, self.noise
@@ -425,22 +444,19 @@ _REPLAY_CHUNK = 1 << 12
 _CYCLE_SEARCH_TICKS = 1 << 13
 
 
-def baseline_kernel(
-    indptr, indices, edge_slot, link_live, init_est,
-    delta, mal, noise, freeze, writer=None, decide=False,
-):
+def baseline_kernel(*inputs):
     """Synchronous reference system: every non-gateway node averages its full
     live neighborhood each tick, the gateway contributing its current time.
     Each update counts as one broadcast in `sent`; with no delivery model it
     asks `outputs` for no count, so `delivered` stays 0.  It never stops
     early (`decide` is ignored): its nodes hear delta*k at tick k, above the
     line's last value."""
-    ep = _Episode(indptr, indices, edge_slot, link_live, init_est, delta, mal, noise, freeze,
-                  writer)
-    N, noise = ep.n, ep.noise
+    ep = _Episode(*inputs)
+    ep.deciding = False
+    N, delta, mal, noise = ep.n, ep.delta, ep.mal, ep.noise
     nbrs, est, frozen, fired = ep.nbrs, ep.est, ep.frozen, ep.fired
     est_flat, act, tx = ep.est_flat, ep.act, ep.tx
-    for k, live in enumerate(ep.rows(link_live), 1):
+    for k, live in enumerate(ep.rows(), 1):
         row = k * N
         # what each node hears from j: the tick-start estimates
         heard = est[:]
@@ -466,16 +482,12 @@ def baseline_kernel(
     return ep.outputs(deliveries=False)
 
 
-def tsau_kernel(
-    indptr, indices, edge_slot, link_live, init_est,
-    delta, mal, noise, freeze, writer=None, decide=False,
-):
+def tsau_kernel(*inputs):
     """Timed sequential update: one slot owner per tick averages what it heard
     since its last slot (if more than one value) and broadcasts; the gateway
     broadcasts its time once per slot cycle."""
-    ep = _Episode(indptr, indices, edge_slot, link_live, init_est, delta, mal, noise, freeze,
-                  writer, decide)
-    N, noise = ep.n, ep.noise
+    ep = _Episode(*inputs)
+    N, delta, mal, noise = ep.n, ep.delta, ep.mal, ep.noise
     nbrs, est, frozen, fired = ep.nbrs, ep.est, ep.frozen, ep.fired
     est_flat, act, tx = ep.est_flat, ep.act, ep.tx
     cyc = N - 1
@@ -488,7 +500,7 @@ def tsau_kernel(
     # only the gateway speaks
     sends = [(0, 0.0)]
     tx[0] = 1
-    for k, live in enumerate(ep.rows(link_live), 1):
+    for k, live in enumerate(ep.rows(), 1):
         row = k * N
         for b, val in sends:
             for j, slot in nbrs[b]:
@@ -518,21 +530,18 @@ def tsau_kernel(
     return ep.outputs()
 
 
-def uaf_kernel(
-    indptr, indices, edge_slot, link_live, init_est,
-    delta, mal, noise, freeze, max_layer, writer=None, decide=False,
-):
+def uaf_kernel(*inputs):
     """Gateway-timed flooding waves.  The gateway re-seeds a wave every
-    max_layer+1 ticks with an alternating status bit; an opposite-status
-    message wakes a node, which computes the average of its full live
-    neighborhood and rebroadcasts.  Computed values commit simultaneously at
-    the next cycle boundary, so all estimates step in lockstep."""
-    ep = _Episode(indptr, indices, edge_slot, link_live, init_est, delta, mal, noise, freeze,
-                  writer, decide)
-    N, noise = ep.n, ep.noise
+    L+1 ticks, L the largest hop layer, with an alternating status bit; an
+    opposite-status message wakes a node, which computes the average of its
+    full live neighborhood and rebroadcasts.  Computed values commit
+    simultaneously at the next cycle boundary, so all estimates step in
+    lockstep."""
+    ep = _Episode(*inputs)
+    N, delta, mal, noise = ep.n, ep.delta, ep.mal, ep.noise
     nbrs, est, frozen, fired = ep.nbrs, ep.est, ep.frozen, ep.fired
     est_flat, act, tx = ep.est_flat, ep.act, ep.tx
-    cyc = max_layer + 1
+    cyc = max(ep.layers) + 1
     pend = [0.0] * N
     has_pend = [0] * N
     # per node its status bit, s[0] being the gateway's wave status, and the
@@ -549,11 +558,14 @@ def uaf_kernel(
     # stay plain locals
     ep.control = lambda k, cyc=cyc, s=s: (k % cyc, *s)
     # an average of tick k on reads the pending values yet to commit and
-    # the values the non-gateway nodes sent at tick k - 1
-    ep.held = lambda k, pend=pend, has_pend=has_pend, sent_val=sent_val, tx=tx, N=N: [
-        *(v for v, h in zip(pend, has_pend) if h),
-        *(sent_val[b] for b in range(1, N) if tx[(k - 1) * N + b])]
-    for k, live in enumerate(ep.rows(link_live), 1):
+    # the values the non-gateway nodes sent at tick k - 1.  Where `held` is
+    # read (freezing off, no attacker) the pending values hold the sent
+    # ones: a node that sent at tick k - 1 was woken then and sent its
+    # pending average, which commits at a cycle start, inside tick k or
+    # later, after `held(k)` is read
+    ep.held = lambda k, pend=pend, has_pend=has_pend: [
+        v for v, h in zip(pend, has_pend) if h]
+    for k, live in enumerate(ep.rows(), 1):
         row = k * N
         if k % cyc == 0:
             for i in range(1, N):
@@ -616,21 +628,18 @@ def uaf_kernel(
     return ep.outputs()
 
 
-def baf_kernel(
-    indptr, indices, edge_slot, link_live, init_est,
-    delta, mal, noise, freeze, writer=None, decide=False,
-):
+def baf_kernel(*inputs):
     """Self-regulating bidirectional flooding.  The gateway advertises its
     clock every tick with status 1.  Triggered nodes update immediately,
     take counter c_j+1, and rebroadcast; a node that, two ticks after its
     own wake-up, has heard only same-status counters smaller than its own
     concludes it is the flood frontier, zeroes its counter, negates its
     status and turns the flood around."""
+    ep = _Episode(*inputs)
     # a hop counter sent at tick k is at most k, so none can overflow
     # before tick MAX_HOP_COUNTER + 1
-    ep = _Episode(indptr, indices, edge_slot, link_live, init_est, delta, mal, noise, freeze,
-                  writer, decide and len(link_live) - 1 <= MAX_HOP_COUNTER)
-    N, noise = ep.n, ep.noise
+    ep.deciding = ep.deciding and len(ep.link_live) - 1 <= MAX_HOP_COUNTER
+    N, delta, mal, noise = ep.n, ep.delta, ep.mal, ep.noise
     nbrs, est, frozen, fired = ep.nbrs, ep.est, ep.frozen, ep.fired
     est_flat, act, tx = ep.est_flat, ep.act, ep.tx
     # per node its status bit and hop counter; the gateway's stay 1 and 0
@@ -653,7 +662,7 @@ def baf_kernel(
                 *[min(k - t, 2) for t in last_trig])
 
     ep.control = control
-    for k, live in enumerate(ep.rows(link_live), 1):
+    for k, live in enumerate(ep.rows(), 1):
         row = k * N
         # per receiver the count and largest counter of the opposite- and
         # same-status messages it hears

@@ -349,10 +349,12 @@ def episode_bytes(config: SimConfig) -> int:
 
 
 # Kernel time in us per node-tick with perfect links, interpreted path: the
-# whole kernel call on grid16, 16000 ticks, seed 1, best of 3, on a 2-vCPU
-# x86-64 VM with Python 3.11.7 and numpy 2.4.6 (the p = 1 column of the
-# kernel table in ROADMAP.md).  Only the ratios matter: `episode_cost` orders
-# episodes for `fork_map`'s longest-first plan.
+# whole kernel call on grid16, 16000 ticks, seed 1, freeze_on_dip False (so
+# every tick runs the loop, with no settled replay), best of 3, on a 2-vCPU
+# x86-64 VM with Python 3.11.7 and numpy 2.4.6.  A later re-measurement,
+# recorded in CHANGES.md, gave other figures in the same order.  Only the
+# ratios matter: `episode_cost` orders episodes for `fork_map`'s
+# longest-first plan.
 _US_PER_NODE_TICK = {
     ProtocolKind.SYNC_BASELINE: 0.51,
     ProtocolKind.TSAU: 0.10,
@@ -393,7 +395,9 @@ def _check_fits(ticks: int, node_count: int, edge_count: int) -> None:
                           f"the 2-byte sender id field")
 
 
-def _validate(config: SimConfig) -> int:
+def _validate(config: SimConfig) -> tuple[int, ...]:
+    """Raise a ConfigError for a config no episode can run; return each
+    node's hop layer (`connectivity_layers`)."""
     if config.max_ticks < 1:
         raise ConfigError("max_ticks must be >= 1")
     if not 0.0 < config.delta < np.inf:
@@ -406,7 +410,7 @@ def _validate(config: SimConfig) -> int:
     if topo.node_count < 2:
         raise ConfigError("need at least one non-gateway node")
     _check_fits(config.max_ticks, topo.node_count, len(topo.edges))
-    return max(connectivity_layers(topo))  # raises if disconnected
+    return connectivity_layers(topo)  # raises if disconnected
 
 
 def _csr(topo: Topology):
@@ -443,10 +447,10 @@ def _draw_links(rng: np.random.Generator, ticks: int, n_edges: int,
 
 def kernel_inputs(config: SimConfig) -> tuple[str, tuple]:
     """Validate `config` and draw its random inputs; return the kernel name
-    and the argument tuple that `run` passes to that kernel: (indptr,
-    indices, edge_slot, link_live, init_est, delta, mal, noise,
-    freeze_on_dip), plus max_layer for UAF."""
-    max_layer = _validate(config)
+    and the argument tuple that `run` passes to that kernel, the same for
+    every protocol: (indptr, indices, edge_slot, link_live, init_est, delta,
+    mal, noise, freeze_on_dip, layers)."""
+    layers = _validate(config)
     topo = config.topology
     n = topo.node_count
     ticks = config.max_ticks
@@ -472,11 +476,9 @@ def kernel_inputs(config: SimConfig) -> tuple[str, tuple]:
         mal, noise = -1, None
 
     indptr, indices, edge_slot = _csr(topo)
-    args = (indptr, indices, edge_slot, link_live, init_est,
-            float(config.delta), mal, noise, config.freeze_on_dip)
-    if config.protocol is ProtocolKind.UAF:
-        args += (max_layer,)
-    return config.protocol.value, args
+    return config.protocol.value, (indptr, indices, edge_slot, link_live, init_est,
+                                   float(config.delta), mal, noise, config.freeze_on_dip,
+                                   layers)
 
 
 def run(config: SimConfig, csv_blocks: CsvBlocks | None = None,

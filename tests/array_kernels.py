@@ -3,8 +3,10 @@
 These loops keep every piece of per-node state in flat numpy arrays and
 index them one scalar at a time.  They are an earlier formulation of the
 four protocols, kept only so that tests can hold the production kernels to
-them bit for bit (tests/test_engine.py): same positional arguments, same
-10-tuple of outputs, same floating-point operations in the same order.
+them bit for bit (tests/test_engine.py): same positional arguments (the
+tuple of `engine.kernel_inputs`, without the kernels' optional `writer` and
+`decide`), same 10-tuple of outputs, same floating-point operations in the
+same order.
 
 Run by the interpreter, `ns = 0` plus a uint8 flag becomes a uint8 under
 numpy 2, so `sent` wraps at 256 broadcasts per tick here; compare on graphs
@@ -59,7 +61,7 @@ def _observe_dip(
 
 def baseline_kernel(
     indptr, indices, edge_slot, link_live, init_est,
-    delta, mal, noise, freeze,
+    delta, mal, noise, freeze, layers,
 ):
     """Synchronous reference system: every non-gateway node averages its full
     live neighborhood each tick, the gateway contributing its current time.
@@ -127,7 +129,7 @@ def baseline_kernel(
 
 def tsau_kernel(
     indptr, indices, edge_slot, link_live, init_est,
-    delta, mal, noise, freeze,
+    delta, mal, noise, freeze, layers,
 ):
     """Timed sequential update: one slot owner per tick averages what it heard
     since its last slot (if more than one value) and broadcasts; the gateway
@@ -225,16 +227,17 @@ def tsau_kernel(
 
 def uaf_kernel(
     indptr, indices, edge_slot, link_live, init_est,
-    delta, mal, noise, freeze, max_layer,
+    delta, mal, noise, freeze, layers,
 ):
     """Gateway-timed flooding waves.  The gateway re-seeds a wave every
-    max_layer+1 ticks with an alternating status bit; an opposite-status
-    message wakes a node, which computes the average of its full live
-    neighborhood and rebroadcasts.  Computed values commit simultaneously at
-    the next cycle boundary, so all estimates step in lockstep."""
+    L+1 ticks, L the largest hop layer, with an alternating status bit; an
+    opposite-status message wakes a node, which computes the average of its
+    full live neighborhood and rebroadcasts.  Computed values commit
+    simultaneously at the next cycle boundary, so all estimates step in
+    lockstep."""
     N = indptr.shape[0] - 1
     T = link_live.shape[0]
-    cyc = max_layer + 1
+    cyc = max(layers) + 1
     est = init_est.copy()
     est[0] = 0.0
     s = np.zeros(N, dtype=np.uint8)
@@ -367,7 +370,7 @@ def uaf_kernel(
 
 def baf_kernel(
     indptr, indices, edge_slot, link_live, init_est,
-    delta, mal, noise, freeze,
+    delta, mal, noise, freeze, layers,
 ):
     """Self-regulating bidirectional flooding.  The gateway advertises its
     clock every tick with status 1.  Triggered nodes update immediately,

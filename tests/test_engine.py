@@ -1063,8 +1063,9 @@ def test_link_rows_in_chunks_equal_the_rows(monkeypatch):
         monkeypatch.setattr(kernels, "_ROW_CHUNK", chunk)
         for link_live in (m[:, :edges], m[:1, :edges]):
             finals = []
-            ep = kernels._Episode(*args, lambda ep, final: finals.append(final))
-            assert list(ep.rows(link_live)) == link_live[1:].tolist()
+            ep = kernels._Episode(*args[:3], link_live, *args[4:],
+                                  lambda ep, final: finals.append(final))
+            assert list(ep.rows()) == link_live[1:].tolist()
             assert finals == list(range(1, len(link_live), step))
 
 
