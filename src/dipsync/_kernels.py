@@ -15,9 +15,9 @@ The kernels record only what changes.  An update writes the node's new
 estimate in place into the (ticks, nodes) estimate array, and its activated
 and transmitted flags into flat bytearrays; no row is stored per tick.  The
 rows between a node's updates are filled from the activated flags, and the
-gateway column is written as delta*k, a block of final rows at a time: the
-blocks a trace CSV writer queues while the kernel runs (`_Episode.rows`),
-then the rest at the end of the episode.
+gateway column is written as delta*k, a block of final rows at a time:
+those before each call of a trace CSV writer while the kernel runs
+(`_Episode.rows`), then the rest at the end of the episode.
 
 Shared conventions:
   * node 0 is the gateway; its estimate column is delta*k exactly;
@@ -45,9 +45,9 @@ Shared conventions:
   * a kernel raises `EpisodeAborted(k)` when a broadcast of tick k would
     overflow the 4-byte microsecond wire field, or, in BAF, when a hop
     counter it sends would overflow its 2-byte field; its tenth output is -1;
-  * `writer`, if not None, is called with the episode and a tick whenever
-    every earlier tick is final (see `_Episode.rows`); it reads the episode
-    and changes none of its outputs;
+  * `writer`, if not None, is called with the episode and a tick a
+    whenever every earlier tick is final, once rows [0, a) are complete
+    (see `_Episode.rows`); it only reads those rows;
   * `decide`, if true, ends a TSAU, UAF or BAF episode early, at the first
     link-row chunk start where its dip metrics are decided
     (`_Episode._decided`), and each output is cut there.  It applies only
@@ -128,8 +128,8 @@ class _Episode:
     `tx` are flat `bytearray` flags set at k*N + i (a bytearray item store
     costs about a third of a numpy one); `act_tr` is the (ticks, nodes)
     view of `act`.  `fill` completes the estimate rows and the frozen flags
-    `frozen_tr` of finished ticks: those the writer queues while the kernel
-    runs, and at episode end, in `outputs`, the rest.  With a writer,
+    `frozen_tr` of finished ticks: those before each call of the writer,
+    and at episode end, in `outputs`, the rest.  With a writer,
     `est_tr`, `act` and `frozen_tr` live in shared memory, which the
     writer's forked processes read (`engine.CsvBlocks`)."""
 
@@ -215,9 +215,9 @@ class _Episode:
         They are converted a chunk of `step` ticks, at most _ROW_CHUNK
         elements (at least one row), at a time, which costs about half of a
         `tolist` per row.  At a chunk's first tick a every tick before a is
-        final: the writer, if any, is called with the episode and a, and the
-        attacker's noise list is extended to the chunk's ticks.  So the tick
-        loops themselves do no extra work.
+        final: the writer, if any, is called with the episode and a once
+        rows [0, a) are filled, and the attacker's noise list is extended to
+        the chunk's ticks.  So the tick loops themselves do no extra work.
 
         When the episode is `deciding`, the rows end at the first chunk
         start a where its dip metrics are decided, and `stop` is set to a.
@@ -242,6 +242,7 @@ class _Episode:
                 self.stop = a
                 return
             if self.writer is not None:
+                self.fill(a)
                 self.writer(self, a)
             if noise is not None:
                 noise += self.noise_arr[len(noise):a + step].tolist()

@@ -20,6 +20,7 @@ from __future__ import annotations
 import contextlib
 import dataclasses
 import functools
+import itertools
 import os
 import tempfile
 from dataclasses import dataclass
@@ -41,7 +42,8 @@ TRACE_CSV_HEADER = "tick,node,estimate,error,activated,frozen"
 # Trace CSV rows per writer process, and twice the rows of a block.  A row
 # takes about 0.9 us to format where 7% of the estimates repeat the row
 # above's (run-large-csv's 600 ticks of BAF on grid:16x16), and about
-# 0.6 us where 80-89% do (the bundled grid:4x4 specs).  A writer is forked
+# 0.6 us where 80-89% do (the bundled grid:4x4 specs); tests/test_engine.py's
+# test_estimate_repeat_shares_match_the_readme pins both.  A writer is forked
 # once per episode: forking it takes 0.5-1.2 ms, and with the page faults
 # after the fork it costs the kernel 3-7%.  Each block is then queued as
 # its 8-byte number, about 2 us to put and take, and its rows are read
@@ -121,48 +123,18 @@ class Trace:
 
     def to_csv(self, path) -> None:
         """Write "tick,node,estimate,error,activated,frozen" rows to the file
-        at `path`, all or nothing.
-
-        Floats are written as the `repr` of the Python float (shortest
-        round-trip digits), flags as integers; the bytes equal those of
-        formatting every (tick, node) row on its own.  The text of an
-        estimate whose float64 bits are unchanged from the row above is
-        reused, not formatted again, within each block.  Every row is
-        formatted by `_write_rows`, in blocks of whole ticks (see
-        `CsvBlocks`): the `csv_blocks` that `run` was given, whose writers
-        took the leading blocks from their queue while the kernel ran, or,
-        if there are none or they have been closed, new ones.
-
-        `CsvBlocks.finish` queues the blocks the kernel did not, formats here
-        those no writer takes, and waits for the writers, raising the first
-        failure among them; a failure in a writer keeps its type and
-        message, with its traceback text as the `WorkerTraceback` cause.
-        This process then writes the header and the blocks in tick order
-        into a new file beside the path (mode as umask gives) and renames it
-        onto the path, unlinking it on any failure or interrupt; an OSError
-        of this last stage is a ConfigError naming the path
-        (`writing_output`).  Each process's extra memory is
-        O(block + nodes) whatever the number of ticks.
-        """
-        head, name = os.path.split(os.fsdecode(path))
-        tmp = os.path.join(head, f".{name}.{os.urandom(4).hex()}.tmp")
-        with contextlib.ExitStack() as stack:
-            blocks = self.csv_blocks
-            if blocks is None or blocks.writers is None:   # none, or closed
-                blocks = stack.enter_context(CsvBlocks())
-            segments = blocks.finish(self)
-            with writing_output(path):
-                out = open(tmp, "xb")
-                try:
-                    with out:
-                        out.write(f"{TRACE_CSV_HEADER}\n".encode())
-                        for part, a, b in segments:
-                            part.seek(a)
-                            out.write(part.read(b - a))
-                    os.replace(tmp, path)
-                except BaseException:
-                    os.unlink(tmp)
-                    raise
+        at `path`, all or nothing: the bytes of formatting every (tick, node)
+        row on its own, floats as the `repr` of the Python float (shortest
+        round-trip digits) and flags as integers.  An OSError from creating
+        or writing the file is raised as a ConfigError naming the path.
+        The call takes the trace's `csv_blocks` (see `CsvBlocks`), so a
+        later call formats the rows afresh."""
+        blocks, self.csv_blocks = self.csv_blocks, None
+        if blocks is not None and blocks.writers is not None:
+            blocks.write(self, path)
+        else:
+            with CsvBlocks() as blocks:
+                blocks.write(self, path)
 
 
 # The ",activated,frozen" end of a trace CSV row, indexed by 2*activated + frozen.
@@ -210,33 +182,41 @@ def _write_rows(fh, start: int, estimates, activated, frozen, delta: float) -> N
 class CsvBlocks:
     """The trace CSV of one episode, formatted in blocks of whole ticks by
     long-lived forked writers and by this process, which all take block
-    numbers from one queue.
+    numbers from one queue, and written to its path by `write`.
+
+    A block holds about _CSV_ROWS_PER_WORKER // 2 rows, rounded up to whole
+    ticks: block b holds ticks [b * ticks, (b + 1) * ticks).  Whoever takes
+    block b formats it with `_format`, reading its rows straight from the
+    trace's arrays, at the end of a file of its own: file 0 is this
+    process's, file i the i-th writer's (an anonymous temporary file opened
+    before the fork, so a failed or killed writer leaves none behind).
+    `_format` returns the block's span (b, i, start, stop), where its bytes
+    lie in file i.
 
     The writers are forked at the first call from the kernel, or in
     `finish` if the kernel did not call: one per spare CPU (usable_cpus() -
     1), and at most one per _CSV_ROWS_PER_WORKER rows of the episode beyond
-    the first _CSV_ROWS_PER_WORKER.  A block holds about
-    _CSV_ROWS_PER_WORKER // 2 rows, rounded up to whole ticks: block b holds
-    ticks [b * ticks, (b + 1) * ticks).  The queue is a pipe of block
-    numbers (`_forkmap.put`, `_forkmap.get`) that the writers and this
-    process read; whoever takes block b formats it with `_format`, reading
-    its rows straight from the trace's arrays, into a file of its own (a
-    writer's is an anonymous temporary file opened before the fork, so a
-    failed or killed writer leaves none behind).  A kernel given a writer
-    keeps those arrays in shared memory (`_Episode`), so the writers see
-    the rows it completes after the fork.  Without a writer there is no
-    queue, and `finish` formats every block here.
+    the first _CSV_ROWS_PER_WORKER.  The queue is a pipe of block numbers
+    (`_forkmap.put`, `_forkmap.get`) that the writers and this process
+    read.  A kernel given a writer keeps the trace's arrays in shared memory
+    (`_Episode`), so the writers see the rows it completes after the fork.
+    Without a writer there is no queue, and `finish` formats every block
+    here.
 
     `run(config, csv_blocks=...)` hands the object to the kernel as its
     writer when there is more than one usable CPU, and the kernel calls it
-    whenever every tick before some tick `final` is final.  The call
-    completes the rows of every whole block of final ticks (`_Episode.fill`)
-    and queues those blocks through the queue's non-blocking write end,
-    taking only what the queue accepts, so the kernel never waits on a
-    writer.  `finish` queues the rest the same way, formatting the next
-    block here whenever the queue is full; then it closes the write end,
-    formats what is left in the queue here, and waits for the writers.  A writer's
-    failure is raised at that wait.
+    with the episode and a tick `final` once rows [0, final) are complete.
+    The call queues every whole block of those rows through the queue's
+    non-blocking write end, taking only what the queue accepts, so the
+    kernel never waits on a writer.  `finish` queues the rest the same way,
+    formatting the next block here whenever the queue is full; then it
+    closes the write end, formats what is left in the queue here, and waits
+    for the writers, raising the first failure among them: a writer's keeps
+    its type and message, with its traceback text as the `WorkerTraceback`
+    cause.  `write` copies the header and the blocks in tick order into a
+    new file beside the path (mode as umask gives) and renames it onto the
+    path, unlinking it on any failure or interrupt.  Each process's extra
+    memory is O(block + nodes) whatever the number of ticks.
 
     Use it as a context manager around the run and the `to_csv` call:
     leaving it kills and reaps every writer still running and closes the
@@ -250,7 +230,6 @@ class CsvBlocks:
         self.rows = None       # the (estimates, activated, frozen, delta) of the trace
         self.files = []        # this process's file of blocks, then each writer's
         self.tasks = self.feed = None   # the queue's read and write ends
-        self.segments = None   # set by finish
 
     def _start(self, rows) -> None:
         """Fork the writers of the trace whose (estimates, activated,
@@ -265,61 +244,73 @@ class CsvBlocks:
             self.tasks, self.feed = os.pipe()
             os.set_blocking(self.feed, False)
         parent_fds = [self.feed]
-        for _ in range(writers):
+        for i in range(1, writers + 1):
             self.files.append(tempfile.TemporaryFile())
-            self.writers.append(Worker(functools.partial(self._format, self.files[-1]),
+            self.writers.append(Worker(functools.partial(self._format, i),
                                        iter(functools.partial(get, self.tasks), None),
                                        parent_fds))
 
-    def _format(self, part, b) -> tuple:
-        """Format block b at the end of the binary file `part` as UTF-8
-        with "\n" line ends; return (b, the offset where its rows end)."""
+    def _format(self, i, b) -> tuple:
+        """Format block b at the end of file i as UTF-8 with "\n" line ends;
+        return its span (b, i, start, stop)."""
         estimates, activated, frozen, delta = self.rows
         a, z = b * self.ticks, (b + 1) * self.ticks
-        with open(part.fileno(), "w", encoding="utf-8", newline="\n", closefd=False) as fh:
+        fd = self.files[i].fileno()
+        start = os.lseek(fd, 0, os.SEEK_CUR)
+        with open(fd, "w", encoding="utf-8", newline="\n", closefd=False) as fh:
             _write_rows(fh, a, estimates[a:z], activated[a:z], frozen[a:z], delta)
-        return b, os.lseek(part.fileno(), 0, os.SEEK_CUR)
+        return b, i, start, os.lseek(fd, 0, os.SEEK_CUR)
 
     def __call__(self, episode, final: int) -> None:
         if self.writers is None:
             self._start((episode.est_tr, episode.act_tr, episode.frozen_tr, episode.delta))
-        whole = final // self.ticks
-        if self.writers and whole > self.queued:
-            episode.fill(whole * self.ticks)
-            self.queued += put(self.feed, range(self.queued, whole))
+        if self.writers:
+            self.queued += put(self.feed, range(self.queued, final // self.ticks))
 
     def finish(self, trace: Trace) -> list:
         """Queue the blocks of `trace` from `queued` on, formatting the next
         one here whenever the queue is full; close the queue's write end and
         format the blocks left in it here.  Wait for every writer; raise the
-        first failure among them.  Return (file, start, stop) of every
-        block's bytes, in tick order."""
-        if self.segments is not None:
-            return self.segments
+        first failure among them.  Return every block's span, in tick
+        order."""
         if self.writers is None:
             self._start((trace.estimates, trace.activated, trace.frozen, trace.config.delta))
-        here = functools.partial(self._format, self.files[0])
-        done = []
+        here = functools.partial(self._format, 0)
+        spans = []
         blocks = -(-trace.n_ticks // self.ticks)
         while self.queued < blocks:
             queued = put(self.feed, range(self.queued, blocks)) if self.writers else 0
             if not queued:
-                done.append(here(self.queued))
+                spans.append(here(self.queued))
                 queued = 1
             self.queued += queued
         if self.writers:
             feed, self.feed = self.feed, None
             os.close(feed)
-            done += map(here, iter(functools.partial(get, self.tasks), None))
-        spans = []
-        for part, ends in zip(self.files, [done, *(w.result() for w in self.writers)]):
-            start = 0
-            for b, stop in ends:
-                spans.append((b, part, start, stop))
-                start = stop
-        spans.sort(key=lambda span: span[0])
-        self.segments = [span[1:] for span in spans]
-        return self.segments
+            spans += map(here, iter(functools.partial(get, self.tasks), None))
+        return sorted(itertools.chain(spans, *(w.result() for w in self.writers)))
+
+    def write(self, trace: Trace, path) -> None:
+        """`finish` the blocks of `trace` and write the header and the
+        blocks, in tick order, to `path`, all or nothing (see the class
+        docstring); an OSError from creating, writing or renaming the new
+        file is a ConfigError naming the path (`writing_output`)."""
+        spans = self.finish(trace)
+        head, name = os.path.split(os.fsdecode(path))
+        tmp = os.path.join(head, f".{name}.{os.urandom(4).hex()}.tmp")
+        with writing_output(path):
+            out = open(tmp, "xb")
+            try:
+                with out:
+                    out.write(f"{TRACE_CSV_HEADER}\n".encode())
+                    for _, i, start, stop in spans:
+                        part = self.files[i]
+                        part.seek(start)
+                        out.write(part.read(stop - start))
+                os.replace(tmp, path)
+            except BaseException:
+                os.unlink(tmp)
+                raise
 
     def __enter__(self):
         return self

@@ -152,9 +152,13 @@ def test_run_rejects_an_edge_list_whose_gateway_is_not_node_0(tmp_path, capsys):
     ({"delta": "abc"}, "error: delta must be a number, got 'abc'"),
     ({"topology": "line:abc"}, "error: line spec must be line:N, got 'line:abc'"),
     ({"topology": "edgelist:"}, "error: edgelist spec must be edgelist:PATH, got 'edgelist:'"),
+    ({"max_ticks": "0"}, "error: max_ticks must be >= 1"),
+    ({"repeat": "0"}, "error: repeat must be >= 1"),
+    ({"name": "bad/name"}, "error: experiment name 'bad/name' is not filesystem-safe"),
 ], ids=["negative-seed", "missing-edgelist", "aborted-episode", "oversized-max-ticks",
         "nan-delta", "inf-delta", "grid-corner", "output-dir-key", "text-max-ticks",
-        "text-delta", "text-line-length", "empty-edgelist"])
+        "text-delta", "text-line-length", "empty-edgelist", "zero-max-ticks", "zero-repeat",
+        "unsafe-name"])
 def test_run_reports_bad_spec_or_abort_as_error(overrides, message, tmp_path, capsys):
     spec = write_spec(tmp_path, **{k: v.format(tmp=tmp_path) for k, v in overrides.items()})
     code, _, err = run_cli(["run", str(spec), "--out", str(tmp_path / "o")], capsys)
@@ -213,6 +217,17 @@ def test_run_rejects_a_spec_that_sets_a_key_twice(line, key, tmp_path, capsys):
     assert not (tmp_path / "o").exists()
 
 
+def test_run_rejects_a_spec_line_without_an_equals_sign(tmp_path, capsys):
+    spec = write_spec(tmp_path)
+    with spec.open("a", encoding="utf-8") as fh:
+        fh.write("seed 7\n")
+    lineno = len(spec.read_text(encoding="utf-8").splitlines())
+    code, out, err = run_cli(["run", str(spec), "--out", str(tmp_path / "o")], capsys)
+    assert (code, out) == (2, "")
+    assert err == f"error: {spec}:{lineno}: expected 'key = value'\n"
+    assert not (tmp_path / "o").exists()
+
+
 @pytest.mark.parametrize("content,message", [
     (b"x 0\n0 1\n", "first line must be 'N gateway_id', got 'x 0'"),
     (b"2 0 1\n0 1\n", "first line must be 'N gateway_id', got '2 0 1'"),
@@ -220,8 +235,11 @@ def test_run_rejects_a_spec_that_sets_a_key_twice(line, key, tmp_path, capsys):
     (b"2 0\n0 1 # caf\xe9\n", "topology file is not UTF-8 text"),
     (b"3 0\n0 1\n1 1\n", "self-loop on node 1"),
     (b"3 0\n0 1\n", "node 2 is unreachable from the gateway"),
+    (b"# a comment\n\n# and another\n", "empty topology file"),
+    (b"3 0\n0 1\n1 5\n", "edge (1,5) references unknown node"),
+    (b"0 0\n", "node_count must be >= 1"),
 ], ids=["text-header", "long-header", "text-edge", "latin-1", "self-loop",
-        "unreachable"])
+        "unreachable", "only-comments", "unknown-node", "no-nodes"])
 def test_run_names_the_edge_list_it_rejects(content, message, tmp_path, capsys):
     edges = tmp_path / "net.txt"
     edges.write_bytes(content)
@@ -262,9 +280,12 @@ def test_run_names_the_spec_file_it_cannot_read(content, message, tmp_path, caps
      "error: max_ticks 100000000000 needs "),
     (["compare", "--scenario", "grid16", "--ticks", "100000000000"],
      "error: max_ticks 100000000000 needs "),
+    (["sweep-links", "--protocol", "tsau", "--p", "1", "--ticks", "0"],
+     "error: max_ticks must be >= 1"),
+    (["compare", "--scenario", "grid16", "--ticks", "0"], "error: max_ticks must be >= 1"),
 ], ids=["sweep-negative-seed", "compare-negative-seed", "sweep-zero-repeats",
         "compare-unknown-protocol", "sweep-unknown-protocol", "sweep-oversized-ticks",
-        "compare-oversized-ticks"])
+        "compare-oversized-ticks", "sweep-zero-ticks", "compare-zero-ticks"])
 def test_sweep_and_compare_reject_bad_arguments(args, message, capsys):
     code, out, err = run_cli(args, capsys)
     assert code == 2

@@ -1,8 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from dipsync.engine import SimConfig, run
 from dipsync.errors import MalformedMessage
 from dipsync.protocol import PAYLOAD_BYTES, ProtocolKind, SyncMessage, decode, encode
+from test_engine import connected_topologies
 
 
 def micros(t_us):
@@ -91,3 +95,23 @@ def test_roundtrip_random_messages():
             raw = encode(msg)
             assert len(raw) == PAYLOAD_BYTES[kind]
             assert decode(raw, kind) == msg
+
+
+# TSAU and BAF broadcast their estimates, so a trace holds the time of each
+# broadcast: node i's sent at tick k is estimates[k, i], and the gateway's
+# column is delta*k.  UAF sends its pending average and the attacker adds
+# noise, values the outputs do not hold, so they stay out.  BAF's status and
+# hop counter are not in the outputs either: s=1, c=0 stand in for them
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(topo=connected_topologies(), proto=st.sampled_from([ProtocolKind.TSAU, ProtocolKind.BAF]),
+       freeze=st.booleans(), link_p=st.sampled_from([1.0, 0.7]),
+       seed=st.integers(0, 2 ** 32 - 1), ticks=st.integers(100, 600))
+def test_kernel_broadcasts_survive_the_codec(topo, proto, freeze, link_p, seed, ticks):
+    trace = run(SimConfig(topology=topo, protocol=proto, max_ticks=ticks, link_p=link_p,
+                          seed=seed, freeze_on_dip=freeze))
+    fields = {"s": 1, "c": 0} if proto is ProtocolKind.BAF else {}
+    for k, i in zip(*np.nonzero(trace.transmitted)):
+        time = float(trace.estimates[k, i])
+        got = decode(encode(SyncMessage(proto, int(i), time, **fields)), proto)
+        assert got.sender == i
+        assert abs(got.time - time) <= 0.5e-6 * (1 + 1e-9)

@@ -17,7 +17,7 @@ from test_cli import assert_no_child_left, use_cpus
 import dipsync._kernels as kernels
 import dipsync.engine as engine
 from dipsync._forkmap import WorkerTraceback
-from dipsync.cli import scenario_config
+from dipsync.cli import load_spec, resolve_spec_path, scenario_config
 from dipsync.dip import DipDetector
 from dipsync.engine import (
     SimConfig,
@@ -464,6 +464,23 @@ def test_to_csv_memory_is_bounded(tmp_path):
         tracemalloc.stop()
     assert (tmp_path / "trace.csv").stat().st_size > 7_000_000
     assert peak < 4_000_000
+
+
+def test_estimate_repeat_shares_match_the_readme():
+    # the share of estimates, below row 0, whose float64 bits equal the row
+    # above's, in whole percents: the README's "80-89%" of the bundled
+    # grid:4x4 specs and "7%" of run-large-csv's trace, which the comment
+    # on _CSV_ROWS_PER_WORKER also quotes
+    configs = {name: load_spec(resolve_spec_path(name)).config for name in
+               ("grid16-tsau", "grid16-uaf", "grid16-baf", "malicious16-baf")}
+    configs["run-large-csv"] = cfg(make_grid(16, 16), ProtocolKind.BAF, max_ticks=600,
+                                   seed=1, link_p=0.75)
+    shares = {}
+    for name, config in configs.items():
+        bits = run(config).estimates.view(np.uint64)
+        shares[name] = round(100 * float((bits[1:] == bits[:-1]).mean()))
+    assert shares == {"grid16-tsau": 88, "grid16-uaf": 80, "grid16-baf": 80,
+                      "malicious16-baf": 89, "run-large-csv": 7}
 
 
 # a trace whose ticks do not split evenly into 2 or 3 ranges

@@ -376,6 +376,24 @@ def test_to_csv_after_its_blocks_are_closed_starts_its_own_writers(small_blocks,
     assert (tmp_path / "trace.csv").read_bytes() == want
 
 
+def test_streamed_trace_written_twice_formats_afresh(small_blocks, tmp_path, monkeypatch):
+    # the first to_csv takes the blocks the run formatted; the second,
+    # inside the same CsvBlocks, forks a writer of new blocks
+    spec = frozen_spec(tmp_path, "baf")
+    want = per_row_bytes(spec)
+    use_cpus(monkeypatch, 2)
+    forks = count_forks(monkeypatch)
+    with engine.CsvBlocks() as blocks:
+        trace = engine.run(cli.load_spec(spec).config, csv_blocks=blocks)
+        assert blocks.queued > 0
+        trace.to_csv(tmp_path / "a.csv")
+        assert trace.csv_blocks is None and len(forks) == 1
+        trace.to_csv(tmp_path / "b.csv")
+        assert len(forks) == 2
+    assert (tmp_path / "a.csv").read_bytes() == want
+    assert (tmp_path / "b.csv").read_bytes() == want
+
+
 @pytest.mark.parametrize("args", [
     ["sweep-links", "--protocol", "baf", "--p", "0.75", "0.5", "--repeats", "1",
      "--ticks", "400"],
